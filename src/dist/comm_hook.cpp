@@ -5,6 +5,8 @@
 #include <numeric>
 #include <stdexcept>
 
+#include "tensor/int8.hpp"
+
 namespace splpg::dist {
 
 const char* to_string(CommHookKind kind) noexcept {
@@ -116,29 +118,18 @@ class TopKHook final : public CommHook {
   std::vector<std::size_t> order_;                      // selection scratch
 };
 
-/// Per-tensor symmetric int8 quantization: scale = amax / 127, q =
-/// clamp(round(x / scale), -127, 127), round-trip x' = q * scale. The
-/// round-trip error is at most scale / 2 = amax / 254 per entry (plus float
-/// slop). Stateless — quantization error is not carried.
+/// Per-tensor symmetric int8 quantization through tensor/int8: scale = amax /
+/// 127, q = clamp(lround(x * (127 / amax)), -127, 127), round-trip x' = q *
+/// scale. The round-trip error is at most scale / 2 = amax / 254 per entry
+/// (plus float slop). Stateless — quantization error is not carried.
 class Int8Hook final : public CommHook {
  public:
   Int8Hook() : CommHook(CommHookKind::kInt8) {}
 
   std::uint64_t compress(std::uint32_t /*worker*/, std::size_t /*slot*/,
                          const tensor::Matrix& in, tensor::Matrix& out) override {
-    out.resize(in.rows(), in.cols());
-    float amax = 0.0F;
-    for (const float x : in.data()) amax = std::max(amax, std::fabs(x));
-    if (amax > 0.0F) {
-      const float scale = amax / 127.0F;
-      const float inv_scale = 127.0F / amax;
-      auto out_data = out.data();
-      const auto in_data = in.data();
-      for (std::size_t i = 0; i < in.size(); ++i) {
-        const auto q = std::clamp<long>(std::lroundf(in_data[i] * inv_scale), -127L, 127L);
-        out_data[i] = static_cast<float>(q) * scale;
-      }
-    }
+    out = in;
+    (void)tensor::quantize_dequantize_inplace(out);
     return payload_bytes(in);
   }
 

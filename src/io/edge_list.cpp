@@ -5,15 +5,13 @@
 #include <cstdio>
 #include <fstream>
 #include <limits>
-#include <optional>
 #include <sstream>
 #include <unordered_map>
 #include <vector>
 
 #include "io/atomic_file.hpp"
-#include "io/crc32.hpp"
+#include "io/section.hpp"
 #include "io/storage_fault.hpp"
-#include "util/serialize.hpp"
 
 namespace splpg::io {
 
@@ -28,10 +26,9 @@ namespace {
 constexpr std::uint32_t kEdgeMagic = 0x53504745;  // "SPGE"
 constexpr std::uint32_t kEdgeVersionLegacy = 1;   // pre-checksum layout
 constexpr std::uint32_t kEdgeVersion = 2;         // + payload/header CRC-32
-// v2 header: magic, version, flags, num_nodes (u32 each), num_edges (u64),
-// payload_crc, header_crc (u32 each). The header CRC covers bytes [0, 28).
-constexpr std::size_t kEdgeHeaderBytesV2 = 32;
-constexpr std::size_t kEdgeHeaderBytesV1 = 24;
+// Header: magic, version, flags, num_nodes (u32 each), num_edges (u64); v2
+// appends the payload and header CRCs (io/section). Payload: the u32 pairs,
+// then the f32 weights of a weighted graph.
 constexpr std::uint32_t kFlagWeighted = 1U << 0;
 
 [[noreturn]] void fail(const std::string& message) { throw FormatError(message); }
@@ -102,26 +99,6 @@ CsrGraph build_checked(NodeId num_nodes, std::vector<RawEdge> raw, bool weighted
     builder.add_edge(static_cast<NodeId>(edge.u), static_cast<NodeId>(edge.v), edge.weight);
   }
   return builder.build();
-}
-
-/// Bytes left in a seekable stream, or nullopt when the stream cannot tell —
-/// used to report truncation *before* trusting a header's element count.
-std::optional<std::uint64_t> remaining_bytes(std::istream& in) {
-  const auto here = in.tellg();
-  if (here < 0) return std::nullopt;
-  in.seekg(0, std::ios::end);
-  const auto end = in.tellg();
-  in.seekg(here);
-  if (end < 0) return std::nullopt;
-  return static_cast<std::uint64_t>(end - here);
-}
-
-/// Rejects bytes past the declared payload, naming the first stray offset.
-void expect_end_of_payload(std::istream& in, std::uint64_t payload_end, const char* format) {
-  if (in.peek() != std::char_traits<char>::eof()) {
-    fail(std::string(format) + ": trailing garbage after the declared payload at offset " +
-         std::to_string(payload_end));
-  }
 }
 
 }  // namespace
@@ -218,106 +195,45 @@ void write_edge_list_text_file(const std::string& path, const CsrGraph& graph) {
 
 CsrGraph read_edge_list_binary(std::istream& in, const EdgeListOptions& options,
                                ReadIntegrity* integrity) {
-  using util::read_pod;
-  std::uint32_t magic = 0;
-  in.read(reinterpret_cast<char*>(&magic), sizeof(magic));
-  if (!in) fail("binary edge list: truncated header (no magic)");
-  if (magic != kEdgeMagic) {
-    std::ostringstream hex;
-    hex << std::hex << magic;
-    fail("binary edge list: bad magic 0x" + hex.str() + " (not an SPGE file)");
-  }
-  std::uint32_t version = 0;
-  std::uint32_t flags = 0;
-  std::uint32_t num_nodes = 0;
-  std::uint64_t num_edges = 0;
+  SectionReader reader(in, "binary edge list");
+  reader.magic(kEdgeMagic, "SPGE");
+  const std::uint32_t version = reader.version(kEdgeVersionLegacy, kEdgeVersion);
+  const auto flags = reader.field<std::uint32_t>();
+  const auto num_nodes = reader.field<std::uint32_t>();
+  const auto num_edges = reader.field<std::uint64_t>();
+  const bool checksummed = version == kEdgeVersion;
   std::uint32_t payload_crc = 0;
-  try {
-    version = read_pod<std::uint32_t>(in);
-    if (version != kEdgeVersion && version != kEdgeVersionLegacy) {
-      fail("binary edge list: unsupported version " + std::to_string(version) +
-           " (expected " + std::to_string(kEdgeVersionLegacy) + " or " +
-           std::to_string(kEdgeVersion) + ")");
-    }
-    flags = read_pod<std::uint32_t>(in);
-    num_nodes = read_pod<std::uint32_t>(in);
-    num_edges = read_pod<std::uint64_t>(in);
-    if (version == kEdgeVersion) {
-      payload_crc = read_pod<std::uint32_t>(in);
-      const auto stored_header_crc = read_pod<std::uint32_t>(in);
-      // Reassemble the exact header bytes [0, 28) the writer checksummed.
-      std::ostringstream header;
-      util::write_pod(header, magic);
-      util::write_pod(header, version);
-      util::write_pod(header, flags);
-      util::write_pod(header, num_nodes);
-      util::write_pod(header, num_edges);
-      util::write_pod(header, payload_crc);
-      const std::string header_bytes = header.str();
-      const std::uint32_t computed = Crc32::of(header_bytes.data(), header_bytes.size());
-      if (computed != stored_header_crc) {
-        std::ostringstream hex;
-        hex << std::hex << stored_header_crc << ", computed 0x" << computed;
-        fail("binary edge list: header checksum mismatch at offset " +
-             std::to_string(kEdgeHeaderBytesV2 - sizeof(std::uint32_t)) + " (stored 0x" +
-             hex.str() + ")");
-      }
-    }
-  } catch (const FormatError&) {
-    throw;
-  } catch (const std::runtime_error&) {
-    fail("binary edge list: truncated header");
+  if (checksummed) {
+    payload_crc = reader.field<std::uint32_t>();
+    reader.check_header_crc();
   }
-  const std::uint64_t header_bytes =
-      version == kEdgeVersion ? kEdgeHeaderBytesV2 : kEdgeHeaderBytesV1;
   if (integrity != nullptr) {
     integrity->version = version;
-    integrity->checksummed = version == kEdgeVersion;
+    integrity->checksummed = checksummed;
   }
   if ((flags & ~kFlagWeighted) != 0) {
     std::ostringstream hex;
     hex << std::hex << flags;
-    fail("binary edge list: unknown flags 0x" + hex.str());
+    reader.fail("unknown flags 0x" + hex.str());
   }
   if (options.expected_nodes > 0 && num_nodes != options.expected_nodes) {
-    fail("binary edge list: header declares " + std::to_string(num_nodes) +
-         " nodes, expected " + std::to_string(options.expected_nodes));
+    reader.fail("header declares " + std::to_string(num_nodes) + " nodes, expected " +
+                std::to_string(options.expected_nodes));
   }
   const bool weighted = (flags & kFlagWeighted) != 0;
-  const std::uint64_t payload =
-      num_edges * (sizeof(NodeId) * 2 + (weighted ? sizeof(float) : 0));
-  if (const auto left = remaining_bytes(in); left.has_value() && *left < payload) {
-    fail("binary edge list: truncated — header declares " + std::to_string(num_edges) +
-         " edges (" + std::to_string(payload) + " bytes) but only " + std::to_string(*left) +
-         " bytes remain");
-  }
+  const auto pairs = reader.payload<Edge>(num_edges, std::to_string(num_edges) + " edges");
+  const auto weights = reader.payload<float>(weighted ? num_edges : 0,
+                                             std::to_string(num_edges) + " edge weights");
+  if (checksummed) reader.check_payload_crc(payload_crc);
+  reader.expect_end();
 
-  Crc32 crc;
   std::vector<RawEdge> raw(num_edges);
   for (std::uint64_t e = 0; e < num_edges; ++e) {
-    NodeId pair[2];
-    in.read(reinterpret_cast<char*>(pair), sizeof(pair));
-    if (!in) fail("binary edge list: truncated at edge " + std::to_string(e));
-    crc.update(pair, sizeof(pair));
-    raw[e].u = pair[0];
-    raw[e].v = pair[1];
+    raw[e].u = pairs[e].u;
+    raw[e].v = pairs[e].v;
+    if (weighted) raw[e].weight = weights[e];
     raw[e].line = e;  // "line" doubles as the edge index in error messages
   }
-  if (weighted) {
-    for (std::uint64_t e = 0; e < num_edges; ++e) {
-      in.read(reinterpret_cast<char*>(&raw[e].weight), sizeof(float));
-      if (!in) fail("binary edge list: truncated weight array at edge " + std::to_string(e));
-      crc.update(&raw[e].weight, sizeof(float));
-    }
-  }
-  if (version == kEdgeVersion && crc.value() != payload_crc) {
-    std::ostringstream hex;
-    hex << std::hex << payload_crc << ", computed 0x" << crc.value();
-    fail("binary edge list: payload checksum mismatch over bytes [" +
-         std::to_string(header_bytes) + ", " + std::to_string(header_bytes + payload) +
-         ") (stored 0x" + hex.str() + ")");
-  }
-  expect_end_of_payload(in, header_bytes + payload, "binary edge list");
   EdgeListOptions checked = options;
   checked.expected_nodes = num_nodes;
   return build_checked(num_nodes, std::move(raw), weighted, checked, "binary edge list");
@@ -332,37 +248,17 @@ CsrGraph read_edge_list_binary_file(const std::string& path, const EdgeListOptio
 }
 
 void write_edge_list_binary(std::ostream& out, const CsrGraph& graph) {
-  using util::write_pod;
-  // First pass: checksum the payload bytes exactly as they will be written.
-  Crc32 crc;
-  for (const auto& [u, v] : graph.edges()) {
-    const NodeId pair[2] = {u, v};
-    crc.update(pair, sizeof(pair));
-  }
-  if (graph.is_weighted()) {
-    crc.update(graph.edge_weights().data(), graph.num_edges() * sizeof(float));
-  }
-
-  std::ostringstream header;
-  write_pod(header, kEdgeMagic);
-  write_pod(header, kEdgeVersion);
-  write_pod<std::uint32_t>(header, graph.is_weighted() ? kFlagWeighted : 0);
-  write_pod<std::uint32_t>(header, graph.num_nodes());
-  write_pod<std::uint64_t>(header, graph.num_edges());
-  write_pod<std::uint32_t>(header, crc.value());
-  const std::string header_bytes = header.str();
-  out.write(header_bytes.data(), static_cast<std::streamsize>(header_bytes.size()));
-  write_pod<std::uint32_t>(out, Crc32::of(header_bytes.data(), header_bytes.size()));
-
-  for (const auto& [u, v] : graph.edges()) {
-    const NodeId pair[2] = {u, v};
-    out.write(reinterpret_cast<const char*>(pair), sizeof(pair));
-  }
-  if (graph.is_weighted()) {
-    out.write(reinterpret_cast<const char*>(graph.edge_weights().data()),
-              static_cast<std::streamsize>(graph.num_edges() * sizeof(float)));
-  }
-  if (!out) fail("binary edge list: write failed");
+  const auto edges = graph.edges();
+  const auto weights = graph.edge_weights();
+  SectionWriter()
+      .field(kEdgeMagic)
+      .field(kEdgeVersion)
+      .field<std::uint32_t>(graph.is_weighted() ? kFlagWeighted : 0)
+      .field<std::uint32_t>(graph.num_nodes())
+      .field<std::uint64_t>(graph.num_edges())
+      .payload(edges.data(), edges.size() * sizeof(Edge))
+      .payload(weights.data(), weights.size() * sizeof(float))
+      .write(out);
 }
 
 void write_edge_list_binary_file(const std::string& path, const CsrGraph& graph) {

@@ -1,16 +1,16 @@
 #include "io/feature_file.hpp"
 
-#include <cstring>
+#include <algorithm>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <sstream>
 
 #include "io/atomic_file.hpp"
-#include "io/crc32.hpp"
 #include "io/error.hpp"
 #include "io/mmap_file.hpp"
+#include "io/section.hpp"
 #include "io/storage_fault.hpp"
-#include "util/serialize.hpp"
 
 namespace splpg::io {
 
@@ -19,10 +19,10 @@ namespace {
 constexpr std::uint32_t kFeatureMagic = 0x53504654;  // "SPFT"
 constexpr std::uint32_t kFeatureVersionLegacy = 1;   // pre-checksum layout
 constexpr std::uint32_t kFeatureVersion = 2;         // + payload/header CRC-32
-// v1 header: magic, version, nodes, dim. v2 appends payload_bytes (u64),
-// payload_crc, header_crc; the header CRC covers bytes [0, 28). The payload
-// still starts at a fixed float-aligned offset so mmap stays zero-copy.
-constexpr std::size_t kFeatureHeaderBytesV1 = 16;
+// Header: magic, version, nodes, dim (u32 each); v2 appends payload_bytes
+// (u64) and the payload and header CRCs (io/section), 32 bytes in all. The
+// payload still starts at a fixed float-aligned offset so mmap stays
+// zero-copy.
 constexpr std::size_t kFeatureHeaderBytesV2 = 32;
 
 constexpr std::uint32_t kLabelMagic = 0x53504C42;  // "SPLB"
@@ -35,72 +35,33 @@ struct FeatureHeader {
   std::uint32_t dim = 0;
   std::uint64_t payload_bytes = 0;  // declared (v2) or derived (v1)
   std::uint32_t payload_crc = 0;    // v2 only
-  std::size_t header_bytes = 0;
 
   [[nodiscard]] bool checksummed() const noexcept { return version == kFeatureVersion; }
+  [[nodiscard]] std::string what() const {
+    return std::to_string(num_nodes) + "x" + std::to_string(dim) + " features";
+  }
 };
 
-[[noreturn]] void fail(const std::string& message) { throw FormatError(message); }
-
-void check_crc(std::uint32_t stored, std::uint32_t computed, const char* file,
-               const char* section, std::uint64_t offset) {
-  if (stored == computed) return;
-  std::ostringstream hex;
-  hex << std::hex << stored << ", computed 0x" << computed;
-  fail(std::string(file) + ": " + section + " checksum mismatch at offset " +
-       std::to_string(offset) + " (stored 0x" + hex.str() + ")");
-}
-
-FeatureHeader read_feature_header(std::istream& in) {
-  std::uint32_t magic = 0;
-  in.read(reinterpret_cast<char*>(&magic), sizeof(magic));
-  if (!in) fail("feature file: truncated header (no magic)");
-  if (magic != kFeatureMagic) {
-    std::ostringstream hex;
-    hex << std::hex << magic;
-    fail("feature file: bad magic 0x" + hex.str() + " (not an SPFT file)");
-  }
+FeatureHeader read_feature_header(SectionReader& reader) {
   FeatureHeader header;
-  try {
-    header.version = util::read_pod<std::uint32_t>(in);
-    if (header.version != kFeatureVersion && header.version != kFeatureVersionLegacy) {
-      fail("feature file: unsupported version " + std::to_string(header.version) +
-           " (expected " + std::to_string(kFeatureVersionLegacy) + " or " +
-           std::to_string(kFeatureVersion) + ")");
-    }
-    header.num_nodes = util::read_pod<std::uint32_t>(in);
-    header.dim = util::read_pod<std::uint32_t>(in);
-    if (header.version == kFeatureVersion) {
-      header.payload_bytes = util::read_pod<std::uint64_t>(in);
-      header.payload_crc = util::read_pod<std::uint32_t>(in);
-      const auto stored_header_crc = util::read_pod<std::uint32_t>(in);
-      std::ostringstream bytes;
-      util::write_pod(bytes, magic);
-      util::write_pod(bytes, header.version);
-      util::write_pod(bytes, header.num_nodes);
-      util::write_pod(bytes, header.dim);
-      util::write_pod(bytes, header.payload_bytes);
-      util::write_pod(bytes, header.payload_crc);
-      const std::string head = bytes.str();
-      check_crc(stored_header_crc, Crc32::of(head.data(), head.size()), "feature file",
-                "header", kFeatureHeaderBytesV2 - sizeof(std::uint32_t));
-      header.header_bytes = kFeatureHeaderBytesV2;
-    } else {
-      header.payload_bytes =
-          static_cast<std::uint64_t>(header.num_nodes) * header.dim * sizeof(float);
-      header.header_bytes = kFeatureHeaderBytesV1;
-    }
-  } catch (const FormatError&) {
-    throw;
-  } catch (const std::runtime_error&) {
-    fail("feature file: truncated header");
+  reader.magic(kFeatureMagic, "SPFT");
+  header.version = reader.version(kFeatureVersionLegacy, kFeatureVersion);
+  header.num_nodes = reader.field<std::uint32_t>();
+  header.dim = reader.field<std::uint32_t>();
+  if (header.checksummed()) {
+    header.payload_bytes = reader.field<std::uint64_t>();
+    header.payload_crc = reader.field<std::uint32_t>();
+    reader.check_header_crc();
   }
-  const std::uint64_t expected =
-      static_cast<std::uint64_t>(header.num_nodes) * header.dim * sizeof(float);
+  const std::uint64_t values = static_cast<std::uint64_t>(header.num_nodes) * header.dim;
+  if (values > std::numeric_limits<std::uint64_t>::max() / sizeof(float)) {
+    reader.fail("header declares " + header.what() + ", more than a file can hold");
+  }
+  const std::uint64_t expected = values * sizeof(float);
+  if (!header.checksummed()) header.payload_bytes = expected;
   if (header.payload_bytes != expected) {
-    fail("feature file: header declares " + std::to_string(header.payload_bytes) +
-         " payload bytes but " + std::to_string(header.num_nodes) + "x" +
-         std::to_string(header.dim) + " features need " + std::to_string(expected));
+    reader.fail("header declares " + std::to_string(header.payload_bytes) +
+                " payload bytes but " + header.what() + " need " + std::to_string(expected));
   }
   return header;
 }
@@ -119,22 +80,16 @@ std::string to_string(FeatureBackend backend) {
 }
 
 void write_features(std::ostream& out, const graph::FeatureStore& features) {
-  using util::write_pod;
   const auto data = features.data();
   const std::uint64_t payload_bytes = data.size() * sizeof(float);
-  std::ostringstream header;
-  write_pod(header, kFeatureMagic);
-  write_pod(header, kFeatureVersion);
-  write_pod<std::uint32_t>(header, features.num_nodes());
-  write_pod<std::uint32_t>(header, features.dim());
-  write_pod<std::uint64_t>(header, payload_bytes);
-  write_pod<std::uint32_t>(header, Crc32::of(data.data(), payload_bytes));
-  const std::string head = header.str();
-  out.write(head.data(), static_cast<std::streamsize>(head.size()));
-  write_pod<std::uint32_t>(out, Crc32::of(head.data(), head.size()));
-  out.write(reinterpret_cast<const char*>(data.data()),
-            static_cast<std::streamsize>(payload_bytes));
-  if (!out) fail("feature file: write failed");
+  SectionWriter()
+      .field(kFeatureMagic)
+      .field(kFeatureVersion)
+      .field<std::uint32_t>(features.num_nodes())
+      .field<std::uint32_t>(features.dim())
+      .field(payload_bytes)
+      .payload(data.data(), payload_bytes)
+      .write(out);
 }
 
 void write_features_file(const std::string& path, const graph::FeatureStore& features) {
@@ -142,45 +97,13 @@ void write_features_file(const std::string& path, const graph::FeatureStore& fea
 }
 
 graph::FeatureStore read_features(std::istream& in, ReadIntegrity* integrity) {
-  const FeatureHeader header = read_feature_header(in);
+  SectionReader reader(in, "feature file");
+  const FeatureHeader header = read_feature_header(reader);
   fill_integrity(integrity, header);
-  const std::size_t count = static_cast<std::size_t>(header.num_nodes) * header.dim;
-  // Validate the stream length against the header BEFORE allocating, so a
-  // truncated (or garbage-count) file fails with offsets instead of an
-  // allocation or a short read.
-  {
-    const auto here = in.tellg();
-    if (here >= 0) {
-      in.seekg(0, std::ios::end);
-      const auto end = in.tellg();
-      in.seekg(here);
-      if (end >= 0) {
-        const auto left = static_cast<std::uint64_t>(end - here);
-        if (left < header.payload_bytes) {
-          fail("feature file: truncated — header declares " +
-               std::to_string(header.payload_bytes) + " payload bytes for " +
-               std::to_string(header.num_nodes) + "x" + std::to_string(header.dim) +
-               " features but only " + std::to_string(left) + " remain");
-        }
-      }
-    }
-  }
-  std::vector<float> data(count);
-  in.read(reinterpret_cast<char*>(data.data()),
-          static_cast<std::streamsize>(header.payload_bytes));
-  if (static_cast<std::uint64_t>(in.gcount()) != header.payload_bytes) {
-    fail("feature file: truncated — expected " + std::to_string(header.payload_bytes) +
-         " payload bytes for " + std::to_string(header.num_nodes) + "x" +
-         std::to_string(header.dim) + " features");
-  }
-  if (header.checksummed()) {
-    check_crc(header.payload_crc, Crc32::of(data.data(), header.payload_bytes),
-              "feature file", "payload", header.header_bytes);
-  }
-  if (in.peek() != std::char_traits<char>::eof()) {
-    fail("feature file: trailing garbage after the declared payload at offset " +
-         std::to_string(header.header_bytes + header.payload_bytes));
-  }
+  auto data = reader.payload<float>(static_cast<std::uint64_t>(header.num_nodes) * header.dim,
+                                    header.what());
+  if (header.checksummed()) reader.check_payload_crc(header.payload_crc);
+  reader.expect_end();
   return {header.num_nodes, header.dim, std::move(data)};
 }
 
@@ -190,36 +113,24 @@ graph::FeatureStore read_features_file(const std::string& path, FeatureBackend b
   if (backend == FeatureBackend::kMmap) {
     if (auto mapped = MappedFile::map(path); mapped.has_value()) {
       return with_path(path, [&]() -> graph::FeatureStore {
-        // Parse + validate the header against the actual mapping size BEFORE
-        // constructing the zero-copy view: a truncated or padded file must be
-        // a FormatError here, never an out-of-bounds read or SIGBUS on the
-        // first gather.
-        std::istringstream header_stream(
+        // Check the header, the exact file size and the payload CRC against
+        // the mapping BEFORE constructing the zero-copy view: a truncated or
+        // padded file must be a FormatError here, never an out-of-bounds
+        // read or SIGBUS on the first gather.
+        std::istringstream head(
             std::string(reinterpret_cast<const char*>(mapped->data()),
                         std::min(mapped->size(), kFeatureHeaderBytesV2)));
-        const FeatureHeader header = read_feature_header(header_stream);
-        const std::uint64_t expected_size = header.header_bytes + header.payload_bytes;
-        if (mapped->size() < expected_size) {
-          fail("feature file: truncated — holds " + std::to_string(mapped->size()) +
-               " bytes, header declares " + std::to_string(expected_size) + " (" +
-               std::to_string(header.num_nodes) + "x" + std::to_string(header.dim) +
-               " features)");
-        }
-        if (mapped->size() > expected_size) {
-          fail("feature file: trailing garbage after the declared payload at offset " +
-               std::to_string(expected_size));
-        }
-        if (header.checksummed()) {
-          check_crc(header.payload_crc,
-                    Crc32::of(mapped->data() + header.header_bytes, header.payload_bytes),
-                    "feature file", "payload", header.header_bytes);
-        }
+        SectionReader reader(head, "feature file");
+        const FeatureHeader header = read_feature_header(reader);
+        const std::uint64_t header_bytes = reader.offset();
+        reader.mapped_payload(mapped->data() + header_bytes, mapped->size() - header_bytes,
+                              header.payload_bytes, header.what());
+        if (header.checksummed()) reader.check_payload_crc(header.payload_crc);
         fill_integrity(integrity, header);
         // Point the store straight at the mapped payload (zero-copy). The
         // shared_ptr keeps the mapping alive as long as any store copy does.
         auto owner = std::make_shared<MappedFile>(std::move(*mapped));
-        const auto* rows =
-            reinterpret_cast<const float*>(owner->data() + header.header_bytes);
+        const auto* rows = reinterpret_cast<const float*>(owner->data() + header_bytes);
         return {header.num_nodes, header.dim, rows, std::move(owner)};
       });
     }
@@ -233,19 +144,12 @@ graph::FeatureStore read_features_file(const std::string& path, FeatureBackend b
 
 void write_labels_file(const std::string& path, const std::vector<std::uint32_t>& labels) {
   write_file_atomic(path, [&](std::ostream& out) {
-    using util::write_pod;
-    const std::uint64_t payload_bytes = labels.size() * sizeof(std::uint32_t);
-    std::ostringstream header;
-    write_pod(header, kLabelMagic);
-    write_pod(header, kLabelVersion);
-    write_pod<std::uint64_t>(header, labels.size());
-    write_pod<std::uint32_t>(header, Crc32::of(labels.data(), payload_bytes));
-    const std::string head = header.str();
-    out.write(head.data(), static_cast<std::streamsize>(head.size()));
-    write_pod<std::uint32_t>(out, Crc32::of(head.data(), head.size()));
-    out.write(reinterpret_cast<const char*>(labels.data()),
-              static_cast<std::streamsize>(payload_bytes));
-    if (!out) fail("label file: write failed");
+    SectionWriter()
+        .field(kLabelMagic)
+        .field(kLabelVersion)
+        .field<std::uint64_t>(labels.size())
+        .payload(labels.data(), labels.size() * sizeof(std::uint32_t))
+        .write(out);
   });
 }
 
@@ -254,59 +158,25 @@ std::vector<std::uint32_t> read_labels_file(const std::string& path,
   storage_faults_on_read(path);
   std::ifstream in(path, std::ios::binary);
   if (!in) throw_errno("label file: cannot open", path);
-  return with_path(path, [&]() -> std::vector<std::uint32_t> {
-    std::uint32_t magic = 0;
-    in.read(reinterpret_cast<char*>(&magic), sizeof(magic));
-    if (!in) fail("label file: truncated header (no magic)");
-    if (magic != kLabelMagic) fail("label file: bad magic (not an SPLB file)");
-    try {
-      const auto version = util::read_pod<std::uint32_t>(in);
-      std::vector<std::uint32_t> labels;
-      std::uint64_t payload_end = 0;
-      if (version == kLabelVersion) {
-        const auto count = util::read_pod<std::uint64_t>(in);
-        const auto payload_crc = util::read_pod<std::uint32_t>(in);
-        const auto stored_header_crc = util::read_pod<std::uint32_t>(in);
-        std::ostringstream bytes;
-        util::write_pod(bytes, magic);
-        util::write_pod(bytes, version);
-        util::write_pod(bytes, count);
-        util::write_pod(bytes, payload_crc);
-        const std::string head = bytes.str();
-        check_crc(stored_header_crc, Crc32::of(head.data(), head.size()), "label file",
-                  "header", head.size());
-        labels.resize(count);
-        const std::uint64_t payload_bytes = count * sizeof(std::uint32_t);
-        in.read(reinterpret_cast<char*>(labels.data()),
-                static_cast<std::streamsize>(payload_bytes));
-        if (static_cast<std::uint64_t>(in.gcount()) != payload_bytes) {
-          fail("label file: truncated — header declares " + std::to_string(count) +
-               " labels");
-        }
-        check_crc(payload_crc, Crc32::of(labels.data(), payload_bytes), "label file",
-                  "payload", head.size() + sizeof(std::uint32_t));
-        payload_end = head.size() + sizeof(std::uint32_t) + payload_bytes;
-      } else if (version == kLabelVersionLegacy) {
-        labels = util::read_vector<std::uint32_t>(in);
-        payload_end = 2 * sizeof(std::uint32_t) + sizeof(std::uint64_t) +
-                      labels.size() * sizeof(std::uint32_t);
-      } else {
-        fail("label file: unsupported version " + std::to_string(version));
-      }
-      if (in.peek() != std::char_traits<char>::eof()) {
-        fail("label file: trailing garbage after the declared payload at offset " +
-             std::to_string(payload_end));
-      }
-      if (integrity != nullptr) {
-        integrity->version = version;
-        integrity->checksummed = version == kLabelVersion;
-      }
-      return labels;
-    } catch (const FormatError&) {
-      throw;
-    } catch (const std::runtime_error&) {
-      fail("label file: truncated");
+  return with_path(path, [&] {
+    SectionReader reader(in, "label file");
+    reader.magic(kLabelMagic, "SPLB");
+    const std::uint32_t version = reader.version(kLabelVersionLegacy, kLabelVersion);
+    const auto count = reader.field<std::uint64_t>();
+    const bool checksummed = version == kLabelVersion;
+    std::uint32_t payload_crc = 0;
+    if (checksummed) {
+      payload_crc = reader.field<std::uint32_t>();
+      reader.check_header_crc();
     }
+    auto labels = reader.payload<std::uint32_t>(count, std::to_string(count) + " labels");
+    if (checksummed) reader.check_payload_crc(payload_crc);
+    reader.expect_end();
+    if (integrity != nullptr) {
+      integrity->version = version;
+      integrity->checksummed = checksummed;
+    }
+    return labels;
   });
 }
 

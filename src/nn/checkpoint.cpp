@@ -1,13 +1,16 @@
 #include "nn/checkpoint.hpp"
 
 #include <algorithm>
+#include <array>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
 #include "io/atomic_file.hpp"
 #include "io/crc32.hpp"
+#include "io/section.hpp"
 #include "io/storage_fault.hpp"
 #include "util/serialize.hpp"
 
@@ -17,217 +20,124 @@ namespace fs = std::filesystem;
 
 namespace {
 
-// Parameter section. The legacy "SPLM" layout (magic, count, shapes + data,
-// no checksums) is still readable; new sections are written as "SPM2" with a
-// checksummed header + payload. The magic changed (instead of a version
-// bump) because v1 has no version field — the byte after the magic is
-// already the parameter count.
-constexpr std::uint32_t kMagicLegacy = 0x53504C4D;  // "SPLM"
-constexpr std::uint32_t kMagic = 0x53504D32;        // "SPM2"
-
 // Train state: magic + version came first since v1, so the magic is stable.
 constexpr std::uint32_t kStateMagic = 0x5350434B;  // "SPCK"
 constexpr std::uint32_t kStateVersionLegacy = 1;
 constexpr std::uint32_t kStateVersion = 2;
 
-// Optimizer-section magics (owned by nn/optimizer.cpp; the structural walker
-// below needs to recognize both generations).
-constexpr std::uint32_t kOptMagicLegacy = 0x53504F53;  // "SPOS"
-constexpr std::uint32_t kOptMagic = 0x53504F32;        // "SPO2"
+// The parameter and optimizer-state sections share one layout: magic, the
+// section's u64 counters, then payload byte count, payload CRC, header CRC
+// and a payload of shape-prefixed matrices (rows, cols as u64, row-major
+// f32). Their legacy forms ("SPLM", "SPOS": no checksums) carry the matrices
+// inline after the counters. The magic changed instead of a version bump
+// because neither legacy layout has a version field.
+struct MatrixLayout {
+  std::uint32_t magic;
+  std::uint32_t legacy_magic;
+  const char* name;
+  std::size_t counters;
+};
+constexpr MatrixLayout kParameters{0x53504D32, 0x53504C4D, "SPM2", 1};      // count
+constexpr MatrixLayout kOptimizerState{0x53504F32, 0x53504F53, "SPO2", 2};  // step, count
+
+struct MatrixSection {
+  std::array<std::uint64_t, 2> counters{};
+  bool checksummed = false;
+  std::uint64_t payload_bytes = 0;
+  std::uint32_t payload_crc = 0;
+};
 
 constexpr const char* kManifestFile = "MANIFEST";
 constexpr const char* kStatePrefix = "state_epoch_";
 constexpr const char* kModelPrefix = "model_epoch_";
 
-[[noreturn]] void fail(const std::string& message) { throw io::FormatError(message); }
-
-void check_crc(std::uint32_t stored, std::uint32_t computed, const char* what,
-               std::uint64_t offset) {
-  if (stored == computed) return;
-  std::ostringstream hex;
-  hex << std::hex << stored << ", computed 0x" << computed;
-  fail(std::string(what) + " checksum mismatch at offset " + std::to_string(offset) +
-       " (stored 0x" + hex.str() + ")");
+void write_matrix_section(std::ostream& out, const MatrixLayout& layout,
+                          std::initializer_list<std::uint64_t> counters,
+                          const std::vector<const tensor::Matrix*>& matrices) {
+  std::ostringstream payload;
+  for (const auto* matrix : matrices) {
+    util::write_pod<std::uint64_t>(payload, matrix->rows());
+    util::write_pod<std::uint64_t>(payload, matrix->cols());
+    const auto data = matrix->data();
+    payload.write(reinterpret_cast<const char*>(data.data()),
+                  static_cast<std::streamsize>(data.size() * sizeof(float)));
+  }
+  const std::string body = payload.str();
+  io::SectionWriter section;
+  section.field(layout.magic);
+  for (const std::uint64_t counter : counters) section.field(counter);
+  section.field<std::uint64_t>(body.size()).payload(body.data(), body.size()).write(out);
 }
 
-struct ParameterSectionHeader {
-  std::uint32_t magic = 0;
-  std::uint64_t count = 0;
-  std::uint64_t payload_bytes = 0;  // v2 only
-  std::uint32_t payload_crc = 0;    // v2 only
-
-  [[nodiscard]] bool checksummed() const noexcept { return magic == kMagic; }
-};
-
-ParameterSectionHeader read_parameter_header(std::istream& in) {
-  using util::read_pod;
-  ParameterSectionHeader header;
-  std::uint32_t magic = 0;
-  in.read(reinterpret_cast<char*>(&magic), sizeof(magic));
-  if (!in) fail("load_parameters: truncated header (no magic)");
-  if (magic != kMagic && magic != kMagicLegacy) {
-    fail("load_parameters: bad magic (not an SPLM parameter section)");
+MatrixSection read_matrix_header(io::SectionReader& reader, const MatrixLayout& layout) {
+  MatrixSection section;
+  section.checksummed =
+      reader.magic(layout.magic, layout.name, layout.legacy_magic) == layout.magic;
+  for (std::size_t i = 0; i < layout.counters; ++i) {
+    section.counters[i] = reader.field<std::uint64_t>();
   }
-  header.magic = magic;
-  try {
-    header.count = read_pod<std::uint64_t>(in);
-    if (magic == kMagic) {
-      header.payload_bytes = read_pod<std::uint64_t>(in);
-      header.payload_crc = read_pod<std::uint32_t>(in);
-      const auto stored_header_crc = read_pod<std::uint32_t>(in);
-      std::ostringstream bytes;
-      util::write_pod(bytes, magic);
-      util::write_pod(bytes, header.count);
-      util::write_pod(bytes, header.payload_bytes);
-      util::write_pod(bytes, header.payload_crc);
-      const std::string head = bytes.str();
-      check_crc(stored_header_crc, io::Crc32::of(head.data(), head.size()),
-                "load_parameters: parameter-section header", head.size());
+  if (section.checksummed) {
+    section.payload_bytes = reader.field<std::uint64_t>();
+    section.payload_crc = reader.field<std::uint32_t>();
+    reader.check_header_crc();
+  }
+  return section;
+}
+
+/// Reads one shape-prefixed matrix into `destination`, whose shape it must
+/// match (the state_dict contract); without a destination it is only walked.
+void read_matrix(io::SectionReader& reader, tensor::Matrix* destination) {
+  const auto shape = reader.payload<std::uint64_t>(2, "a matrix shape");
+  const std::uint64_t rows = shape[0];
+  const std::uint64_t cols = shape[1];
+  const std::string what = std::to_string(rows) + "x" + std::to_string(cols) + " matrix";
+  if (destination != nullptr && (rows != destination->rows() || cols != destination->cols())) {
+    throw std::invalid_argument(reader.format() + ": shape mismatch (file holds a " + what +
+                                ")");
+  }
+  if (rows != 0 && cols > std::numeric_limits<std::uint64_t>::max() / rows) {
+    reader.fail("implausible " + what);
+  }
+  const auto values = reader.payload<float>(rows * cols, what);
+  if (destination != nullptr) std::copy(values.begin(), values.end(), destination->data().begin());
+}
+
+/// Reads a section's `count` matrices into `into` (or only walks them when
+/// `into` is empty). A checksummed payload is verified whole before any of
+/// it is interpreted, and must hold exactly these matrices.
+void read_matrices(io::SectionReader& reader, const MatrixSection& section, std::uint64_t count,
+                   std::span<tensor::Matrix* const> into) {
+  const auto read_all = [&](io::SectionReader& source) {
+    for (std::uint64_t i = 0; i < count; ++i) {
+      read_matrix(source, into.empty() ? nullptr : into[i]);
     }
-  } catch (const io::FormatError&) {
-    throw;
-  } catch (const std::runtime_error&) {
-    fail("load_parameters: truncated header");
-  }
-  return header;
-}
-
-std::string read_verified_payload(std::istream& in, const ParameterSectionHeader& header,
-                                  const char* who) {
-  std::string body(header.payload_bytes, '\0');
-  in.read(body.data(), static_cast<std::streamsize>(header.payload_bytes));
-  if (static_cast<std::uint64_t>(in.gcount()) != header.payload_bytes) {
-    fail(std::string(who) + ": truncated — header declares " +
-         std::to_string(header.payload_bytes) + " payload bytes");
-  }
-  check_crc(header.payload_crc, io::Crc32::of(body.data(), body.size()),
-            (std::string(who) + ": payload").c_str(), 28);
-  return body;
-}
-
-/// Reads one shape-prefixed matrix into `destination`, enforcing the
-/// destination's shape (the state_dict contract).
-void read_matrix_data(std::istream& in, tensor::Matrix& destination, const char* who) {
-  std::uint64_t rows = 0;
-  std::uint64_t cols = 0;
-  try {
-    rows = util::read_pod<std::uint64_t>(in);
-    cols = util::read_pod<std::uint64_t>(in);
-  } catch (const std::runtime_error&) {
-    fail(std::string(who) + ": truncated shape header");
-  }
-  if (rows != destination.rows() || cols != destination.cols()) {
-    throw std::invalid_argument(std::string(who) + ": shape mismatch");
-  }
-  auto data = destination.data();
-  in.read(reinterpret_cast<char*>(data.data()),
-          static_cast<std::streamsize>(data.size() * sizeof(float)));
-  if (!in) fail(std::string(who) + ": unexpected end of stream");
-}
-
-// ---- module-free structural walkers (validate_train_state_file) ----
-
-void skip_bytes(std::istream& in, std::uint64_t bytes, const char* what) {
-  in.ignore(static_cast<std::streamsize>(bytes));
-  if (static_cast<std::uint64_t>(in.gcount()) != bytes) {
-    fail(std::string("validate_train_state: truncated ") + what);
-  }
-}
-
-std::uint64_t checked_matrix_bytes(std::uint64_t rows, std::uint64_t cols) {
-  if (rows != 0 && cols > (UINT64_MAX / sizeof(float)) / rows) {
-    fail("validate_train_state: implausible matrix shape " + std::to_string(rows) + "x" +
-         std::to_string(cols));
-  }
-  return rows * cols * sizeof(float);
-}
-
-/// Walks `count` shape-prefixed matrices of `in`, validating structure only.
-void walk_matrices(std::istream& in, std::uint64_t count, const char* what) {
-  using util::read_pod;
-  for (std::uint64_t i = 0; i < count; ++i) {
-    std::uint64_t rows = 0;
-    std::uint64_t cols = 0;
-    try {
-      rows = read_pod<std::uint64_t>(in);
-      cols = read_pod<std::uint64_t>(in);
-    } catch (const std::runtime_error&) {
-      fail(std::string("validate_train_state: truncated ") + what + " shape header");
-    }
-    skip_bytes(in, checked_matrix_bytes(rows, cols), what);
-  }
-}
-
-void walk_parameter_section(std::istream& in, bool& checksummed) {
-  const ParameterSectionHeader header = read_parameter_header(in);
-  checksummed = header.checksummed();
-  if (header.checksummed()) {
-    const std::string body = read_verified_payload(in, header, "validate_train_state");
-    std::istringstream verified(body);
-    walk_matrices(verified, header.count, "parameter");
-    if (verified.peek() != std::char_traits<char>::eof()) {
-      fail("validate_train_state: parameter payload longer than its shapes declare");
-    }
-  } else {
-    walk_matrices(in, header.count, "parameter");
-  }
-}
-
-void walk_optimizer_section(std::istream& in, bool& checksummed) {
-  using util::read_pod;
-  if (in.peek() == std::char_traits<char>::eof()) return;  // stateless optimizer
-  std::uint32_t magic = 0;
-  in.read(reinterpret_cast<char*>(&magic), sizeof(magic));
-  if (!in) fail("validate_train_state: truncated optimizer section");
-  if (magic == kOptMagicLegacy) {
-    checksummed = false;
-    try {
-      (void)read_pod<std::uint64_t>(in);  // t
-      const auto count = read_pod<std::uint64_t>(in);
-      walk_matrices(in, 2 * count, "moment");
-    } catch (const io::FormatError&) {
-      throw;
-    } catch (const std::runtime_error&) {
-      fail("validate_train_state: truncated optimizer section");
-    }
+  };
+  if (!section.checksummed) {
+    read_all(reader);
     return;
   }
-  if (magic != kOptMagic) {
-    fail("validate_train_state: bad optimizer-section magic");
+  const std::uint64_t payload_start = reader.offset();
+  const auto body =
+      reader.payload<char>(section.payload_bytes, std::to_string(count) + " matrices");
+  reader.check_payload_crc(section.payload_crc);
+  std::istringstream verified(std::string(body.begin(), body.end()));
+  io::SectionReader payload(verified, reader.format(), payload_start);
+  read_all(payload);
+  payload.expect_end();
+}
+
+void read_parameters(io::SectionReader& reader, Module& module, io::ReadIntegrity* integrity) {
+  const MatrixSection section = read_matrix_header(reader, kParameters);
+  if (integrity != nullptr) {
+    integrity->version = section.checksummed ? 2 : 1;
+    integrity->checksummed = section.checksummed;
   }
-  try {
-    const auto t = read_pod<std::uint64_t>(in);
-    const auto count = read_pod<std::uint64_t>(in);
-    const auto payload_bytes = read_pod<std::uint64_t>(in);
-    const auto payload_crc = read_pod<std::uint32_t>(in);
-    const auto stored_header_crc = read_pod<std::uint32_t>(in);
-    std::ostringstream bytes;
-    util::write_pod(bytes, magic);
-    util::write_pod(bytes, t);
-    util::write_pod(bytes, count);
-    util::write_pod(bytes, payload_bytes);
-    util::write_pod(bytes, payload_crc);
-    const std::string head = bytes.str();
-    check_crc(stored_header_crc, io::Crc32::of(head.data(), head.size()),
-              "validate_train_state: optimizer-section header", head.size());
-    std::string body(payload_bytes, '\0');
-    in.read(body.data(), static_cast<std::streamsize>(payload_bytes));
-    if (static_cast<std::uint64_t>(in.gcount()) != payload_bytes) {
-      fail("validate_train_state: truncated — optimizer section declares " +
-           std::to_string(payload_bytes) + " payload bytes");
-    }
-    check_crc(payload_crc, io::Crc32::of(body.data(), body.size()),
-              "validate_train_state: optimizer payload", head.size());
-    std::istringstream verified(body);
-    walk_matrices(verified, 2 * count, "moment");
-    if (verified.peek() != std::char_traits<char>::eof()) {
-      fail("validate_train_state: optimizer payload longer than its shapes declare");
-    }
-  } catch (const io::FormatError&) {
-    throw;
-  } catch (const std::runtime_error&) {
-    fail("validate_train_state: truncated optimizer section");
+  if (section.counters[0] != module.parameters().size()) {
+    throw std::invalid_argument(reader.format() + ": parameter count mismatch");
   }
+  std::vector<tensor::Matrix*> into;
+  for (auto& p : module.parameters()) into.push_back(&p.mutable_value());
+  read_matrices(reader, section, into.size(), into);
 }
 
 struct StateHeader {
@@ -235,42 +145,13 @@ struct StateHeader {
   std::uint32_t epoch = 0;
 };
 
-StateHeader read_state_header(std::istream& in, const char* who) {
-  using util::read_pod;
-  std::uint32_t magic = 0;
-  in.read(reinterpret_cast<char*>(&magic), sizeof(magic));
-  if (!in || magic != kStateMagic) {
-    fail(std::string(who) + ": bad magic (not an SPCK train state)");
-  }
+StateHeader read_state_header(io::SectionReader& reader) {
+  reader.magic(kStateMagic, "SPCK");
   StateHeader header;
-  try {
-    header.version = read_pod<std::uint32_t>(in);
-    if (header.version != kStateVersion && header.version != kStateVersionLegacy) {
-      fail(std::string(who) + ": unsupported version " + std::to_string(header.version));
-    }
-    header.epoch = read_pod<std::uint32_t>(in);
-    if (header.version == kStateVersion) {
-      const auto stored_header_crc = read_pod<std::uint32_t>(in);
-      std::ostringstream bytes;
-      util::write_pod(bytes, magic);
-      util::write_pod(bytes, header.version);
-      util::write_pod(bytes, header.epoch);
-      const std::string head = bytes.str();
-      check_crc(stored_header_crc, io::Crc32::of(head.data(), head.size()),
-                (std::string(who) + ": train-state header").c_str(), head.size());
-    }
-  } catch (const io::FormatError&) {
-    throw;
-  } catch (const std::runtime_error&) {
-    fail(std::string(who) + ": truncated header");
-  }
+  header.version = reader.version(kStateVersionLegacy, kStateVersion);
+  header.epoch = reader.field<std::uint32_t>();
+  if (header.version == kStateVersion) reader.check_header_crc();
   return header;
-}
-
-void expect_file_end(std::istream& in, const char* who) {
-  if (in.peek() != std::char_traits<char>::eof()) {
-    fail(std::string(who) + ": trailing garbage after the declared contents");
-  }
 }
 
 /// Parses the epoch out of `<prefix><digits>.bin`; nullopt for other names.
@@ -294,26 +175,9 @@ std::optional<std::uint32_t> epoch_of(const std::string& filename, const char* p
 }  // namespace
 
 void save_parameters(std::ostream& out, const Module& module) {
-  using util::write_pod;
-  std::ostringstream payload;
-  for (const auto& p : module.parameters()) {
-    write_pod<std::uint64_t>(payload, p.value().rows());
-    write_pod<std::uint64_t>(payload, p.value().cols());
-    const auto data = p.value().data();
-    payload.write(reinterpret_cast<const char*>(data.data()),
-                  static_cast<std::streamsize>(data.size() * sizeof(float)));
-  }
-  const std::string body = payload.str();
-  std::ostringstream header;
-  write_pod(header, kMagic);
-  write_pod<std::uint64_t>(header, module.parameters().size());
-  write_pod<std::uint64_t>(header, body.size());
-  write_pod<std::uint32_t>(header, io::Crc32::of(body.data(), body.size()));
-  const std::string head = header.str();
-  out.write(head.data(), static_cast<std::streamsize>(head.size()));
-  write_pod<std::uint32_t>(out, io::Crc32::of(head.data(), head.size()));
-  out.write(body.data(), static_cast<std::streamsize>(body.size()));
-  if (!out) throw std::runtime_error("save_parameters: write failed");
+  std::vector<const tensor::Matrix*> matrices;
+  for (const auto& p : module.parameters()) matrices.push_back(&p.value());
+  write_matrix_section(out, kParameters, {matrices.size()}, matrices);
 }
 
 void save_parameters_file(const std::string& path, const Module& module) {
@@ -321,27 +185,8 @@ void save_parameters_file(const std::string& path, const Module& module) {
 }
 
 void load_parameters(std::istream& in, Module& module, io::ReadIntegrity* integrity) {
-  const ParameterSectionHeader header = read_parameter_header(in);
-  if (integrity != nullptr) {
-    integrity->version = header.checksummed() ? 2 : 1;
-    integrity->checksummed = header.checksummed();
-  }
-  if (header.count != module.parameters().size()) {
-    throw std::invalid_argument("load_parameters: parameter count mismatch");
-  }
-  if (header.checksummed()) {
-    // Verify the whole payload BEFORE interpreting any of it: a flipped bit
-    // reports as a checksum mismatch, never as a bogus shape error.
-    const std::string body = read_verified_payload(in, header, "load_parameters");
-    std::istringstream verified(body);
-    for (auto& p : module.parameters()) {
-      read_matrix_data(verified, p.mutable_value(), "load_parameters");
-    }
-  } else {
-    for (auto& p : module.parameters()) {
-      read_matrix_data(in, p.mutable_value(), "load_parameters");
-    }
-  }
+  io::SectionReader reader(in, "load_parameters");
+  read_parameters(reader, module, integrity);
 }
 
 void load_parameters_file(const std::string& path, Module& module,
@@ -350,21 +195,42 @@ void load_parameters_file(const std::string& path, Module& module,
   std::ifstream in(path, std::ios::binary);
   if (!in) io::throw_errno("load_parameters_file: cannot open", path);
   io::with_path(path, [&] {
-    load_parameters(in, module, integrity);
-    expect_file_end(in, "load_parameters_file");
+    io::SectionReader reader(in, "load_parameters_file");
+    read_parameters(reader, module, integrity);
+    reader.expect_end();
   });
+}
+
+void save_optimizer_section(std::ostream& out, std::uint64_t step,
+                            std::span<const tensor::Matrix> m,
+                            std::span<const tensor::Matrix> v) {
+  std::vector<const tensor::Matrix*> matrices;
+  for (std::size_t i = 0; i < m.size(); ++i) {
+    matrices.push_back(&m[i]);
+    matrices.push_back(&v[i]);
+  }
+  write_matrix_section(out, kOptimizerState, {step, m.size()}, matrices);
+}
+
+std::uint64_t load_optimizer_section(std::istream& in, std::span<tensor::Matrix> m,
+                                     std::span<tensor::Matrix> v) {
+  io::SectionReader reader(in, "Adam::load_state");
+  const MatrixSection section = read_matrix_header(reader, kOptimizerState);
+  if (section.counters[1] != m.size()) {
+    throw std::invalid_argument("Adam::load_state: moment count mismatch");
+  }
+  std::vector<tensor::Matrix*> into;
+  for (std::size_t i = 0; i < m.size(); ++i) {
+    into.push_back(&m[i]);
+    into.push_back(&v[i]);
+  }
+  read_matrices(reader, section, into.size(), into);
+  return section.counters[0];
 }
 
 void save_train_state(std::ostream& out, const Module& module, const Optimizer& optimizer,
                       std::uint32_t epoch) {
-  using util::write_pod;
-  std::ostringstream header;
-  write_pod(header, kStateMagic);
-  write_pod(header, kStateVersion);
-  write_pod(header, epoch);
-  const std::string head = header.str();
-  out.write(head.data(), static_cast<std::streamsize>(head.size()));
-  write_pod<std::uint32_t>(out, io::Crc32::of(head.data(), head.size()));
+  io::SectionWriter().field(kStateMagic).field(kStateVersion).field(epoch).write(out);
   save_parameters(out, module);
   optimizer.save_state(out);
   if (!out) throw std::runtime_error("save_train_state: write failed");
@@ -378,9 +244,10 @@ void save_train_state_file(const std::string& path, const Module& module,
 
 std::uint32_t load_train_state(std::istream& in, Module& module, Optimizer& optimizer,
                                io::ReadIntegrity* integrity) {
-  const StateHeader header = read_state_header(in, "load_train_state");
+  io::SectionReader reader(in, "load_train_state");
+  const StateHeader header = read_state_header(reader);
   io::ReadIntegrity params;
-  load_parameters(in, module, &params);
+  read_parameters(reader, module, &params);
   optimizer.load_state(in);
   if (integrity != nullptr) {
     integrity->version = header.version;
@@ -396,7 +263,7 @@ std::uint32_t load_train_state_file(const std::string& path, Module& module,
   if (!in) io::throw_errno("load_train_state_file: cannot open", path);
   return io::with_path(path, [&] {
     const std::uint32_t epoch = load_train_state(in, module, optimizer, integrity);
-    expect_file_end(in, "load_train_state_file");
+    io::SectionReader(in, "load_train_state_file").expect_end();
     return epoch;
   });
 }
@@ -434,11 +301,18 @@ std::uint32_t validate_train_state_file(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) io::throw_errno("validate_train_state: cannot open", path);
   return io::with_path(path, [&] {
-    const StateHeader header = read_state_header(in, "validate_train_state");
-    bool checksummed = header.version == kStateVersion;
-    walk_parameter_section(in, checksummed);
-    walk_optimizer_section(in, checksummed);
-    expect_file_end(in, "validate_train_state");
+    io::SectionReader reader(in, "validate_train_state");
+    const StateHeader header = read_state_header(reader);
+    const MatrixSection parameters = read_matrix_header(reader, kParameters);
+    read_matrices(reader, parameters, parameters.counters[0], {});
+    if (!reader.at_end()) {  // stateless optimizers (SGD) write no section
+      const MatrixSection moments = read_matrix_header(reader, kOptimizerState);
+      if (moments.counters[1] > std::numeric_limits<std::uint64_t>::max() / 2) {
+        reader.fail("implausible moment count " + std::to_string(moments.counters[1]));
+      }
+      read_matrices(reader, moments, 2 * moments.counters[1], {});
+    }
+    reader.expect_end();
     return header.epoch;
   });
 }

@@ -3,11 +3,14 @@
 // checkpoint-directory machinery the trainer's durability layer builds on
 // (manifest, keep-last-K retention, corruption-skipping discovery).
 //
-// Parameter format ("SPM2"): magic, parameter count, payload byte count,
-// payload CRC-32, header CRC-32, then each parameter's shape + row-major
-// float data. Loading requires an identically constructed module (same
-// config), mirroring PyTorch's state_dict contract. Legacy "SPLM" sections
-// (no checksums) still load and are flagged `checksummed = false`.
+// Every format here is framed by the io/section codec. Parameter section
+// ("SPM2"): magic, parameter count, payload byte count, payload CRC-32,
+// header CRC-32, then each parameter's shape + row-major float data. Loading
+// requires an identically constructed module (same config), mirroring
+// PyTorch's state_dict contract. Legacy "SPLM" sections (no checksums) still
+// load and are flagged `checksummed = false`. Adam's optimizer-state section
+// ("SPO2"; legacy "SPOS") has the same layout with the step count before
+// the parameter count and one (m, v) moment pair per parameter.
 //
 // Train-state format ("SPCK", version 2): header (magic, version, epoch,
 // header CRC-32), then the parameter section, then the optimizer's state
@@ -29,12 +32,14 @@
 #include <cstdint>
 #include <iosfwd>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "io/error.hpp"
 #include "nn/module.hpp"
 #include "nn/optimizer.hpp"
+#include "tensor/matrix.hpp"
 
 namespace splpg::nn {
 
@@ -48,6 +53,15 @@ void save_parameters_file(const std::string& path, const Module& module);
 void load_parameters(std::istream& in, Module& module, io::ReadIntegrity* integrity = nullptr);
 void load_parameters_file(const std::string& path, Module& module,
                           io::ReadIntegrity* integrity = nullptr);
+
+/// Adam's state section: the step count and one (m, v) moment pair per
+/// parameter. Loading checks the pair count and every shape against `m`/`v`
+/// (std::invalid_argument on a mismatch) and returns the step count.
+void save_optimizer_section(std::ostream& out, std::uint64_t step,
+                            std::span<const tensor::Matrix> m,
+                            std::span<const tensor::Matrix> v);
+std::uint64_t load_optimizer_section(std::istream& in, std::span<tensor::Matrix> m,
+                                     std::span<tensor::Matrix> v);
 
 void save_train_state(std::ostream& out, const Module& module, const Optimizer& optimizer,
                       std::uint32_t epoch);

@@ -1,46 +1,11 @@
 #include "nn/optimizer.hpp"
 
 #include <cmath>
-#include <sstream>
-#include <stdexcept>
 
-#include "io/crc32.hpp"
-#include "io/error.hpp"
+#include "nn/checkpoint.hpp"
 #include "tensor/vec.hpp"
-#include "util/serialize.hpp"
 
 namespace splpg::nn {
-
-namespace {
-// Optimizer-state section header inside a train-state checkpoint. The legacy
-// "SPOS" layout (magic, t, count, moments — no checksums) is still readable;
-// new states are written as "SPO2": magic, t, count, payload byte count,
-// payload CRC-32, header CRC-32, then the moment payload. The magic changed
-// (instead of a version bump) because the v1 layout has no version field —
-// the byte after the magic is already the step counter.
-constexpr std::uint32_t kStateMagicLegacy = 0x53504F53;  // "SPOS"
-constexpr std::uint32_t kStateMagic = 0x53504F32;        // "SPO2"
-
-void write_matrix(std::ostream& out, const tensor::Matrix& matrix) {
-  util::write_pod<std::uint64_t>(out, matrix.rows());
-  util::write_pod<std::uint64_t>(out, matrix.cols());
-  const auto data = matrix.data();
-  out.write(reinterpret_cast<const char*>(data.data()),
-            static_cast<std::streamsize>(data.size() * sizeof(float)));
-}
-
-void read_matrix_into(std::istream& in, tensor::Matrix& matrix) {
-  const auto rows = util::read_pod<std::uint64_t>(in);
-  const auto cols = util::read_pod<std::uint64_t>(in);
-  if (rows != matrix.rows() || cols != matrix.cols()) {
-    throw std::invalid_argument("Adam::load_state: moment shape mismatch");
-  }
-  auto data = matrix.data();
-  in.read(reinterpret_cast<char*>(data.data()),
-          static_cast<std::streamsize>(data.size() * sizeof(float)));
-  if (!in) throw std::runtime_error("Adam::load_state: unexpected end of stream");
-}
-}  // namespace
 
 void Optimizer::save_state(std::ostream& out) const { (void)out; }
 
@@ -83,93 +48,8 @@ void Adam::step() {
   }
 }
 
-void Adam::save_state(std::ostream& out) const {
-  using util::write_pod;
-  std::ostringstream payload;
-  for (std::size_t i = 0; i < m_.size(); ++i) {
-    write_matrix(payload, m_[i]);
-    write_matrix(payload, v_[i]);
-  }
-  const std::string body = payload.str();
-  std::ostringstream header;
-  write_pod(header, kStateMagic);
-  write_pod<std::uint64_t>(header, t_);
-  write_pod<std::uint64_t>(header, m_.size());
-  write_pod<std::uint64_t>(header, body.size());
-  write_pod<std::uint32_t>(header, io::Crc32::of(body.data(), body.size()));
-  const std::string head = header.str();
-  out.write(head.data(), static_cast<std::streamsize>(head.size()));
-  write_pod<std::uint32_t>(out, io::Crc32::of(head.data(), head.size()));
-  out.write(body.data(), static_cast<std::streamsize>(body.size()));
-  if (!out) throw std::runtime_error("Adam::save_state: write failed");
-}
+void Adam::save_state(std::ostream& out) const { save_optimizer_section(out, t_, m_, v_); }
 
-void Adam::load_state(std::istream& in) {
-  using util::read_pod;
-  const auto magic = read_pod<std::uint32_t>(in);
-  if (magic == kStateMagicLegacy) {
-    // v1 layout: no checksums — parse as written, flag nothing.
-    const auto t = read_pod<std::uint64_t>(in);
-    const auto count = read_pod<std::uint64_t>(in);
-    if (count != m_.size()) {
-      throw std::invalid_argument("Adam::load_state: moment count mismatch");
-    }
-    for (std::size_t i = 0; i < m_.size(); ++i) {
-      read_matrix_into(in, m_[i]);
-      read_matrix_into(in, v_[i]);
-    }
-    t_ = t;
-    return;
-  }
-  if (magic != kStateMagic) {
-    throw io::FormatError("Adam::load_state: bad magic (not an SPOS optimizer state)");
-  }
-  std::uint64_t t = 0;
-  std::uint64_t count = 0;
-  std::uint64_t payload_bytes = 0;
-  std::uint32_t payload_crc = 0;
-  std::uint32_t stored_header_crc = 0;
-  try {
-    t = read_pod<std::uint64_t>(in);
-    count = read_pod<std::uint64_t>(in);
-    payload_bytes = read_pod<std::uint64_t>(in);
-    payload_crc = read_pod<std::uint32_t>(in);
-    stored_header_crc = read_pod<std::uint32_t>(in);
-  } catch (const std::runtime_error&) {
-    throw io::FormatError("Adam::load_state: truncated optimizer-state header");
-  }
-  std::ostringstream bytes;
-  util::write_pod(bytes, magic);
-  util::write_pod(bytes, t);
-  util::write_pod(bytes, count);
-  util::write_pod(bytes, payload_bytes);
-  util::write_pod(bytes, payload_crc);
-  const std::string head = bytes.str();
-  if (const auto computed = io::Crc32::of(head.data(), head.size());
-      computed != stored_header_crc) {
-    throw io::FormatError("Adam::load_state: optimizer-state header checksum mismatch at offset " +
-                          std::to_string(head.size()));
-  }
-  if (count != m_.size()) {
-    throw std::invalid_argument("Adam::load_state: moment count mismatch");
-  }
-  std::string body(payload_bytes, '\0');
-  in.read(body.data(), static_cast<std::streamsize>(payload_bytes));
-  if (static_cast<std::uint64_t>(in.gcount()) != payload_bytes) {
-    throw io::FormatError("Adam::load_state: truncated — optimizer-state header declares " +
-                          std::to_string(payload_bytes) + " payload bytes");
-  }
-  if (const auto computed = io::Crc32::of(body.data(), body.size()); computed != payload_crc) {
-    throw io::FormatError(
-        "Adam::load_state: optimizer-state payload checksum mismatch over " +
-        std::to_string(payload_bytes) + " bytes");
-  }
-  std::istringstream verified(body);
-  for (std::size_t i = 0; i < m_.size(); ++i) {
-    read_matrix_into(verified, m_[i]);
-    read_matrix_into(verified, v_[i]);
-  }
-  t_ = t;
-}
+void Adam::load_state(std::istream& in) { t_ = load_optimizer_section(in, m_, v_); }
 
 }  // namespace splpg::nn

@@ -22,7 +22,7 @@ class Optimizer {
   virtual void step() = 0;
 
   /// (De)serializes the optimizer's internal state (step count, moment
-  /// estimates). Loading into an optimizer built over an identically shaped
+  /// estimates) as nn/checkpoint's optimizer-state section. Loading into an optimizer built over an identically shaped
   /// module makes subsequent steps bit-identical to never having paused —
   /// the exact-resume contract nn::save_train_state builds on. Stateless
   /// optimizers (SGD) write/read nothing.

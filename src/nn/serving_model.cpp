@@ -55,9 +55,8 @@ void ServingModel::compute_row(NodeId v, std::span<std::byte> out) const {
   const auto row = embedding.value().row(0);
 
   if (options_.int8_embeddings) {
-    const float scale = tensor::symmetric_scale(row);
     auto* payload = reinterpret_cast<std::int8_t*>(out.data());
-    tensor::quantize_span(row, scale, {payload, row.size()});
+    const float scale = tensor::quantize_span(row, {payload, row.size()});
     std::memcpy(out.data() + row.size(), &scale, sizeof(float));
   } else {
     std::memcpy(out.data(), row.data(), row.size() * sizeof(float));

@@ -6,25 +6,20 @@
 
 namespace splpg::tensor {
 
-float symmetric_scale(std::span<const float> values) noexcept {
-  float amax = 0.0F;
-  for (const float x : values) amax = std::max(amax, std::fabs(x));
-  return amax > 0.0F ? amax / 127.0F : 0.0F;
-}
-
-void quantize_span(std::span<const float> in, float scale, std::span<std::int8_t> out) noexcept {
+float quantize_span(std::span<const float> in, std::span<std::int8_t> out) noexcept {
   assert(in.size() == out.size());
-  if (scale <= 0.0F) {
+  float amax = 0.0F;
+  for (const float x : in) amax = std::max(amax, std::fabs(x));
+  if (amax <= 0.0F) {
     std::fill(out.begin(), out.end(), std::int8_t{0});
-    return;
+    return 0.0F;
   }
-  // Multiply by the inverse scale (not divide) — the exact arithmetic the
-  // PR-9 Int8Hook uses, so both paths share one rounding behavior.
-  const float inv_scale = 1.0F / scale;
+  const float inv_scale = 127.0F / amax;
   for (std::size_t i = 0; i < in.size(); ++i) {
     out[i] = static_cast<std::int8_t>(std::clamp<long>(std::lroundf(in[i] * inv_scale),
                                                        -127L, 127L));
   }
+  return amax / 127.0F;
 }
 
 void dequantize_span(std::span<const std::int8_t> in, float scale,
@@ -39,9 +34,8 @@ QuantizedTensor quantize_symmetric(const Matrix& in) {
   QuantizedTensor q;
   q.rows = in.rows();
   q.cols = in.cols();
-  q.scale = symmetric_scale(in.data());
   q.values.resize(in.size());
-  quantize_span(in.data(), q.scale, q.values);
+  q.scale = quantize_span(in.data(), q.values);
   return q;
 }
 

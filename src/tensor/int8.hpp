@@ -1,14 +1,14 @@
-// Int8 per-tensor symmetric quantization entry points for the inference hot
-// path (cf. ATen/native/quantized/cpu).
+// Int8 per-tensor symmetric quantization: the one quantizer behind the
+// int8 gradient-compression hook (dist/comm_hook) and the serving layer's
+// quantized weights and embeddings (cf. ATen/native/quantized/cpu).
 //
-// The arithmetic is EXACTLY the PR-9 CommHook int8 scheme (dist/comm_hook):
-// scale = amax / 127, q = clamp(lround(x / scale * 127... see below), -127,
-// 127), round-trip x' = q * scale — so the serving layer's quantized-weight
-// and quantized-embedding paths inherit the same documented round-trip
-// bound: |x' - x| <= scale / 2 = amax / 254 per entry (plus float slop
-// ~ amax * 1e-5). Values already on the grid {k * scale, |k| <= 127}
-// round-trip bit-exactly, which is what the integer-grid exactness tests
-// pin.
+// scale = amax / 127, q = clamp(lround(x * (127 / amax)), -127, 127), and
+// the round trip is x' = q * scale. The inverse is 127 / amax, not
+// 1 / scale: the two round differently for some x. The documented
+// round-trip bound is |x' - x| <= scale / 2 = amax / 254 per entry (plus
+// float slop ~ amax * 1e-5). Values already on the grid {k * scale,
+// |k| <= 127} round-trip bit-exactly, which is what the integer-grid
+// exactness tests pin.
 //
 // Scoring kernels accumulate int8 x int8 products in int32 (exact: |q| <=
 // 127 so a dot of up to 2^16 terms fits with room to spare) and apply the
@@ -34,18 +34,15 @@ struct QuantizedTensor {
 
   [[nodiscard]] std::size_t size() const noexcept { return values.size(); }
   /// Serialized wire/cache footprint: 1 byte per value + the 4-byte scale
-  /// (the PR-9 CommHook payload formula).
+  /// (the int8 CommHook payload formula).
   [[nodiscard]] std::size_t payload_bytes() const noexcept {
     return values.size() + sizeof(float);
   }
 };
 
-/// amax / 127 for a span (0 when all entries are 0 — dequantizes to zeros).
-[[nodiscard]] float symmetric_scale(std::span<const float> values) noexcept;
-
-/// Quantizes a span with a precomputed scale: q = clamp(lround(x / scale),
-/// -127, 127) via the exact inverse-scale multiply the CommHook uses.
-void quantize_span(std::span<const float> in, float scale, std::span<std::int8_t> out) noexcept;
+/// Quantizes a span with its own amax and returns the scale amax / 127 (0,
+/// with all-zero codes, when every entry is 0).
+float quantize_span(std::span<const float> in, std::span<std::int8_t> out) noexcept;
 
 /// Dequantizes: out[i] = q[i] * scale.
 void dequantize_span(std::span<const std::int8_t> in, float scale,

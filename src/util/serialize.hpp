@@ -1,16 +1,10 @@
-// Binary (de)serialization helpers for graph and dataset files.
-//
-// Format: little-endian PODs and length-prefixed vectors. Used by graph::io
-// for the on-disk graph format; not a wire format.
+// Binary serialization helper: writes a trivially copyable value's bytes as
+// they sit in memory (the on-disk formats are little-endian, like every
+// supported host). The io/section codec builds every header with it.
 #pragma once
 
-#include <cstdint>
-#include <istream>
 #include <ostream>
-#include <stdexcept>
-#include <string>
 #include <type_traits>
-#include <vector>
 
 namespace splpg::util {
 
@@ -18,53 +12,6 @@ template <typename T>
   requires std::is_trivially_copyable_v<T>
 void write_pod(std::ostream& out, const T& value) {
   out.write(reinterpret_cast<const char*>(&value), sizeof(T));
-}
-
-template <typename T>
-  requires std::is_trivially_copyable_v<T>
-T read_pod(std::istream& in) {
-  T value{};
-  in.read(reinterpret_cast<char*>(&value), sizeof(T));
-  if (!in) throw std::runtime_error("serialize: unexpected end of stream");
-  return value;
-}
-
-template <typename T>
-  requires std::is_trivially_copyable_v<T>
-void write_vector(std::ostream& out, const std::vector<T>& values) {
-  write_pod<std::uint64_t>(out, values.size());
-  if (!values.empty()) {
-    out.write(reinterpret_cast<const char*>(values.data()),
-              static_cast<std::streamsize>(values.size() * sizeof(T)));
-  }
-}
-
-template <typename T>
-  requires std::is_trivially_copyable_v<T>
-std::vector<T> read_vector(std::istream& in) {
-  const auto count = read_pod<std::uint64_t>(in);
-  std::vector<T> values(count);
-  if (count > 0) {
-    in.read(reinterpret_cast<char*>(values.data()),
-            static_cast<std::streamsize>(count * sizeof(T)));
-    if (!in) throw std::runtime_error("serialize: unexpected end of stream");
-  }
-  return values;
-}
-
-inline void write_string(std::ostream& out, const std::string& text) {
-  write_pod<std::uint64_t>(out, text.size());
-  out.write(text.data(), static_cast<std::streamsize>(text.size()));
-}
-
-inline std::string read_string(std::istream& in) {
-  const auto size = read_pod<std::uint64_t>(in);
-  std::string text(size, '\0');
-  if (size > 0) {
-    in.read(text.data(), static_cast<std::streamsize>(size));
-    if (!in) throw std::runtime_error("serialize: unexpected end of stream");
-  }
-  return text;
 }
 
 }  // namespace splpg::util

@@ -20,6 +20,7 @@
 #include "dist/sync.hpp"
 #include "nn/model.hpp"
 #include "sampling/edge_split.hpp"
+#include "tensor/int8.hpp"
 #include "tensor/matrix.hpp"
 #include "tensor/vec.hpp"
 #include "util/rng.hpp"
@@ -199,6 +200,27 @@ TEST(CommHook, Int8IsExactOnIntegerGridAndZeros) {
   tensor::Matrix zeros(4, 4);
   (void)hook->compress(0, 0, zeros, out);
   for (const float x : out.data()) EXPECT_EQ(x, 0.0F);
+}
+
+TEST(CommHook, Int8AndTensorQuantizerShareOneRounding) {
+  // Known answer: amax = 0x1.b3268p-4 and x = -0x1.0b41fap-6 round to q = -20
+  // through x * (127 / amax), but to -19 through x * (1 / (amax / 127)).
+  // The hook and tensor/int8 must both take the former.
+  tensor::Matrix in(1, 2);
+  in.data()[0] = 0x1.b3268p-4F;
+  in.data()[1] = -0x1.0b41fap-6F;
+  const auto q = tensor::quantize_symmetric(in);
+  EXPECT_EQ(q.values[0], 127);
+  EXPECT_EQ(q.values[1], -20);
+
+  const auto hook = make_comm_hook(CommHookKind::kInt8, {}, 1);
+  tensor::Matrix out;
+  (void)hook->compress(0, 0, in, out);
+  const tensor::Matrix expected = tensor::dequantize(q);
+  for (std::size_t i = 0; i < in.size(); ++i) {
+    EXPECT_EQ(out.data()[i], expected.data()[i]) << i;
+  }
+  EXPECT_EQ(out.data()[1], -20.0F * (0x1.b3268p-4F / 127.0F));
 }
 
 // ---- collective-level: bit-identity, determinism, metering ----

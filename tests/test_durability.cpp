@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
@@ -34,6 +35,7 @@
 #include "nn/optimizer.hpp"
 #include "sampling/edge_split.hpp"
 #include "tensor/matrix.hpp"
+#include "tensor/vec.hpp"
 #include "util/rng.hpp"
 #include "util/serialize.hpp"
 
@@ -444,10 +446,9 @@ TEST_F(DurabilityTest, CorruptionMatrixTruncationIsDetectedAtEveryCut) {
     }
     for (const std::size_t cut : cuts) {
       write_file_bytes(file, clean.substr(0, cut));
-      // Mostly FormatError ("truncated ..."), but a cut straight through a
-      // length field can surface as the serializer's runtime_error — either
-      // way it must throw, never parse.
-      EXPECT_THROW(format.read(file), std::exception)
+      // Every cut, even one straight through a length field, is a
+      // FormatError: the section codec reads every field itself.
+      EXPECT_THROW(format.read(file), io::FormatError)
           << format.name << ": truncation at byte " << cut << " was not detected";
     }
     write_file_bytes(file, clean);
@@ -468,6 +469,119 @@ TEST_F(DurabilityTest, CorruptionMatrixTrailingGarbageIsRejectedWithOffset) {
       expect_format_error([&] { format.read(file); return 0; },
                           std::to_string(clean.size()));
     }
+  }
+}
+
+// ---- forged sizes ----
+
+constexpr std::uint64_t kForgedSize = std::uint64_t{1} << 40;
+
+template <typename T>
+void poke(std::string& bytes, std::size_t offset, T value) {
+  ASSERT_LE(offset + sizeof(T), bytes.size());
+  std::memcpy(bytes.data() + offset, &value, sizeof(T));
+}
+
+/// Recomputes the header CRC a v2 section stores at `crc_at` over its bytes
+/// from `start`, so that a forged header still checks out.
+void reseal_header(std::string& bytes, std::size_t start, std::size_t crc_at) {
+  poke<std::uint32_t>(bytes, crc_at, io::Crc32::of(bytes.data() + start, crc_at - start));
+}
+
+/// Forges a size or count field of a clean `format_cases()` file to point far
+/// past its end, keeping the header CRC valid. Returns the declared size the
+/// error must name.
+std::string forge_size(const std::string& format, std::string& bytes) {
+  if (format == "edge-binary") {  // SPGE: num_edges @16, header CRC @28
+    poke(bytes, 16, kForgedSize);
+    reseal_header(bytes, 0, 28);
+    return std::to_string(kForgedSize);
+  }
+  if (format.starts_with("features")) {  // SPFT: nodes @8, dim @12, bytes @16, CRC @28
+    const std::uint64_t payload_bytes = std::uint64_t{1} << 32;
+    poke<std::uint32_t>(bytes, 8, 1U << 20);
+    poke<std::uint32_t>(bytes, 12, 1U << 10);
+    poke(bytes, 16, payload_bytes);
+    reseal_header(bytes, 0, 28);
+    return std::to_string(payload_bytes);
+  }
+  if (format == "labels") {  // SPLB: count @8, header CRC @20
+    poke(bytes, 8, kForgedSize);
+    reseal_header(bytes, 0, 20);
+    return std::to_string(kForgedSize);
+  }
+  if (format == "parameters") {  // SPM2: payload bytes @12, header CRC @24
+    poke(bytes, 12, kForgedSize);
+    reseal_header(bytes, 0, 24);
+    return std::to_string(kForgedSize);
+  }
+  // Train state: a 16-byte SPCK header, the SPM2 section (28-byte header
+  // declaring its payload bytes @12), then SPO2: payload bytes @20, CRC @32.
+  std::uint64_t parameter_bytes = 0;
+  std::memcpy(&parameter_bytes, bytes.data() + 16 + 12, sizeof(parameter_bytes));
+  const std::size_t optimizer = 16 + 28 + parameter_bytes;
+  poke(bytes, optimizer + 20, kForgedSize);
+  reseal_header(bytes, optimizer, optimizer + 32);
+  return std::to_string(kForgedSize);
+}
+
+TEST_F(DurabilityTest, CorruptionMatrixForgedSizeIsFormatErrorNamingIt) {
+  // A size or count field that points far past the end of the file, under a
+  // header CRC that still checks out, must fail as a FormatError naming the
+  // declared size — checked against the bytes left before anything is
+  // allocated, never std::bad_alloc.
+  for (const auto& format : format_cases()) {
+    const std::string file = path(format.name + ".bin");
+    format.write(file);
+    std::string bytes = read_file_bytes(file);
+    const std::string declared = forge_size(format.name, bytes);
+    write_file_bytes(file, bytes);
+    expect_format_error([&] { format.read(file); return 0; }, declared);
+  }
+
+  // The parameter section inside a train state (SPM2 payload bytes @16+12).
+  const std::string state = path("forged_state.bin");
+  nn::LinkPredictionModel model(tiny_model_config(), 1);
+  nn::Adam adam(model);
+  nn::save_train_state_file(state, model, adam, 7);
+  std::string bytes = read_file_bytes(state);
+  poke(bytes, 16 + 12, kForgedSize);
+  reseal_header(bytes, 16, 16 + 24);
+  write_file_bytes(state, bytes);
+  const std::string declared = std::to_string(kForgedSize);
+  expect_format_error([&] { return nn::validate_train_state_file(state); }, declared);
+  expect_format_error([&] { return nn::load_train_state_file(state, model, adam); }, declared);
+
+  // SPLB v1 has no header CRC to keep valid.
+  const std::string labels = path("forged_v1.splb");
+  {
+    std::ofstream out(labels, std::ios::binary);
+    util::write_pod<std::uint32_t>(out, 0x53504C42);  // "SPLB"
+    util::write_pod<std::uint32_t>(out, 1);           // version 1
+    util::write_pod<std::uint64_t>(out, kForgedSize);  // count
+    for (const std::uint32_t label : {9U, 8U, 7U}) util::write_pod(out, label);
+  }
+  expect_format_error([&] { return io::read_labels_file(labels); }, declared);
+
+  // SPFT: nodes x dim x 4 wraps to 0 bytes, which an empty payload would
+  // match under valid CRCs.
+  const std::string features = path("forged_features.bin");
+  {
+    std::ofstream out(features, std::ios::binary);
+    std::ostringstream header;
+    util::write_pod<std::uint32_t>(header, 0x53504654);  // "SPFT"
+    util::write_pod<std::uint32_t>(header, 2);           // version
+    util::write_pod<std::uint32_t>(header, 1U << 31);    // nodes
+    util::write_pod<std::uint32_t>(header, 1U << 31);    // dim
+    util::write_pod<std::uint64_t>(header, 0);           // payload bytes
+    util::write_pod<std::uint32_t>(header, io::Crc32::of("", 0));
+    const std::string head = header.str();
+    out << head;
+    util::write_pod<std::uint32_t>(out, io::Crc32::of(head.data(), head.size()));
+  }
+  for (const auto backend : {io::FeatureBackend::kBuffered, io::FeatureBackend::kMmap}) {
+    expect_format_error([&] { return io::read_features_file(features, backend); },
+                        "2147483648x2147483648 features");
   }
 }
 
@@ -537,7 +651,8 @@ TEST_F(DurabilityTest, LegacyV1FeatureAndLabelFilesLoadFlaggedUnverified) {
     std::ofstream out(labels, std::ios::binary);
     util::write_pod<std::uint32_t>(out, 0x53504C42);  // "SPLB"
     util::write_pod<std::uint32_t>(out, 1);
-    util::write_vector<std::uint32_t>(out, {9, 8, 7});
+    util::write_pod<std::uint64_t>(out, 3);  // count
+    for (const std::uint32_t label : {9U, 8U, 7U}) util::write_pod(out, label);
   }
   io::ReadIntegrity integrity;
   EXPECT_EQ(io::read_labels_file(labels, &integrity), (std::vector<std::uint32_t>{9, 8, 7}));
@@ -587,6 +702,138 @@ TEST_F(DurabilityTest, LegacyV1TrainStateLoadsFlaggedUnverified) {
               0.0F)
         << "parameter " << i;
   }
+}
+
+// ---- v2 layout fixtures ----
+//
+// Hand-rolled v2 bytes per format, compared with each writer's output byte
+// for byte. The round-trip and corruption tests would pass a layout change
+// made to a reader and its writer together; these would not.
+
+std::uint32_t crc_of(const std::string& bytes) {
+  return io::Crc32::of(bytes.data(), bytes.size());
+}
+
+/// A v2 section as laid out on disk: header fields, their CRC-32, payload.
+std::string v2_section(const std::string& header, const std::string& payload = "") {
+  std::ostringstream out;
+  out << header;
+  util::write_pod<std::uint32_t>(out, crc_of(header));
+  out << payload;
+  return out.str();
+}
+
+TEST_F(DurabilityTest, LayoutFixtureEdgeFileV2IsWrittenByteForByte) {
+  graph::GraphBuilder builder(5, /*weighted=*/true);
+  builder.add_edge(1, 2, 1.25F);
+  builder.add_edge(4, 3, 2.0F);
+  builder.add_edge(0, 1, 0.5F);
+  std::ostringstream payload;  // canonical (u < v, sorted) pairs, then weights
+  for (const std::uint32_t id : {0U, 1U, 1U, 2U, 3U, 4U}) util::write_pod(payload, id);
+  for (const float weight : {0.5F, 1.25F, 2.0F}) util::write_pod(payload, weight);
+  std::ostringstream header;
+  util::write_pod<std::uint32_t>(header, 0x53504745);  // "SPGE"
+  util::write_pod<std::uint32_t>(header, 2);           // version
+  util::write_pod<std::uint32_t>(header, 1);           // flags: weighted
+  util::write_pod<std::uint32_t>(header, 5);           // nodes
+  util::write_pod<std::uint64_t>(header, 3);           // edges
+  util::write_pod<std::uint32_t>(header, crc_of(payload.str()));
+
+  io::write_edge_list_binary_file(path("edges.bin"), builder.build());
+  EXPECT_EQ(read_file_bytes(path("edges.bin")), v2_section(header.str(), payload.str()));
+}
+
+TEST_F(DurabilityTest, LayoutFixtureFeatureFileV2IsWrittenByteForByte) {
+  const std::vector<float> values = {0.5F, -1.0F, 2.25F, 0.0F, 3.5F, -0.125F};
+  std::ostringstream payload;
+  for (const float x : values) util::write_pod(payload, x);
+  std::ostringstream header;
+  util::write_pod<std::uint32_t>(header, 0x53504654);  // "SPFT"
+  util::write_pod<std::uint32_t>(header, 2);           // version
+  util::write_pod<std::uint32_t>(header, 2);           // nodes
+  util::write_pod<std::uint32_t>(header, 3);           // dim
+  util::write_pod<std::uint64_t>(header, 24);          // payload bytes
+  util::write_pod<std::uint32_t>(header, crc_of(payload.str()));
+
+  io::write_features_file(path("features.bin"), graph::FeatureStore(2, 3, values));
+  EXPECT_EQ(read_file_bytes(path("features.bin")), v2_section(header.str(), payload.str()));
+}
+
+TEST_F(DurabilityTest, LayoutFixtureLabelFileV2IsWrittenByteForByte) {
+  const std::vector<std::uint32_t> labels = {4, 1, 2};
+  std::ostringstream payload;
+  for (const std::uint32_t label : labels) util::write_pod(payload, label);
+  std::ostringstream header;
+  util::write_pod<std::uint32_t>(header, 0x53504C42);  // "SPLB"
+  util::write_pod<std::uint32_t>(header, 2);           // version
+  util::write_pod<std::uint64_t>(header, 3);           // count
+  util::write_pod<std::uint32_t>(header, crc_of(payload.str()));
+
+  io::write_labels_file(path("labels.bin"), labels);
+  EXPECT_EQ(read_file_bytes(path("labels.bin")), v2_section(header.str(), payload.str()));
+}
+
+TEST_F(DurabilityTest, LayoutFixtureTrainStateV2IsWrittenByteForByte) {
+  // One Adam step from known gradients. Replaying it through the same
+  // kernel gives the expected moments; m and v differ, so their order is
+  // pinned too.
+  nn::LinkPredictionModel model(tiny_model_config(), 1);
+  nn::Adam adam(model);
+  std::vector<tensor::Matrix> m;
+  std::vector<tensor::Matrix> v;
+  const float bias1 = 1.0F - std::pow(0.9F, 1.0F);
+  const float bias2 = 1.0F - std::pow(0.999F, 1.0F);
+  for (auto& p : model.parameters()) {
+    auto& grad = p.mutable_grad();
+    grad.resize(p.value().rows(), p.value().cols());
+    for (std::size_t j = 0; j < grad.size(); ++j) {
+      grad.data()[j] = 0.01F * static_cast<float>(j % 5 + 1);
+    }
+    tensor::Matrix value = p.value();
+    m.emplace_back(value.rows(), value.cols());
+    v.emplace_back(value.rows(), value.cols());
+    tensor::vec_kernels().adam_step_f32(value.data().data(), m.back().data().data(),
+                                        v.back().data().data(), grad.data().data(),
+                                        grad.size(), 0.9F, 0.999F, 1e-3F, bias1, bias2, 1e-8F);
+  }
+  adam.step();
+  ASSERT_GT(tensor::max_abs_diff(m[0], v[0]), 0.0F);
+
+  const auto write_matrix = [](std::ostream& out, const tensor::Matrix& matrix) {
+    util::write_pod<std::uint64_t>(out, matrix.rows());
+    util::write_pod<std::uint64_t>(out, matrix.cols());
+    for (const float x : matrix.data()) util::write_pod(out, x);
+  };
+  std::ostringstream state_header;
+  util::write_pod<std::uint32_t>(state_header, 0x5350434B);  // "SPCK"
+  util::write_pod<std::uint32_t>(state_header, 2);           // version
+  util::write_pod<std::uint32_t>(state_header, 3);           // epoch
+
+  std::ostringstream parameters;
+  for (const auto& p : model.parameters()) write_matrix(parameters, p.value());
+  std::ostringstream parameters_header;
+  util::write_pod<std::uint32_t>(parameters_header, 0x53504D32);  // "SPM2"
+  util::write_pod<std::uint64_t>(parameters_header, model.parameters().size());
+  util::write_pod<std::uint64_t>(parameters_header, parameters.str().size());
+  util::write_pod<std::uint32_t>(parameters_header, crc_of(parameters.str()));
+
+  std::ostringstream moments;
+  for (std::size_t i = 0; i < m.size(); ++i) {
+    write_matrix(moments, m[i]);
+    write_matrix(moments, v[i]);
+  }
+  std::ostringstream moments_header;
+  util::write_pod<std::uint32_t>(moments_header, 0x53504F32);  // "SPO2"
+  util::write_pod<std::uint64_t>(moments_header, 1);           // step
+  util::write_pod<std::uint64_t>(moments_header, m.size());
+  util::write_pod<std::uint64_t>(moments_header, moments.str().size());
+  util::write_pod<std::uint32_t>(moments_header, crc_of(moments.str()));
+
+  nn::save_train_state_file(path("state.bin"), model, adam, 3);
+  EXPECT_EQ(read_file_bytes(path("state.bin")),
+            v2_section(state_header.str()) +
+                v2_section(parameters_header.str(), parameters.str()) +
+                v2_section(moments_header.str(), moments.str()));
 }
 
 // ---- checkpoint directory machinery ----

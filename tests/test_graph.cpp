@@ -1,13 +1,10 @@
 // Unit tests for the graph module: CSR construction, builder semantics,
-// queries, algorithms, subgraphs, and persistence.
+// queries, algorithms, and subgraphs.
 #include <gtest/gtest.h>
-
-#include <sstream>
 
 #include "graph/algorithms.hpp"
 #include "graph/csr_graph.hpp"
 #include "graph/features.hpp"
-#include "graph/io.hpp"
 #include "graph/subgraph.hpp"
 
 namespace splpg::graph {
@@ -263,52 +260,6 @@ TEST(FeatureStore, FeatureBytes) {
 
 TEST(FeatureStore, SizeMismatchThrows) {
   EXPECT_THROW(FeatureStore(2, 3, std::vector<float>(5)), std::invalid_argument);
-}
-
-TEST(GraphIo, BinaryRoundTripWithFeatures) {
-  const CsrGraph graph = make_path_with_chord();
-  FeatureStore features(4, 2);
-  features.row(1)[0] = 3.5F;
-  std::stringstream stream;
-  save_graph(stream, graph, features);
-  const GraphBundle loaded = load_graph(stream);
-  EXPECT_EQ(loaded.graph.num_nodes(), 4U);
-  EXPECT_EQ(loaded.graph.num_edges(), 4U);
-  EXPECT_TRUE(loaded.graph.has_edge(1, 3));
-  EXPECT_FLOAT_EQ(loaded.features.row(1)[0], 3.5F);
-}
-
-TEST(GraphIo, BinaryRoundTripWeighted) {
-  GraphBuilder builder(3, true);
-  builder.add_edge(0, 1, 2.5F);
-  const CsrGraph graph = builder.build();
-  std::stringstream stream;
-  save_graph(stream, graph, FeatureStore{});
-  const GraphBundle loaded = load_graph(stream);
-  ASSERT_TRUE(loaded.graph.is_weighted());
-  EXPECT_FLOAT_EQ(loaded.graph.edge_weight(0), 2.5F);
-}
-
-TEST(GraphIo, BadMagicThrows) {
-  std::stringstream stream("not a graph file at all");
-  EXPECT_THROW(load_graph(stream), std::runtime_error);
-}
-
-TEST(GraphIo, EdgeListRoundTrip) {
-  const CsrGraph graph = make_path_with_chord();
-  std::stringstream stream;
-  save_edge_list(stream, graph);
-  const CsrGraph loaded = load_edge_list(stream);
-  EXPECT_EQ(loaded.num_nodes(), 4U);
-  EXPECT_EQ(loaded.num_edges(), 4U);
-  EXPECT_TRUE(loaded.has_edge(1, 3));
-}
-
-TEST(GraphIo, EdgeListRenumbering) {
-  std::stringstream stream("# comment\n100 200\n200 300\n");
-  const CsrGraph graph = load_edge_list(stream, /*renumber=*/true);
-  EXPECT_EQ(graph.num_nodes(), 3U);
-  EXPECT_EQ(graph.num_edges(), 2U);
 }
 
 }  // namespace

@@ -7,7 +7,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <ostream>
 #include <set>
+#include <string>
 
 #include "core/trainer.hpp"
 #include "data/dataset.hpp"
@@ -30,6 +32,13 @@ struct GraphCase {
   NodeId nodes;
   graph::EdgeId edges_or_k;
 };
+
+// Without this, gtest prints GraphCase as raw object bytes (the string's
+// heap pointer and uninitialized padding), so the listed test names change
+// from one process to the next.
+void PrintTo(const GraphCase& params, std::ostream* os) {
+  *os << params.generator << "(" << params.nodes << "," << params.edges_or_k << ")";
+}
 
 class GraphInvariants : public ::testing::TestWithParam<GraphCase> {
  protected:
