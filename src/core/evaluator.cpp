@@ -1,9 +1,12 @@
 #include "core/evaluator.hpp"
 
 #include <algorithm>
+#include <stdexcept>
+#include <string>
 #include <unordered_map>
 
 #include "sampling/neighbor_sampler.hpp"
+#include "tensor/parallel.hpp"
 
 namespace splpg::core {
 
@@ -19,66 +22,70 @@ Evaluator::Evaluator(const sampling::LinkSplit& split, const graph::FeatureStore
 
 std::vector<float> Evaluator::score_pairs(const nn::LinkPredictionModel& model,
                                           std::span<const NodePair> pairs) const {
-  const util::Rng base_rng = util::Rng(seed_).split("evaluator");
-  const sampling::NeighborSampler sampler(fanouts_);
-  const std::size_t num_chunks = (pairs.size() + chunk_size_ - 1) / chunk_size_;
-
-  // Each chunk draws from its own pre-split rng stream and writes a disjoint
-  // slice of `scores`, so pooled and serial scoring produce identical bytes.
-  std::vector<float> scores(pairs.size());
-  auto score_chunk = [&](std::size_t chunk) {
-    const std::size_t begin = chunk * chunk_size_;
-    const std::size_t end = std::min(pairs.size(), begin + chunk_size_);
-    util::Rng rng = base_rng.split("chunk", chunk);
-    sampling::GraphProvider provider(split_->train_graph);
-
-    std::vector<NodeId> seeds;
-    seeds.reserve(2 * (end - begin));
-    for (std::size_t i = begin; i < end; ++i) {
-      seeds.push_back(pairs[i].u);
-      seeds.push_back(pairs[i].v);
-    }
-    const auto cg = sampler.sample(provider, seeds, rng);
-
-    std::unordered_map<NodeId, std::uint32_t> seed_index;
-    const auto seed_nodes = cg.seed_nodes();
-    seed_index.reserve(seed_nodes.size() * 2);
-    for (std::uint32_t i = 0; i < seed_nodes.size(); ++i) seed_index.emplace(seed_nodes[i], i);
-
-    const auto embeddings = model.encode(cg, *features_);
-    std::vector<nn::PairIndex> index_pairs;
-    index_pairs.reserve(end - begin);
-    for (std::size_t i = begin; i < end; ++i) {
-      index_pairs.push_back({seed_index.at(pairs[i].u), seed_index.at(pairs[i].v)});
-    }
-    const auto logits = model.score(embeddings, index_pairs);
-    for (std::size_t i = 0; i < index_pairs.size(); ++i) {
-      scores[begin + i] = logits.value().at(i, 0);
-    }
+  // Map every endpoint to its seed row (first-seen order, which is the order
+  // the sampler keeps when it deduplicates seeds).
+  const NodeId num_nodes = split_->train_graph.num_nodes();
+  std::unordered_map<NodeId, std::uint32_t> row_of;
+  row_of.reserve(2 * pairs.size());
+  std::vector<NodeId> endpoints;
+  const auto row = [&](NodeId v) {
+    const auto [it, inserted] = row_of.emplace(v, static_cast<std::uint32_t>(endpoints.size()));
+    if (inserted) endpoints.push_back(v);
+    return it->second;
   };
-  if (pool_ != nullptr && num_chunks > 1) {
-    pool_->parallel_for(0, num_chunks, score_chunk);
-  } else {
-    for (std::size_t chunk = 0; chunk < num_chunks; ++chunk) score_chunk(chunk);
+  std::vector<nn::PairIndex> rows;
+  rows.reserve(pairs.size());
+  for (std::size_t i = 0; i < pairs.size(); ++i) {
+    if (pairs[i].u >= num_nodes || pairs[i].v >= num_nodes) {
+      throw std::out_of_range("Evaluator::score_pairs: pair " + std::to_string(i) +
+                              " has a node id out of range");
+    }
+    rows.push_back({row(pairs[i].u), row(pairs[i].v)});
   }
+  if (pairs.empty()) return {};  // the sampler rejects an empty seed set
+
+  // One computation graph over every endpoint, encoded once: each layer's
+  // receptive field is gathered and transformed a single time however many
+  // pairs share it. pool_ drives the sampler's chunks and the row-blocked
+  // kernels; without it the caller's compute pool stays installed.
+  util::Rng rng = util::Rng(seed_).split("evaluator");
+  sampling::GraphProvider provider(split_->train_graph);
+  const auto cg = sampling::NeighborSampler(fanouts_).sample(provider, endpoints, rng,
+                                                             pool_.get(), chunk_size_);
+  const tensor::ComputePoolScope compute_scope(pool_ != nullptr ? pool_.get()
+                                                                : tensor::compute_pool());
+  const auto logits = model.score(model.encode(cg, *features_), rows);
+
+  std::vector<float> scores(pairs.size());
+  for (std::size_t i = 0; i < scores.size(); ++i) scores[i] = logits.value().at(i, 0);
   return scores;
 }
 
 EvalResult Evaluator::evaluate(const nn::LinkPredictionModel& model) const {
-  auto to_pairs = [](std::span<const graph::Edge> edges) {
-    std::vector<NodePair> pairs;
-    pairs.reserve(edges.size());
-    for (const auto& [u, v] : edges) pairs.push_back({u, v});
-    return pairs;
-  };
+  const sampling::LinkSplit& split = *split_;
+  std::vector<NodePair> pairs;
+  pairs.reserve(split.val_pos.size() + split.val_neg.size() + split.test_pos.size() +
+                split.test_neg.size());
+  for (const auto& [u, v] : split.val_pos) pairs.push_back({u, v});
+  pairs.insert(pairs.end(), split.val_neg.begin(), split.val_neg.end());
+  for (const auto& [u, v] : split.test_pos) pairs.push_back({u, v});
+  pairs.insert(pairs.end(), split.test_neg.begin(), split.test_neg.end());
 
-  const auto val_pos = score_pairs(model, to_pairs(split_->val_pos));
-  const auto val_neg = score_pairs(model, split_->val_neg);
-  const auto test_pos = score_pairs(model, to_pairs(split_->test_pos));
-  const auto test_neg = score_pairs(model, split_->test_neg);
+  // Scored in one pass, then cut back into the four lists.
+  const auto scores = score_pairs(model, pairs);
+  std::span<const float> rest(scores);
+  const auto take = [&rest](std::size_t n) {
+    const auto head = rest.first(n);
+    rest = rest.subspan(n);
+    return head;
+  };
+  const auto val_pos = take(split.val_pos.size());
+  const auto val_neg = take(split.val_neg.size());
+  const auto test_pos = take(split.test_pos.size());
+  const auto test_neg = take(split.test_neg.size());
 
   EvalResult out;
-  out.k = k_ != 0 ? k_ : std::max<std::size_t>(10, split_->test_neg.size() / 30);
+  out.k = k_ != 0 ? k_ : std::max<std::size_t>(10, split.test_neg.size() / 30);
   out.val_hits = eval::hits_at_k(val_pos, val_neg, out.k);
   out.test_hits = eval::hits_at_k(test_pos, test_neg, out.k);
   out.val_auc = eval::auc(val_pos, val_neg);

@@ -4,6 +4,12 @@
 // negative sets using the FULL training graph for message passing, then
 // reports Hits@K (and AUC). Evaluation never touches worker views, so it
 // adds nothing to the communication meters.
+//
+// One pass per call: score_pairs samples ONE computation graph over the
+// deduplicated endpoints of all its pairs, encodes it once and scores every
+// pair from its seed rows, so each layer's receptive field is computed once
+// (O(L·|E|) in total) rather than once per batch of pairs. evaluate() scores
+// the val/test positives and negatives in a single score_pairs call.
 #pragma once
 
 #include <cstdint>
@@ -33,9 +39,12 @@ class Evaluator {
   /// threshold; at reduced synthetic scale it keeps the metric equally
   /// discriminative.
   ///
-  /// `num_threads != 1` scores eval chunks on an internal ThreadPool
-  /// (0 = hardware concurrency). Each chunk samples from its own pre-split
-  /// RNG stream, so scores are bit-identical at every thread count.
+  /// `chunk_size` is the sampler's chunk: every `chunk_size` destinations of
+  /// a layer draw their fanout picks from their own pre-split RNG stream.
+  /// `num_threads != 1` runs those chunks and the row-blocked tensor kernels
+  /// on an internal ThreadPool (0 = hardware concurrency); with 1, the
+  /// caller's compute pool (tensor::ComputePoolScope) is used. Scores are
+  /// bit-identical at every thread count.
   Evaluator(const sampling::LinkSplit& split, const graph::FeatureStore& features,
             std::vector<std::uint32_t> fanouts, std::size_t k = 0,
             std::size_t chunk_size = 512, std::uint64_t seed = 7,
@@ -45,6 +54,12 @@ class Evaluator {
   [[nodiscard]] EvalResult evaluate(const nn::LinkPredictionModel& model) const;
 
   /// Scores arbitrary node pairs with the model (exposed for examples).
+  /// Deterministic in (seed, chunk_size, pairs). With all-zero fanouts a
+  /// pair's score depends only on the pair, so splitting or joining calls
+  /// never changes it; sampled fanouts draw one neighbour sample per node
+  /// per layer per call, so there it depends on the call's other pairs.
+  /// Throws std::out_of_range, naming the pair index, for a node id >=
+  /// train_graph.num_nodes(). An empty list scores to an empty vector.
   [[nodiscard]] std::vector<float> score_pairs(const nn::LinkPredictionModel& model,
                                                std::span<const sampling::NodePair> pairs) const;
 
@@ -55,7 +70,7 @@ class Evaluator {
   std::size_t k_;
   std::size_t chunk_size_;
   std::uint64_t seed_;
-  std::unique_ptr<util::ThreadPool> pool_;  // null = serial scoring
+  std::unique_ptr<util::ThreadPool> pool_;  // null = the caller's compute pool
 };
 
 }  // namespace splpg::core

@@ -153,6 +153,10 @@ TrainResult train_link_prediction(const sampling::LinkSplit& split,
   if (config.sync == dist::SyncMode::kLocalSgd && config.local_steps == 0) {
     throw std::invalid_argument("train_link_prediction: local_steps must be >= 1 under kLocalSgd");
   }
+  if (config.patience > 0 && config.eval_every == 0) {
+    throw std::invalid_argument(
+        "train_link_prediction: patience > 0 requires eval_every > 0");
+  }
 
   const std::uint32_t num_workers =
       config.method == Method::kCentralized ? 1 : std::max(1U, config.num_partitions);

@@ -69,7 +69,8 @@ struct TrainConfig {
   std::uint32_t llcg_correction_batches = 8;
   std::vector<std::uint32_t> fanouts;        // empty = model default
   /// Early stopping: stop when validation Hits@K has not improved for this
-  /// many evaluations (requires eval_every > 0). 0 = train all epochs (the
+  /// many evaluations (requires eval_every > 0, else train_link_prediction
+  /// throws std::invalid_argument). 0 = train all epochs (the
   /// paper's protocol: fixed epochs, report test at best validation).
   std::uint32_t patience = 0;
 

@@ -100,7 +100,8 @@ class NeighborSampler {
   [[nodiscard]] std::size_t num_layers() const noexcept { return fanouts_.size(); }
 
   /// Builds the computational graph for `seeds` (global ids; duplicates
-  /// allowed and collapsed). Deterministic given rng state, and — the
+  /// allowed and collapsed, so seed_nodes() lists the distinct seeds in
+  /// first-seen order). Deterministic given rng state, and — the
   /// DESIGN.md §6 contract — bit-identical for every (pool, chunk_size-fixed)
   /// configuration: `rng` advances by exactly one draw per call to derive a
   /// base seed, and each chunk of `chunk_size` destinations samples from its

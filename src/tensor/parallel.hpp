@@ -1,8 +1,8 @@
 // Thread-local compute-pool context for the tensor kernels.
 //
 // The autograd graph is built and walked by ONE thread (a trainer worker or
-// an evaluator chunk task), but the dense kernels inside each op — the
-// matmul family and the edge-list aggregation — are row-parallel. Rather
+// the caller of an evaluation pass), but the dense kernels inside each op —
+// the matmul family and the edge-list aggregation — are row-parallel. Rather
 // than threading a pool pointer through every op signature (and every
 // backward closure), the executing thread installs its worker pool in a
 // thread-local slot for the duration of a forward/backward pass; the

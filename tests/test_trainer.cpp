@@ -6,6 +6,7 @@
 #include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <string>
 
 #include "core/trainer.hpp"
 #include "data/dataset.hpp"
@@ -322,6 +323,21 @@ TEST(TrainerFaults, MalformedFaultPlanRejectedUpFront) {
                std::invalid_argument);
 }
 
+TEST(Trainer, PatienceWithoutEvalEveryRejected) {
+  // Early stopping counts evaluations; with eval_every == 0 there is only the
+  // final one, so patience could never fire.
+  auto config = base_config(Method::kCentralized, 1);
+  config.patience = 2;
+  try {
+    (void)train_link_prediction(problem().split, problem().dataset.features, config);
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& error) {
+    const std::string message = error.what();
+    EXPECT_NE(message.find("patience"), std::string::npos) << message;
+    EXPECT_NE(message.find("eval_every"), std::string::npos) << message;
+  }
+}
+
 class PartitionCountTest : public ::testing::TestWithParam<std::uint32_t> {};
 
 TEST_P(PartitionCountTest, SplpgRunsAtEveryPaperPartitionCount) {
@@ -434,6 +450,99 @@ TEST(Evaluator, ParallelScoringBitIdenticalToSerial) {
   EXPECT_DOUBLE_EQ(a.test_hits, b.test_hits);
   EXPECT_DOUBLE_EQ(a.val_auc, b.val_auc);
   EXPECT_DOUBLE_EQ(a.test_auc, b.test_auc);
+}
+
+nn::LinkPredictionModel small_model(nn::GnnKind gnn) {
+  nn::ModelConfig model_config;
+  model_config.gnn = gnn;
+  model_config.in_dim = problem().dataset.features.dim();
+  model_config.hidden_dim = 16;
+  model_config.num_layers = 2;
+  return nn::LinkPredictionModel(model_config, 5);
+}
+
+TEST(Evaluator, ZeroFanoutScoresIgnoreCallComposition) {
+  // With full neighborhoods a pair's score is a function of the pair alone:
+  // one pass over A ++ B, separate passes over A and B, and one pass per
+  // pair all give the same bits, at every pool width.
+  const auto& val_neg = problem().split.val_neg;
+  const auto& test_neg = problem().split.test_neg;
+  ASSERT_GE(val_neg.size(), 40U);
+  ASSERT_GE(test_neg.size(), 30U);
+  const std::vector<sampling::NodePair> a(val_neg.begin(), val_neg.begin() + 40);
+  const std::vector<sampling::NodePair> b(test_neg.begin(), test_neg.begin() + 30);
+  std::vector<sampling::NodePair> joined = a;
+  joined.insert(joined.end(), b.begin(), b.end());
+
+  for (const auto gnn : {nn::GnnKind::kGcn, nn::GnnKind::kSage, nn::GnnKind::kGat}) {
+    const nn::LinkPredictionModel model = small_model(gnn);
+    const std::vector<std::uint32_t> zero_fanouts(model.config().num_layers, 0U);
+    std::vector<float> reference;
+    for (const std::size_t threads : {1U, 4U}) {
+      const Evaluator evaluator(problem().split, problem().dataset.features, zero_fanouts, 0,
+                                16, 7, threads);
+      const std::string where = nn::to_string(gnn) + " threads " + std::to_string(threads);
+      const auto whole = evaluator.score_pairs(model, joined);
+      auto parts = evaluator.score_pairs(model, a);
+      const auto tail = evaluator.score_pairs(model, b);
+      parts.insert(parts.end(), tail.begin(), tail.end());
+      ASSERT_EQ(whole.size(), joined.size()) << where;
+      ASSERT_EQ(parts.size(), joined.size()) << where;
+      if (reference.empty()) reference = whole;
+      for (std::size_t i = 0; i < joined.size(); ++i) {
+        const auto single = evaluator.score_pairs(model, {&joined[i], 1});
+        ASSERT_EQ(single.size(), 1U);
+        EXPECT_EQ(whole[i], parts[i]) << where << " pair " << i;  // bit-exact
+        EXPECT_EQ(whole[i], single[0]) << where << " pair " << i;
+        EXPECT_EQ(whole[i], reference[i]) << where << " pair " << i;
+      }
+    }
+  }
+}
+
+TEST(Evaluator, EmptyPairsScoreToEmpty) {
+  const nn::LinkPredictionModel model = small_model(nn::GnnKind::kSage);
+  for (const std::size_t threads : {1U, 4U}) {
+    const Evaluator evaluator(problem().split, problem().dataset.features,
+                              model.default_fanouts(), 0, 512, 7, threads);
+    EXPECT_TRUE(evaluator.score_pairs(model, {}).empty());
+  }
+
+  // A split without validation pairs still evaluates its test pairs, and a
+  // split without any pairs evaluates to the metrics' empty-input values.
+  sampling::LinkSplit no_val = problem().split;
+  no_val.val_pos.clear();
+  no_val.val_neg.clear();
+  const Evaluator no_val_evaluator(no_val, problem().dataset.features, model.default_fanouts());
+  const EvalResult result = no_val_evaluator.evaluate(model);
+  EXPECT_EQ(result.val_hits, 0.0);
+  EXPECT_EQ(result.val_auc, 0.5);
+  EXPECT_GT(result.test_auc, 0.0);
+
+  sampling::LinkSplit empty = no_val;
+  empty.test_pos.clear();
+  empty.test_neg.clear();
+  const Evaluator empty_evaluator(empty, problem().dataset.features, model.default_fanouts());
+  const EvalResult nothing = empty_evaluator.evaluate(model);
+  EXPECT_EQ(nothing.test_hits, 0.0);
+  EXPECT_EQ(nothing.test_auc, 0.5);
+}
+
+TEST(Evaluator, RejectsOutOfRangeNodeIds) {
+  const nn::LinkPredictionModel model = small_model(nn::GnnKind::kSage);
+  const Evaluator evaluator(problem().split, problem().dataset.features,
+                            model.default_fanouts());
+  const graph::NodeId num_nodes = problem().split.train_graph.num_nodes();
+  for (const sampling::NodePair bad : {sampling::NodePair{num_nodes, 0},
+                                       sampling::NodePair{0, num_nodes + 100}}) {
+    const std::vector<sampling::NodePair> pairs = {{0, 1}, {1, 2}, bad};
+    try {
+      (void)evaluator.score_pairs(model, pairs);
+      FAIL() << "expected std::out_of_range";
+    } catch (const std::out_of_range& error) {
+      EXPECT_NE(std::string(error.what()).find("pair 2"), std::string::npos) << error.what();
+    }
+  }
 }
 
 }  // namespace

@@ -513,6 +513,34 @@ TEST(VecBitIdentity, SameBackendIsDeterministicCallToCall) {
   }
 }
 
+TEST(VecBitIdentity, ElementwiseTranscendentalsIgnorePosition) {
+  // An element's exp/sigmoid must not depend on whether it lands in a full
+  // vector or the remainder: segment_softmax runs exp over a whole edge
+  // column, and a destination's attention weights may not observe how many
+  // other edges share the call.
+  util::Rng rng(151);
+  const std::size_t n = 37;  // full vectors plus a remainder on every width
+  const auto x = random_f32(n, rng, -20.0F, 20.0F);
+  for (const VecBackend backend : supported_backends()) {
+    const VecKernels& kern = vec_kernels_for(backend);
+    std::vector<float> exp_all(n);
+    std::vector<float> sigmoid_all(n);
+    kern.exp_f32(exp_all.data(), x.data(), n);
+    kern.sigmoid_f32(sigmoid_all.data(), x.data(), n);
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t len = 1; i + len <= n; len += 8) {
+        std::vector<float> out(len);
+        kern.exp_f32(out.data(), x.data() + i, len);
+        EXPECT_EQ(0, std::memcmp(&out[0], &exp_all[i], sizeof(float)))
+            << kern.name << " exp i=" << i << " len=" << len;
+        kern.sigmoid_f32(out.data(), x.data() + i, len);
+        EXPECT_EQ(0, std::memcmp(&out[0], &sigmoid_all[i], sizeof(float)))
+            << kern.name << " sigmoid i=" << i << " len=" << len;
+      }
+    }
+  }
+}
+
 // ---- end-to-end: per-backend training determinism matrix ----
 
 void expect_bitwise_same_training(const core::TrainResult& a, const core::TrainResult& b,
