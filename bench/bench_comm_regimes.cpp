@@ -128,13 +128,13 @@ int main(int argc, char** argv) {
     regimes.push_back({name, dist::SyncMode::kGradientAveraging,
                        dist::CommHookKind::kTopK, fraction, 1});
   }
-  regimes.push_back({"localsgd-H2/dense", dist::SyncMode::kLocalSgd,
+  regimes.push_back({"localsgd-H2/dense", dist::SyncMode::kModelAveraging,
                      dist::CommHookKind::kNone, 0.0F, 2});
-  regimes.push_back({"localsgd-H8/dense", dist::SyncMode::kLocalSgd,
+  regimes.push_back({"localsgd-H8/dense", dist::SyncMode::kModelAveraging,
                      dist::CommHookKind::kNone, 0.0F, 8});
-  regimes.push_back({"localsgd-H2/topk@0.05", dist::SyncMode::kLocalSgd,
+  regimes.push_back({"localsgd-H2/topk@0.05", dist::SyncMode::kModelAveraging,
                      dist::CommHookKind::kTopK, 0.05F, 2});
-  regimes.push_back({"localsgd-H8/int8", dist::SyncMode::kLocalSgd,
+  regimes.push_back({"localsgd-H8/int8", dist::SyncMode::kModelAveraging,
                      dist::CommHookKind::kInt8, 0.0F, 8});
 
   const bool can_crash = partitions >= 2 && epochs >= 2;

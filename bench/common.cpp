@@ -53,8 +53,9 @@ std::optional<Env> parse_env(int argc, char** argv, const std::string& descripti
   flags.define("topk-fraction", 0.01,
                "fraction of entries the topk hook keeps per tensor, in (0, 1]");
   flags.define("local-steps", static_cast<std::int64_t>(1),
-               "local-SGD period H: > 1 switches training to local-SGD with H "
-               "local steps between global model-average corrections");
+               "sync period H: 1 keeps gradient averaging every batch; any "
+               "other value switches to model averaging every H rounds "
+               "(local-SGD), 0 = once per epoch");
   if (!flags.parse(argc, argv)) return std::nullopt;
 
   Env env;
@@ -150,8 +151,8 @@ core::TrainConfig make_config(const Env& env, core::Method method, std::uint32_t
   config.sync = dist::SyncMode::kGradientAveraging;
   config.comm_hook = env.comm_hook;
   config.topk_fraction = static_cast<float>(env.topk_fraction);
-  if (env.local_steps > 1) {
-    config.sync = dist::SyncMode::kLocalSgd;
+  if (env.local_steps != 1) {
+    config.sync = dist::SyncMode::kModelAveraging;
     config.local_steps = env.local_steps;
   }
   if (env.storage_faults) {

@@ -48,8 +48,8 @@ struct Env {
   /// ---- communication-efficient regime knobs ----
   /// --comm-hook: gradient/model compression inside the sync collectives
   /// ("none" | "topk" | "int8"); --topk-fraction: kept fraction for topk;
-  /// --local-steps: H > 1 switches the run to SyncMode::kLocalSgd with H
-  /// local steps between model-average corrections.
+  /// --local-steps: H != 1 switches the run from gradient averaging to
+  /// model averaging every H rounds (0 = once per epoch).
   dist::CommHookKind comm_hook = dist::CommHookKind::kNone;
   double topk_fraction = 0.01;
   std::uint32_t local_steps = 1;

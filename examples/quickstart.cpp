@@ -69,8 +69,9 @@ int main(int argc, char** argv) {
   flags.define("topk-fraction", 0.01,
                "fraction of entries the topk hook keeps per tensor, in (0, 1]");
   flags.define("local-steps", static_cast<std::int64_t>(1),
-               "local-SGD period H: > 1 takes H local steps between global "
-               "model-average corrections instead of syncing every batch");
+               "sync period H: 1 keeps gradient averaging every batch; any "
+               "other value switches to model averaging every H rounds "
+               "(local-SGD), 0 = once per epoch");
   flags.define("serve", false,
                "after training, freeze the centralized model into the online "
                "serving layer and score the test edges through the batched, "
@@ -135,8 +136,8 @@ int main(int argc, char** argv) {
   config.num_partitions = static_cast<std::uint32_t>(flags.get_int("partitions"));
   config.sync = dist::SyncMode::kGradientAveraging;
   // Communication-efficient regime knobs: compression hooks run in the
-  // barrier's serial section (bit-deterministic), and --local-steps > 1
-  // trades sync frequency for local progress (local-SGD).
+  // barrier's serial section (bit-deterministic), and --local-steps != 1
+  // trades sync frequency for local progress (model averaging every H rounds).
   try {
     config.comm_hook = dist::comm_hook_from_string(flags.get_string("comm-hook"));
   } catch (const std::invalid_argument& error) {
@@ -145,8 +146,8 @@ int main(int argc, char** argv) {
   }
   config.topk_fraction = static_cast<float>(flags.get_double("topk-fraction"));
   const auto local_steps = static_cast<std::uint32_t>(flags.get_int("local-steps"));
-  if (local_steps > 1) {
-    config.sync = dist::SyncMode::kLocalSgd;
+  if (local_steps != 1) {
+    config.sync = dist::SyncMode::kModelAveraging;
     config.local_steps = local_steps;
   }
   config.num_threads = static_cast<std::size_t>(flags.get_int("threads"));

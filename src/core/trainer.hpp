@@ -5,8 +5,8 @@
 // sparsifies the partitions (SpLPG), builds one WorkerView + model replica +
 // optimizer per worker, and launches one OS thread per worker. Workers run
 // mini-batch training with per-batch negative sampling and synchronize via
-// gradient averaging (every batch) or model averaging (every epoch).
-// Everything is deterministic in config.seed.
+// gradient averaging (every batch) or model averaging (every `local_steps`
+// batches, or once per epoch). Everything is deterministic in config.seed.
 #pragma once
 
 #include <cstdint>
@@ -51,13 +51,13 @@ struct TrainConfig {
   /// Fraction of entries kTopK keeps per tensor, in (0, 1]:
   /// k = clamp(ceil(fraction * n), 1, n).
   float topk_fraction = 0.01F;
-  /// Local steps H between global corrections under SyncMode::kLocalSgd:
+  /// Model-averaging period H in rounds under SyncMode::kModelAveraging:
   /// every worker takes H local optimizer steps, then all replicas are
-  /// model-averaged (plus a catch-up average at the epoch boundary when the
-  /// epoch's round count is not a multiple of H, so evaluation and
-  /// checkpoints always see the corrected global model). Must be >= 1;
-  /// ignored by the other sync modes. H=1 averages after every batch.
-  std::uint32_t local_steps = 1;
+  /// averaged (local-SGD). The epoch always ends with an average of the
+  /// rounds since the last one, so evaluation and checkpoints see the
+  /// synchronized model. 0 = average once per epoch (the paper's baselines);
+  /// 1 = after every batch. Ignored under gradient averaging.
+  std::uint32_t local_steps = 0;
   double alpha = 0.15;                       // sparsification level (SpLPG)
   sparsify::SparsifierKind sparsifier = sparsify::SparsifierKind::kEffectiveResistance;
   sampling::NegativeDistribution negative_distribution =

@@ -9,7 +9,6 @@ const char* to_string(SyncMode mode) noexcept {
   switch (mode) {
     case SyncMode::kGradientAveraging: return "gradient";
     case SyncMode::kModelAveraging: return "model";
-    case SyncMode::kLocalSgd: return "local_sgd";
   }
   return "?";
 }
@@ -107,11 +106,11 @@ void DistContext::rejoin(std::uint32_t worker) {
   barrier_.add_party();
 }
 
-nn::Module* DistContext::first_active_replica() const noexcept {
+std::uint32_t DistContext::first_active() const noexcept {
   for (std::uint32_t w = 0; w < num_workers(); ++w) {
-    if (is_active(w)) return replicas_[w];
+    if (is_active(w)) return w;
   }
-  return nullptr;
+  return 0;
 }
 
 void DistContext::charge(std::uint32_t worker, std::uint64_t bytes) {
@@ -122,7 +121,7 @@ void DistContext::all_reduce_gradients() {
   barrier_.arrive_and_wait([this] {
     const std::uint32_t n = active_workers();
     if (n == 0) return;
-    nn::Module* first = first_active_replica();
+    const nn::Module* first = replicas_[first_active()];
     const bool compressing = hook_ && hook_->kind() != CommHookKind::kNone;
     const float inv = 1.0F / static_cast<float>(n);
     const std::size_t num_params = first->parameters().size();
@@ -160,7 +159,7 @@ void DistContext::average_models() {
   barrier_.arrive_and_wait([this] {
     const std::uint32_t n = active_workers();
     if (n == 0) return;
-    nn::Module* first = first_active_replica();
+    const nn::Module* first = replicas_[first_active()];
     const bool compressing = hook_ && hook_->kind() != CommHookKind::kNone;
     const float inv = 1.0F / static_cast<float>(n);
     const std::size_t num_params = first->parameters().size();

@@ -1,12 +1,11 @@
 // Deterministic synchronization of worker model replicas.
 //
-// Mirrors the paper's two options (§IV-B) plus a communication-efficient
-// regime: gradient averaging (PyTorch DDP-style all_reduce after every
-// mini-batch), model averaging (FedAvg-style periodic parameter averaging,
-// used by all baselines), and local-SGD (H local steps per worker followed
-// by a global model-average correction — "Learn Locally, Correct Globally"
-// shaped; the trainer drives the schedule, the collective is the same
-// average_models).
+// Mirrors the paper's two options (§IV-B): gradient averaging (PyTorch
+// DDP-style all_reduce after every mini-batch) and model averaging
+// (FedAvg-style periodic parameter averaging, used by all baselines). The
+// trainer drives the averaging period — once per epoch, or every H local
+// steps, the "Learn Locally, Correct Globally" shaped local-SGD regime;
+// the collective is the same average_models either way.
 //
 // The reduction runs in the *serial section* of a barrier — exactly one
 // thread sums in a fixed replica order — so results are bit-identical across
@@ -36,7 +35,7 @@
 
 namespace splpg::dist {
 
-enum class SyncMode { kGradientAveraging, kModelAveraging, kLocalSgd };
+enum class SyncMode { kGradientAveraging, kModelAveraging };
 
 [[nodiscard]] const char* to_string(SyncMode mode) noexcept;
 
@@ -53,6 +52,10 @@ class DistContext {
   [[nodiscard]] bool is_active(std::uint32_t worker) const noexcept {
     return active_[worker].load(std::memory_order_acquire);
   }
+  /// Lowest-indexed active worker (0 when none is): the replica the
+  /// collectives size their buffers from and the trainer evaluates,
+  /// checkpoints and corrects.
+  [[nodiscard]] std::uint32_t first_active() const noexcept;
 
   /// Registers worker i's model replica. Must be fully done (all workers)
   /// before any synchronization call; replicas must have identical
@@ -89,9 +92,6 @@ class DistContext {
   /// and the reference advances to the new average — see DESIGN.md.
   void average_models();
 
-  /// Collective: plain barrier (epoch boundaries, evaluation fences).
-  void wait_all() { barrier_.arrive_and_wait(); }
-
   /// Collective: runs `fn` on exactly one thread while the others wait at
   /// the barrier, then releases everyone. Returns true on the executing
   /// thread. Exception-safe: a throwing `fn` releases the others before the
@@ -112,7 +112,6 @@ class DistContext {
   void rejoin(std::uint32_t worker);
 
  private:
-  [[nodiscard]] nn::Module* first_active_replica() const noexcept;
   void charge(std::uint32_t worker, std::uint64_t bytes);
 
   util::Barrier barrier_;

@@ -434,4 +434,13 @@ std::size_t gc_checkpoints(const std::string& dir, std::uint32_t keep_last) {
   return removed;
 }
 
+void write_checkpoint(const std::string& dir, const Module& module, const Optimizer& optimizer,
+                      std::uint32_t epoch, std::uint32_t keep_last) {
+  fs::create_directories(dir);
+  save_parameters_file(checkpoint_model_file(dir, epoch), module);
+  save_train_state_file(checkpoint_state_file(dir, epoch), module, optimizer, epoch);
+  if (keep_last > 0) (void)gc_checkpoints(dir, keep_last);
+  write_checkpoint_manifest(dir);
+}
+
 }  // namespace splpg::nn

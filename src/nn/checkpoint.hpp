@@ -20,8 +20,8 @@
 // parameters alone would rebuild Adam moments from zero and diverge on the
 // first step. Version-1 states (unchecksummed sections) still load.
 //
-// Checkpoint directories: the trainer writes `model_epoch_<e>.bin` (servable
-// parameters) + `state_epoch_<e>.bin` (resumable train state) per
+// Checkpoint directories: write_checkpoint puts `model_epoch_<e>.bin`
+// (servable parameters) + `state_epoch_<e>.bin` (resumable train state) per
 // checkpointed epoch, every file through io::AtomicFile. A MANIFEST text
 // file names the retained epochs (advisory — the directory scan is ground
 // truth, so a corrupt manifest never blocks recovery), and
@@ -119,5 +119,13 @@ void write_checkpoint_manifest(const std::string& dir);
 /// `keep_last == 0` keeps every epoch (temps are still swept). Returns the
 /// number of files removed.
 std::size_t gc_checkpoints(const std::string& dir, std::uint32_t keep_last);
+
+/// Checkpoints epoch `epoch` into `dir`: creates the directory, writes
+/// `model_epoch_<e>.bin` and `state_epoch_<e>.bin` (each through
+/// io::AtomicFile), runs gc_checkpoints when `keep_last > 0` (0 keeps every
+/// epoch), and rewrites the MANIFEST. Any failure propagates; AtomicFile
+/// guarantees every file already under a final name is complete.
+void write_checkpoint(const std::string& dir, const Module& module, const Optimizer& optimizer,
+                      std::uint32_t epoch, std::uint32_t keep_last);
 
 }  // namespace splpg::nn

@@ -528,12 +528,6 @@ void expect_same_result(const TrainResult& a, const TrainResult& b, const char* 
 }
 
 TEST(CommRegime, InvalidKnobsThrow) {
-  auto bad_steps = regime_config(dist::SyncMode::kLocalSgd, dist::CommHookKind::kNone, 1);
-  bad_steps.local_steps = 0;
-  EXPECT_THROW((void)train_link_prediction(problem().split, problem().dataset.features,
-                                           bad_steps),
-               std::invalid_argument);
-
   auto bad_fraction =
       regime_config(dist::SyncMode::kGradientAveraging, dist::CommHookKind::kTopK);
   bad_fraction.topk_fraction = 0.0F;
@@ -551,8 +545,8 @@ TEST(CommRegime, EveryRegimeIsDeterministicAcrossRuns) {
       {dist::SyncMode::kGradientAveraging, dist::CommHookKind::kNone, 1},
       {dist::SyncMode::kGradientAveraging, dist::CommHookKind::kTopK, 1},
       {dist::SyncMode::kGradientAveraging, dist::CommHookKind::kInt8, 1},
-      {dist::SyncMode::kLocalSgd, dist::CommHookKind::kNone, 2},
-      {dist::SyncMode::kLocalSgd, dist::CommHookKind::kTopK, 3},
+      {dist::SyncMode::kModelAveraging, dist::CommHookKind::kNone, 2},
+      {dist::SyncMode::kModelAveraging, dist::CommHookKind::kTopK, 3},
   };
   for (const auto& regime : regimes) {
     const auto config = regime_config(regime.sync, regime.hook, regime.local_steps, 2);
@@ -568,7 +562,7 @@ TEST(CommRegime, EveryRegimeIsDeterministicAcrossRuns) {
 TEST(CommRegime, DeterministicAcrossThreadWidthsAndPipeline) {
   // The hook runs in the barrier's serial section on whole gradient tensors,
   // so worker-pool width and pipelining must not perturb compressed runs.
-  auto config = regime_config(dist::SyncMode::kLocalSgd, dist::CommHookKind::kTopK, 2, 2);
+  auto config = regime_config(dist::SyncMode::kModelAveraging, dist::CommHookKind::kTopK, 2, 2);
   const TrainResult baseline =
       train_link_prediction(problem().split, problem().dataset.features, config);
   for (const std::size_t width : {2UL, 4UL, 7UL}) {
@@ -633,10 +627,10 @@ TEST(CommRegime, LocalSgdReducesSyncRounds) {
   // is therefore exactly the per-epoch round count.
   const TrainResult h1 = train_link_prediction(
       problem().split, problem().dataset.features,
-      regime_config(dist::SyncMode::kLocalSgd, dist::CommHookKind::kNone, 1, 2));
+      regime_config(dist::SyncMode::kModelAveraging, dist::CommHookKind::kNone, 1, 2));
   const TrainResult hbig = train_link_prediction(
       problem().split, problem().dataset.features,
-      regime_config(dist::SyncMode::kLocalSgd, dist::CommHookKind::kNone, 1000, 2));
+      regime_config(dist::SyncMode::kModelAveraging, dist::CommHookKind::kNone, 1000, 2));
   ASSERT_GT(hbig.comm.sync_bytes, 0U);
   ASSERT_EQ(h1.comm.sync_messages % hbig.comm.sync_messages, 0U);
   const std::uint64_t rounds_per_epoch = h1.comm.sync_messages / hbig.comm.sync_messages;
@@ -652,7 +646,7 @@ TEST(CommRegime, LocalSgdConvergesCloseToExactSync) {
       train_link_prediction(problem().split, problem().dataset.features, exact);
   EXPECT_GT(baseline.test_auc, 0.55);
   for (const std::uint32_t h : {2U, 8U}) {
-    auto config = regime_config(dist::SyncMode::kLocalSgd, dist::CommHookKind::kNone, h, 5);
+    auto config = regime_config(dist::SyncMode::kModelAveraging, dist::CommHookKind::kNone, h, 5);
     config.max_batches_per_epoch = 8;
     const TrainResult result =
         train_link_prediction(problem().split, problem().dataset.features, config);
@@ -666,7 +660,7 @@ TEST(CommRegime, LocalSgdConvergesCloseToExactSync) {
 TEST(CommRegime, CrashRecoveryUnderEachHookIsDeterministic) {
   for (const auto hook :
        {dist::CommHookKind::kNone, dist::CommHookKind::kTopK, dist::CommHookKind::kInt8}) {
-    auto config = regime_config(dist::SyncMode::kLocalSgd, hook, 2, 3);
+    auto config = regime_config(dist::SyncMode::kModelAveraging, hook, 2, 3);
     config.faults.crashes.push_back({.worker = 1, .epoch = 2, .batch = 1});
     const TrainResult a =
         train_link_prediction(problem().split, problem().dataset.features, config);

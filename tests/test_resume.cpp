@@ -151,6 +151,44 @@ TEST_F(ResumeTest, CheckpointDirWritesBothModelAndStateFiles) {
   }
 }
 
+TEST_F(ResumeTest, EdgelessWorkerResumeIsBitIdenticalToUninterruptedRun) {
+  // PSGD-PA trains on intra-partition edges only, and at p = 16 one worker
+  // of this graph owns none. It must add nothing to any all-reduce: had it
+  // kept the previous round's averaged gradients, every all-reduce after a
+  // fresh start would count them again, while a resumed run (fresh, empty
+  // gradients) would not.
+  const data::Dataset dataset = data::make_dataset("cora", 0.12, 1);
+  util::Rng rng = util::Rng(1).split("split");
+  const sampling::LinkSplit split =
+      sampling::split_edges(dataset.graph, sampling::SplitOptions{}, rng);
+  TrainConfig config;
+  config.method = Method::kPsgdPa;
+  config.num_partitions = 16;
+  config.epochs = 2;
+  config.batch_size = 64;
+  config.model.hidden_dim = 32;
+  config.max_batches_per_epoch = 4;
+  config.seed = 1;
+  config.sync = dist::SyncMode::kGradientAveraging;
+  const TrainResult reference = core::train_link_prediction(split, dataset.features, config);
+  std::uint32_t edgeless = 0;
+  for (const auto& comm : reference.per_worker_comm) edgeless += comm.batches == 0 ? 1 : 0;
+  ASSERT_EQ(edgeless, 1U);
+
+  auto first_half = config;
+  first_half.epochs = 1;
+  first_half.checkpoint_dir = dir_.string();
+  (void)core::train_link_prediction(split, dataset.features, first_half);
+  auto second_half = config;
+  second_half.resume_from = state_path(1);
+  const TrainResult resumed = core::train_link_prediction(split, dataset.features, second_half);
+
+  ASSERT_EQ(resumed.history.size(), 1U);
+  EXPECT_EQ(resumed.history[0].mean_loss, reference.history[1].mean_loss);
+  EXPECT_EQ(resumed.test_auc, reference.test_auc);
+  expect_models_bit_identical(reference, resumed);
+}
+
 TEST_F(ResumeTest, ResumePastConfiguredEpochsThrows) {
   auto config = base_config(Method::kSplpg, 2);
   config.checkpoint_every = 1;

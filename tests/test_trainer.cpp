@@ -7,11 +7,13 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <type_traits>
 
 #include "core/trainer.hpp"
 #include "data/dataset.hpp"
 #include "nn/checkpoint.hpp"
 #include "sampling/edge_split.hpp"
+#include "tensor/vec.hpp"
 
 namespace splpg::core {
 namespace {
@@ -543,6 +545,150 @@ TEST(Evaluator, RejectsOutOfRangeNodeIds) {
       EXPECT_NE(std::string(error.what()).find("pair 2"), std::string::npos) << error.what();
     }
   }
+}
+
+// ---- known answers: the trainer's bytes pinned against recorded digests ----
+//
+// Every other determinism test compares two runs of the same code, so a
+// change that reorders RNG draws or collective calls passes them all. These
+// digests were recorded once and cover final parameters, per-epoch records,
+// graph/sync bytes per worker and fault counters. The scalar backend is
+// pinned so the digests hold on every host.
+
+/// FNV-1a over the raw bytes of trivially copyable values.
+class Digest {
+ public:
+  template <typename T>
+  void add(const T& value) {
+    static_assert(std::is_trivially_copyable_v<T>);
+    const auto* bytes = reinterpret_cast<const unsigned char*>(&value);
+    for (std::size_t i = 0; i < sizeof(T); ++i) {
+      hash_ = (hash_ ^ bytes[i]) * 1099511628211ULL;
+    }
+  }
+  void add(const dist::CommStats& c) {
+    for (const std::uint64_t v : {c.structure_bytes, c.feature_bytes, c.structure_fetches,
+                                  c.feature_fetches, c.batches, c.sync_bytes, c.sync_messages}) {
+      add(v);
+    }
+  }
+  void add(const dist::FaultStats& f) {
+    for (const std::uint64_t v :
+         {f.transient_failures, f.retries, f.permanent_failures, f.wasted_bytes,
+          f.degraded_batches, f.crashes, f.recoveries, f.storage_write_faults,
+          f.storage_read_faults, f.checkpoint_write_failures, f.checkpoints_skipped_invalid}) {
+      add(v);
+    }
+    add(f.injected_latency_seconds);
+    add(f.backoff_seconds);
+  }
+  [[nodiscard]] std::uint64_t value() const noexcept { return hash_; }
+
+ private:
+  std::uint64_t hash_ = 14695981039346656037ULL;
+};
+
+std::uint64_t result_digest(const TrainResult& result) {
+  Digest digest;
+  for (const auto& p : result.model->parameters()) {
+    digest.add(p.value().rows());
+    digest.add(p.value().cols());
+    for (const float v : p.value().data()) digest.add(v);
+  }
+  for (const EpochRecord& r : result.history) {
+    digest.add(r.epoch);
+    for (const double v :
+         {r.mean_loss, r.comm_gigabytes, r.sync_gigabytes, r.val_hits, r.test_hits, r.test_auc}) {
+      digest.add(v);
+    }
+  }
+  for (const double v : {result.best_val_hits, result.test_hits, result.test_auc}) digest.add(v);
+  digest.add(result.eval_k);
+  digest.add(result.total_batches);
+  digest.add(result.comm);
+  for (const auto& c : result.per_worker_comm) digest.add(c);
+  digest.add(result.fault);
+  for (const auto& f : result.per_worker_fault) digest.add(f);
+  return digest.value();
+}
+
+void expect_golden(const TrainConfig& config, std::uint64_t want) {
+  const tensor::VecBackend original = tensor::vec_active_backend();
+  ASSERT_TRUE(tensor::set_vec_backend(tensor::VecBackend::kScalar));
+  const TrainResult result =
+      train_link_prediction(problem().split, problem().dataset.features, config);
+  ASSERT_TRUE(tensor::set_vec_backend(original));
+  // Every worker trains on edges here, so each one meters batches.
+  for (const auto& c : result.per_worker_comm) EXPECT_GT(c.batches, 0U);
+  EXPECT_EQ(result_digest(result), want)
+      << std::hex << "digest 0x" << result_digest(result) << std::dec << ", final loss "
+      << result.history.back().mean_loss << ", test AUC " << result.test_auc;
+}
+
+TEST(TrainerGolden, SplpgGradientAveraging) {
+  auto config = base_config(Method::kSplpg, 3);
+  config.sync = dist::SyncMode::kGradientAveraging;
+  expect_golden(config, 0xf4ff3799b067a37eULL);
+}
+
+TEST(TrainerGolden, SplpgModelAveraging) {
+  auto config = base_config(Method::kSplpg, 3);
+  config.sync = dist::SyncMode::kModelAveraging;
+  expect_golden(config, 0x3c0ecd81fdddfa04ULL);
+}
+
+TEST(TrainerGolden, SplpgPlusPeriodicAveragingTopK) {
+  // Five rounds per epoch averaged every two: mid-epoch averages after rounds
+  // 2 and 4, and the epoch-end flush after round 5.
+  auto config = base_config(Method::kSplpgPlus, 3);
+  config.batch_size = 32;
+  config.max_batches_per_epoch = 5;
+  config.sync = dist::SyncMode::kModelAveraging;
+  config.local_steps = 2;
+  config.comm_hook = dist::CommHookKind::kTopK;
+  config.topk_fraction = 0.05F;
+  expect_golden(config, 0x7664f6f6128d91bfULL);
+}
+
+TEST(TrainerGolden, PsgdPaPlusModelAveragingInt8) {
+  auto config = base_config(Method::kPsgdPaPlus, 3);
+  config.sync = dist::SyncMode::kModelAveraging;
+  config.comm_hook = dist::CommHookKind::kInt8;
+  expect_golden(config, 0x7d184a12a37fe619ULL);
+}
+
+TEST(TrainerGolden, LlcgPerEpochEvaluation) {
+  auto config = base_config(Method::kLlcg, 2);
+  config.eval_every = 1;
+  expect_golden(config, 0x815ab9cd295b4f61ULL);
+}
+
+TEST(TrainerGolden, Centralized) {
+  expect_golden(base_config(Method::kCentralized, 3), 0xfdf4c648d1629dbbULL);
+}
+
+TEST(TrainerGolden, SplpgFaultsAndCrashPooledPipelined) {
+  auto config = base_config(Method::kSplpg, 3);
+  config.sync = dist::SyncMode::kGradientAveraging;
+  config.faults.transient_fetch_failure_rate = 0.05;
+  config.faults.fetch_latency_seconds = 1e-5;
+  config.faults.crashes = {{1, 2, 1}};
+  config.worker_threads = 2;
+  config.pipeline_batches = 2;
+  expect_golden(config, 0x5de25f091a631082ULL);
+}
+
+TEST(TrainerGolden, SplpgPlusWorkerZeroCrashEarlyStopWithoutCheckpoints) {
+  // Worker 0 crashes, so evaluation scores worker 1's replica; without
+  // checkpoints the respawn copies a survivor's parameters. Validation
+  // Hits@K stalls after epoch 6, so patience stops the run after epoch 7.
+  auto config = base_config(Method::kSplpgPlus, 8);
+  config.sync = dist::SyncMode::kModelAveraging;
+  config.checkpoint_every = 0;
+  config.faults.crashes = {{0, 2, 0}};
+  config.eval_every = 1;
+  config.patience = 1;
+  expect_golden(config, 0xc4af56428bd94134ULL);
 }
 
 }  // namespace
