@@ -1,6 +1,7 @@
-// Ablation (beyond the paper): exact effective resistance (Laplacian
-// pseudo-inverse, Eq. (3)) versus the Theorem 2 degree approximation
-// 1/du + 1/dv that SpLPG actually samples with.
+// Ablation (beyond the paper): exact effective resistance (Eq. (3), solved
+// per edge by conjugate gradients on the sparse Laplacian) versus the
+// Theorem 2 degree approximation 1/du + 1/dv that SpLPG actually samples
+// with.
 //
 // Reports rank correlation between the two orderings, the Theorem 2 bound
 // slack, and the runtime gap that justifies the approximation.
@@ -46,7 +47,7 @@ int main(int argc, char** argv) {
   using namespace splpg;
   bench::EnvDefaults defaults;
   defaults.datasets = "citeseer,cora,chameleon";
-  defaults.scale = 0.05;  // exact ER is O(n^3)
+  defaults.scale = 0.05;  // gamma is a dense O(n^3) eigensolve
   const auto env = bench::parse_env(argc, argv,
                                     "Ablation: exact vs approximate effective resistance",
                                     defaults);

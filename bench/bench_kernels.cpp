@@ -138,7 +138,6 @@ int main(int argc, char** argv) {
       {"axpy_f64", [&](const VecKernels& k) { k.axpy_f64(out64.data(), f64_a.data(), 0.5, n); }},
       {"xpby_f64", [&](const VecKernels& k) { k.xpby_f64(out64.data(), f64_a.data(), 0.5, n); }},
       {"dot_f64", [&](const VecKernels& k) { g_sink += k.dot_f64(f64_a.data(), f64_b.data(), n); }},
-      {"ssd_f64", [&](const VecKernels& k) { g_sink += k.ssd_f64(f64_a.data(), f64_b.data(), n); }},
       {"spmv_row_f64",
        [&](const VecKernels& k) {
          g_sink += k.spmv_row_f64(f64_a.data(), cols.data(), f64_b.data(), n);

@@ -1,6 +1,6 @@
 // Parallel preprocessing benchmark: serial vs ThreadPool execution of the
-// master-side hot paths (partition sparsification, dense ER kernels, and
-// evaluation scoring), with a bit-identity check per section.
+// master-side hot paths (partition sparsification, the Laplacian and CG
+// effective-resistance kernels, and evaluation scoring), with a bit-identity check per section.
 //
 // The determinism contract is the point: every parallel path must produce
 // the same bytes as its serial counterpart, so the speedup column is pure
@@ -56,7 +56,7 @@ int main(int argc, char** argv) {
 
   util::Flags flags(
       "Parallel preprocessing benchmark: serial vs ThreadPool sparsification, "
-      "dense ER kernels, and evaluation scoring. Each section verifies the "
+      "ER kernels, and evaluation scoring. Each section verifies the "
       "parallel output is bit-identical to serial before timing it.");
   flags.define("dataset", "cora", "dataset for sparsification/evaluation sections");
   flags.define("scale", 0.25, "dataset scale factor in (0, 1]");
@@ -67,7 +67,7 @@ int main(int argc, char** argv) {
                "ThreadPool width for the parallel variants (0 = hardware)");
   flags.define("repeats", static_cast<std::int64_t>(3), "timing repetitions (best-of)");
   flags.define("er_nodes", static_cast<std::int64_t>(220),
-               "node count of the synthetic graph for the dense O(n^2)/O(n^3) kernels");
+               "node count of the synthetic graph for the Laplacian and CG ER kernels");
   flags.define("json", "BENCH_parallel.json", "output path for machine-readable results");
   if (!flags.parse(argc, argv)) return 1;
 
@@ -125,7 +125,7 @@ int main(int argc, char** argv) {
     sections.push_back(section);
   }
 
-  // ---- sections 2+3: dense ER kernels on a synthetic graph ----
+  // ---- sections 2+3: ER kernels on a synthetic graph ----
   {
     data::SbmParams params;
     params.num_nodes = er_nodes;
@@ -156,19 +156,14 @@ int main(int argc, char** argv) {
 
     Section exact{"exact_effective_resistance"};
     {
-      // Pin the dense solver: this section times the O(n^2)/O(n^3) dense
-      // kernels' row-blocking. The sparse CG/JL routes (now the default)
-      // have their own benchmark, bench_er_solver.
-      sparsify::ErSolverOptions dense_options;
-      dense_options.solver = sparsify::ErSolver::kDense;
-      const auto a = sparsify::exact_effective_resistance(graph, dense_options);
-      const auto b = sparsify::exact_effective_resistance(graph, dense_options, &pool);
+      // Per-edge CG solves fan out whole across the pool.
+      const auto a = sparsify::exact_effective_resistance(graph);
+      const auto b = sparsify::exact_effective_resistance(graph, &pool);
       exact.bit_identical = std::equal(a.begin(), a.end(), b.begin(), b.end());
-      exact.serial_seconds = time_best(
-          repeats, [&] { (void)sparsify::exact_effective_resistance(graph, dense_options); });
-      exact.parallel_seconds = time_best(repeats, [&] {
-        (void)sparsify::exact_effective_resistance(graph, dense_options, &pool);
-      });
+      exact.serial_seconds =
+          time_best(repeats, [&] { (void)sparsify::exact_effective_resistance(graph); });
+      exact.parallel_seconds =
+          time_best(repeats, [&] { (void)sparsify::exact_effective_resistance(graph, &pool); });
     }
     sections.push_back(exact);
   }

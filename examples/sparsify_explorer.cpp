@@ -1,13 +1,12 @@
 // Sparsification explorer: walks through the effective-resistance machinery
-// on a small graph — exact resistances via the Laplacian pseudo-inverse,
-// the Theorem 2 degree bounds, and what the sampler keeps at different
-// sparsification levels.
+// on a small graph — exact resistances via per-edge conjugate-gradient
+// Laplacian solves, the Theorem 2 degree bounds, and what the sampler keeps
+// at different sparsification levels.
 //
-//   ./example_sparsify_explorer [--nodes=120] [--edges=800] [--er-solver=cg]
+//   ./example_sparsify_explorer [--nodes=120] [--edges=800]
 #include <algorithm>
 #include <cstdio>
 #include <memory>
-#include <stdexcept>
 
 #include "data/generators.hpp"
 #include "graph/algorithms.hpp"
@@ -26,18 +25,7 @@ int main(int argc, char** argv) {
   flags.define("threads", static_cast<std::int64_t>(1),
                "ThreadPool width for the ER kernels (1 = serial, 0 = hardware); "
                "the output is bit-identical at every setting");
-  flags.define("er-solver", "cg",
-               "effective-resistance solver: dense (O(n^3) oracle), cg (sparse "
-               "preconditioned CG), or jl (Johnson-Lindenstrauss sketch)");
   if (!flags.parse(argc, argv)) return 1;
-
-  sparsify::ErSolverOptions er_options;
-  try {
-    er_options.solver = sparsify::er_solver_from_string(flags.get_string("er-solver"));
-  } catch (const std::invalid_argument& error) {
-    std::fprintf(stderr, "%s\n", error.what());
-    return 1;
-  }
 
   const auto threads = static_cast<std::size_t>(flags.get_int("threads"));
   std::unique_ptr<util::ThreadPool> pool;
@@ -54,10 +42,9 @@ int main(int argc, char** argv) {
               graph::global_clustering_coefficient(graph));
 
   // 1. Exact vs approximate effective resistance.
-  const auto exact = sparsify::exact_effective_resistance(graph, er_options, pool.get());
+  const auto exact = sparsify::exact_effective_resistance(graph, pool.get());
   const auto proxy = sparsify::approx_effective_resistance(graph);
   const double gamma = sparsify::normalized_laplacian_gamma(graph, pool.get());
-  std::printf("er solver: %s\n", sparsify::er_solver_name(er_options.solver).c_str());
   std::printf("\nTheorem 2: (1/2)(1/du + 1/dv) <= r(u,v) <= (1/gamma)(1/du + 1/dv),"
               "  gamma = %.4f\n", gamma);
   std::printf("%6s %6s | %10s %12s %12s\n", "u", "v", "exact r", "lower bnd", "upper bnd");

@@ -12,17 +12,11 @@
 #   BENCH_WORKER_FLAGS="--worker-threads=8 --scale=0.5" scripts/run_bench.sh
 #
 #   BENCH_parallel.json  bench_parallel_preprocessing — master-side pools
-#                        (partition sparsification, dense ER kernels,
-#                        evaluation scoring)
+#                        (partition sparsification, Laplacian and CG ER
+#                        kernels, evaluation scoring)
 #   BENCH_worker.json    bench_worker_parallel — worker-side pools (chunked
 #                        neighbor sampling, row-blocked forward/backward
 #                        kernels, the intra-worker batch pipeline)
-#   BENCH_er.json        bench_er_solver — effective-resistance solvers
-#                        (dense O(n^3) oracle vs sparse CG vs the JL sketch
-#                        at increasing graph sizes, wall + process CPU,
-#                        cross-solver agreement; the final 100k-edge graph
-#                        is dense-infeasible by construction). Override its
-#                        flags via BENCH_ER_FLAGS.
 #   BENCH_kernels.json   bench_kernels — the Vec kernel engine: per-backend
 #                        (scalar/sse2/avx2/avx512, as supported by the host
 #                        CPU) throughput of every tensor hot-path kernel plus
@@ -55,7 +49,7 @@ cd "$(dirname "$0")/.."
 
 cmake -B build -S . -G Ninja >/dev/null
 cmake --build build -j --target bench_parallel_preprocessing bench_worker_parallel \
-  bench_er_solver bench_kernels bench_comm_regimes bench_serving
+  bench_kernels bench_comm_regimes bench_serving
 
 build/bench/bench_parallel_preprocessing --json=BENCH_parallel.json "$@" \
   | tee bench_parallel_output.txt
@@ -63,10 +57,6 @@ build/bench/bench_parallel_preprocessing --json=BENCH_parallel.json "$@" \
 # shellcheck disable=SC2086  # intentional word splitting of the flag string
 build/bench/bench_worker_parallel --json=BENCH_worker.json ${BENCH_WORKER_FLAGS:-} \
   | tee bench_worker_output.txt
-
-# shellcheck disable=SC2086  # intentional word splitting of the flag string
-build/bench/bench_er_solver --json=BENCH_er.json ${BENCH_ER_FLAGS:-} \
-  | tee bench_er_output.txt
 
 # shellcheck disable=SC2086  # intentional word splitting of the flag string
 build/bench/bench_kernels --json=BENCH_kernels.json ${BENCH_KERNELS_FLAGS:-} \
@@ -80,5 +70,5 @@ build/bench/bench_comm_regimes --json=BENCH_comm.json ${BENCH_COMM_FLAGS:-} \
 build/bench/bench_serving --json=BENCH_serving.json ${BENCH_SERVING_FLAGS:-} \
   | tee bench_serving_output.txt
 
-echo "results written to BENCH_parallel.json, BENCH_worker.json, BENCH_er.json," \
-  "BENCH_kernels.json, BENCH_comm.json, and BENCH_serving.json"
+echo "results written to BENCH_parallel.json, BENCH_worker.json, BENCH_kernels.json," \
+  "BENCH_comm.json, and BENCH_serving.json"

@@ -7,15 +7,15 @@
 # suite (which includes every `io`-labeled dataset I/O test — the mmap
 # FeatureStore view and the binary parsers are exactly where an
 # out-of-bounds read would live, and the `er`-labeled sparse-solver suite —
-# CSR Laplacian assembly and the CG/JL fan-outs are raw index arithmetic),
+# CSR Laplacian assembly and the per-edge CG fan-out are raw index arithmetic),
 # then TSan over the concurrency-heavy binaries (test_dist, test_trainer,
 # test_util, the ThreadPool-parallel sparsify/eval paths, the io
 # differential/resume suites, whose worker threads read a shared mmap view,
 # the worker-parallel/pipeline suites — chunked sampling, row-blocked
 # kernels, and the bounded-queue batch pipeline, also sliceable via
 # `ctest -L worker` — and the effective-resistance solver suites
-# (`ctest -L er`): pooled spmv, per-edge CG fan-out, and per-projection JL
-# solves all share the Laplacian read-only across pool threads) — the
+# (`ctest -L er`): pooled spmv and the per-edge CG fan-out share the
+# Laplacian read-only across pool threads) — the
 # barrier/elastic-membership/crash-recovery and pool fan-out paths are
 # where a data race would live. The trainer-level durability suites
 # (`ctest -L durability` for the whole slice) also run under TSan: torn

@@ -49,28 +49,12 @@ class MasterStore {
     return std::binary_search(halo.begin(), halo.end(), v);
   }
 
-  /// The sorted halo node list of a partition.
-  [[nodiscard]] const std::vector<graph::NodeId>& halo_nodes(std::uint32_t part) const {
-    return halo_[part];
-  }
-
   /// Installs the sparsified partition graphs (global id space).
   void set_sparsified(std::vector<graph::CsrGraph> graphs);
   [[nodiscard]] bool has_sparsified() const noexcept { return !sparsified_.empty(); }
   [[nodiscard]] const graph::CsrGraph& sparsified(std::uint32_t part) const {
     if (sparsified_.empty()) throw std::logic_error("MasterStore: sparsified graphs not set");
     return sparsified_[part];
-  }
-
-  /// Number of cross-partition neighbors of a core node `v` of `part` — the
-  /// adjacency share a worker with an *induced* local subgraph must fetch.
-  [[nodiscard]] std::uint32_t cross_partition_degree(std::uint32_t part,
-                                                     graph::NodeId v) const noexcept {
-    std::uint32_t count = 0;
-    for (const graph::NodeId w : graph_.neighbors(v)) {
-      if (parts_.assignment[w] != part) ++count;
-    }
-    return count;
   }
 
  private:

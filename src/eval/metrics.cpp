@@ -46,18 +46,4 @@ double auc(std::span<const float> positive_scores, std::span<const float> negati
   return (positive_rank_sum - np * (np + 1.0) / 2.0) / (np * nn);
 }
 
-double accuracy_at_zero(std::span<const float> positive_scores,
-                        std::span<const float> negative_scores) {
-  const std::size_t total = positive_scores.size() + negative_scores.size();
-  if (total == 0) return 0.0;
-  std::size_t correct = 0;
-  for (const float s : positive_scores) {
-    if (s > 0.0F) ++correct;
-  }
-  for (const float s : negative_scores) {
-    if (s <= 0.0F) ++correct;
-  }
-  return static_cast<double>(correct) / static_cast<double>(total);
-}
-
 }  // namespace splpg::eval

@@ -20,8 +20,4 @@ namespace splpg::eval {
 [[nodiscard]] double auc(std::span<const float> positive_scores,
                          std::span<const float> negative_scores);
 
-/// Classification accuracy at a 0.0-logit threshold.
-[[nodiscard]] double accuracy_at_zero(std::span<const float> positive_scores,
-                                      std::span<const float> negative_scores);
-
 }  // namespace splpg::eval

@@ -1,50 +1,11 @@
 #include "graph/algorithms.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <deque>
 #include <numeric>
 
 namespace splpg::graph {
-
-std::vector<NodeId> bfs_order(const CsrGraph& graph, NodeId source) {
-  assert(source < graph.num_nodes());
-  std::vector<bool> seen(graph.num_nodes(), false);
-  std::vector<NodeId> order;
-  std::deque<NodeId> queue{source};
-  seen[source] = true;
-  while (!queue.empty()) {
-    const NodeId v = queue.front();
-    queue.pop_front();
-    order.push_back(v);
-    for (const NodeId w : graph.neighbors(v)) {
-      if (!seen[w]) {
-        seen[w] = true;
-        queue.push_back(w);
-      }
-    }
-  }
-  return order;
-}
-
-std::vector<std::uint32_t> bfs_distances(const CsrGraph& graph, NodeId source) {
-  assert(source < graph.num_nodes());
-  std::vector<std::uint32_t> dist(graph.num_nodes(), kUnreachable);
-  std::deque<NodeId> queue{source};
-  dist[source] = 0;
-  while (!queue.empty()) {
-    const NodeId v = queue.front();
-    queue.pop_front();
-    for (const NodeId w : graph.neighbors(v)) {
-      if (dist[w] == kUnreachable) {
-        dist[w] = dist[v] + 1;
-        queue.push_back(w);
-      }
-    }
-  }
-  return dist;
-}
 
 std::vector<NodeId> Components::component_sizes() const {
   std::vector<NodeId> sizes(count, 0);

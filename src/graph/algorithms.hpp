@@ -1,5 +1,5 @@
-// Classic graph algorithms used across the library: traversal, connectivity,
-// k-hop neighborhoods, and degree statistics.
+// Classic graph algorithms: connectivity, k-hop neighborhoods, degree
+// statistics and clustering.
 #pragma once
 
 #include <cstdint>
@@ -10,15 +10,8 @@
 
 namespace splpg::graph {
 
-/// BFS order (node ids) from `source`; visits only source's component.
-[[nodiscard]] std::vector<NodeId> bfs_order(const CsrGraph& graph, NodeId source);
-
-/// BFS distance from `source` to every node; unreachable nodes get
-/// kUnreachable.
-inline constexpr std::uint32_t kUnreachable = static_cast<std::uint32_t>(-1);
-[[nodiscard]] std::vector<std::uint32_t> bfs_distances(const CsrGraph& graph, NodeId source);
-
-/// Component id per node (0-based, dense), plus component count.
+/// Component id per node (0-based, dense), plus component count: the
+/// reference the tests check generators and Foster's theorem against.
 struct Components {
   std::vector<NodeId> label;  // per node
   NodeId count = 0;
@@ -29,8 +22,8 @@ struct Components {
 [[nodiscard]] Components connected_components(const CsrGraph& graph);
 
 /// All nodes within `k` hops of `seeds` (including the seeds), as the union
-/// of full-neighborhood expansions. Used by tests to cross-check the fanout
-/// sampler and by the complete data-sharing strategy.
+/// of full-neighborhood expansions: the reference the tests cross-check the
+/// fanout sampler against.
 [[nodiscard]] std::vector<NodeId> k_hop_neighborhood(const CsrGraph& graph,
                                                      std::span<const NodeId> seeds,
                                                      std::uint32_t k);

@@ -44,7 +44,6 @@ class AtomicFile {
   void commit();
 
   [[nodiscard]] const std::string& path() const noexcept { return path_; }
-  [[nodiscard]] const std::string& temp_path() const noexcept { return temp_path_; }
 
  private:
   std::string path_;

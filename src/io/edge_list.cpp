@@ -24,11 +24,10 @@ using graph::NodeId;
 namespace {
 
 constexpr std::uint32_t kEdgeMagic = 0x53504745;  // "SPGE"
-constexpr std::uint32_t kEdgeVersionLegacy = 1;   // pre-checksum layout
-constexpr std::uint32_t kEdgeVersion = 2;         // + payload/header CRC-32
-// Header: magic, version, flags, num_nodes (u32 each), num_edges (u64); v2
-// appends the payload and header CRCs (io/section). Payload: the u32 pairs,
-// then the f32 weights of a weighted graph.
+constexpr std::uint32_t kEdgeVersion = 2;         // v1 had no checksums
+// Header: magic, version, flags, num_nodes (u32 each), num_edges (u64), then
+// the payload and header CRCs (io/section). Payload: the u32 pairs, then the
+// f32 weights of a weighted graph.
 constexpr std::uint32_t kFlagWeighted = 1U << 0;
 
 [[noreturn]] void fail(const std::string& message) { throw FormatError(message); }
@@ -193,24 +192,15 @@ void write_edge_list_text_file(const std::string& path, const CsrGraph& graph) {
   write_file_atomic(path, [&](std::ostream& out) { write_edge_list_text(out, graph); });
 }
 
-CsrGraph read_edge_list_binary(std::istream& in, const EdgeListOptions& options,
-                               ReadIntegrity* integrity) {
+CsrGraph read_edge_list_binary(std::istream& in, const EdgeListOptions& options) {
   SectionReader reader(in, "binary edge list");
   reader.magic(kEdgeMagic, "SPGE");
-  const std::uint32_t version = reader.version(kEdgeVersionLegacy, kEdgeVersion);
+  reader.version(kEdgeVersion);
   const auto flags = reader.field<std::uint32_t>();
   const auto num_nodes = reader.field<std::uint32_t>();
   const auto num_edges = reader.field<std::uint64_t>();
-  const bool checksummed = version == kEdgeVersion;
-  std::uint32_t payload_crc = 0;
-  if (checksummed) {
-    payload_crc = reader.field<std::uint32_t>();
-    reader.check_header_crc();
-  }
-  if (integrity != nullptr) {
-    integrity->version = version;
-    integrity->checksummed = checksummed;
-  }
+  const auto payload_crc = reader.field<std::uint32_t>();
+  reader.check_header_crc();
   if ((flags & ~kFlagWeighted) != 0) {
     std::ostringstream hex;
     hex << std::hex << flags;
@@ -224,7 +214,7 @@ CsrGraph read_edge_list_binary(std::istream& in, const EdgeListOptions& options,
   const auto pairs = reader.payload<Edge>(num_edges, std::to_string(num_edges) + " edges");
   const auto weights = reader.payload<float>(weighted ? num_edges : 0,
                                              std::to_string(num_edges) + " edge weights");
-  if (checksummed) reader.check_payload_crc(payload_crc);
+  reader.check_payload_crc(payload_crc);
   reader.expect_end();
 
   std::vector<RawEdge> raw(num_edges);
@@ -239,12 +229,11 @@ CsrGraph read_edge_list_binary(std::istream& in, const EdgeListOptions& options,
   return build_checked(num_nodes, std::move(raw), weighted, checked, "binary edge list");
 }
 
-CsrGraph read_edge_list_binary_file(const std::string& path, const EdgeListOptions& options,
-                                    ReadIntegrity* integrity) {
+CsrGraph read_edge_list_binary_file(const std::string& path, const EdgeListOptions& options) {
   storage_faults_on_read(path);
   std::ifstream in(path, std::ios::binary);
   if (!in) throw_errno("binary edge list: cannot open", path);
-  return with_path(path, [&] { return read_edge_list_binary(in, options, integrity); });
+  return with_path(path, [&] { return read_edge_list_binary(in, options); });
 }
 
 void write_edge_list_binary(std::ostream& out, const CsrGraph& graph) {

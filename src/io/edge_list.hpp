@@ -6,8 +6,8 @@
 // version, flags, node count, edge count, payload CRC-32, header CRC-32)
 // followed by the canonical (u < v, sorted, deduplicated) edge array and an
 // optional weight array; this is the format save_dataset writes and the one
-// that round-trips a graph bit-exactly. Version-1 files (no checksums) still
-// load and are flagged `checksummed = false` via ReadIntegrity.
+// that round-trips a graph bit-exactly. Version-1 files (no checksums) are
+// rejected.
 //
 // All parsers validate before they build: malformed input (truncated files,
 // checksum mismatches, trailing bytes past the declared payload, bad
@@ -45,15 +45,11 @@ struct EdgeListOptions {
 void write_edge_list_text(std::ostream& out, const graph::CsrGraph& graph);
 void write_edge_list_text_file(const std::string& path, const graph::CsrGraph& graph);
 
-/// Binary readers verify the v2 header/payload checksums; `integrity` (when
-/// non-null) reports the parsed version and whether checksums were verified
-/// (false for v1 files).
+/// Binary readers verify the header and payload checksums.
 [[nodiscard]] graph::CsrGraph read_edge_list_binary(std::istream& in,
-                                                    const EdgeListOptions& options = {},
-                                                    ReadIntegrity* integrity = nullptr);
+                                                    const EdgeListOptions& options = {});
 [[nodiscard]] graph::CsrGraph read_edge_list_binary_file(const std::string& path,
-                                                         const EdgeListOptions& options = {},
-                                                         ReadIntegrity* integrity = nullptr);
+                                                         const EdgeListOptions& options = {});
 void write_edge_list_binary(std::ostream& out, const graph::CsrGraph& graph);
 void write_edge_list_binary_file(const std::string& path, const graph::CsrGraph& graph);
 

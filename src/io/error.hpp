@@ -36,14 +36,6 @@ class IoError : public FormatError {
   int error_number_;
 };
 
-/// Filled in by the binary readers when the caller wants to know whether the
-/// bytes were actually checksum-verified. v1 (pre-checksum) files parse but
-/// come back `checksummed = false` — readable, flagged unverified.
-struct ReadIntegrity {
-  std::uint32_t version = 0;  // format version actually parsed
-  bool checksummed = false;   // true = per-section CRCs verified on read
-};
-
 /// Throws IoError for a failed OS call: "<operation> <path>: <strerror>".
 /// `error_number` defaults to the current errno.
 [[noreturn]] inline void throw_errno(const std::string& operation, const std::string& path,

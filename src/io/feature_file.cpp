@@ -17,26 +17,21 @@ namespace splpg::io {
 namespace {
 
 constexpr std::uint32_t kFeatureMagic = 0x53504654;  // "SPFT"
-constexpr std::uint32_t kFeatureVersionLegacy = 1;   // pre-checksum layout
-constexpr std::uint32_t kFeatureVersion = 2;         // + payload/header CRC-32
-// Header: magic, version, nodes, dim (u32 each); v2 appends payload_bytes
-// (u64) and the payload and header CRCs (io/section), 32 bytes in all. The
-// payload still starts at a fixed float-aligned offset so mmap stays
-// zero-copy.
-constexpr std::size_t kFeatureHeaderBytesV2 = 32;
+constexpr std::uint32_t kFeatureVersion = 2;         // v1 had no checksums
+// Header: magic, version, nodes, dim (u32 each), payload_bytes (u64) and the
+// payload and header CRCs (io/section), 32 bytes in all. The payload starts
+// at a fixed float-aligned offset so mmap stays zero-copy.
+constexpr std::size_t kFeatureHeaderBytes = 32;
 
 constexpr std::uint32_t kLabelMagic = 0x53504C42;  // "SPLB"
-constexpr std::uint32_t kLabelVersionLegacy = 1;
-constexpr std::uint32_t kLabelVersion = 2;
+constexpr std::uint32_t kLabelVersion = 2;         // v1 had no checksums
 
 struct FeatureHeader {
-  std::uint32_t version = 0;
   std::uint32_t num_nodes = 0;
   std::uint32_t dim = 0;
-  std::uint64_t payload_bytes = 0;  // declared (v2) or derived (v1)
-  std::uint32_t payload_crc = 0;    // v2 only
+  std::uint64_t payload_bytes = 0;
+  std::uint32_t payload_crc = 0;
 
-  [[nodiscard]] bool checksummed() const noexcept { return version == kFeatureVersion; }
   [[nodiscard]] std::string what() const {
     return std::to_string(num_nodes) + "x" + std::to_string(dim) + " features";
   }
@@ -45,32 +40,22 @@ struct FeatureHeader {
 FeatureHeader read_feature_header(SectionReader& reader) {
   FeatureHeader header;
   reader.magic(kFeatureMagic, "SPFT");
-  header.version = reader.version(kFeatureVersionLegacy, kFeatureVersion);
+  reader.version(kFeatureVersion);
   header.num_nodes = reader.field<std::uint32_t>();
   header.dim = reader.field<std::uint32_t>();
-  if (header.checksummed()) {
-    header.payload_bytes = reader.field<std::uint64_t>();
-    header.payload_crc = reader.field<std::uint32_t>();
-    reader.check_header_crc();
-  }
+  header.payload_bytes = reader.field<std::uint64_t>();
+  header.payload_crc = reader.field<std::uint32_t>();
+  reader.check_header_crc();
   const std::uint64_t values = static_cast<std::uint64_t>(header.num_nodes) * header.dim;
   if (values > std::numeric_limits<std::uint64_t>::max() / sizeof(float)) {
     reader.fail("header declares " + header.what() + ", more than a file can hold");
   }
   const std::uint64_t expected = values * sizeof(float);
-  if (!header.checksummed()) header.payload_bytes = expected;
   if (header.payload_bytes != expected) {
     reader.fail("header declares " + std::to_string(header.payload_bytes) +
                 " payload bytes but " + header.what() + " need " + std::to_string(expected));
   }
   return header;
-}
-
-void fill_integrity(ReadIntegrity* integrity, const FeatureHeader& header) {
-  if (integrity != nullptr) {
-    integrity->version = header.version;
-    integrity->checksummed = header.checksummed();
-  }
 }
 
 }  // namespace
@@ -96,19 +81,17 @@ void write_features_file(const std::string& path, const graph::FeatureStore& fea
   write_file_atomic(path, [&](std::ostream& out) { write_features(out, features); });
 }
 
-graph::FeatureStore read_features(std::istream& in, ReadIntegrity* integrity) {
+graph::FeatureStore read_features(std::istream& in) {
   SectionReader reader(in, "feature file");
   const FeatureHeader header = read_feature_header(reader);
-  fill_integrity(integrity, header);
   auto data = reader.payload<float>(static_cast<std::uint64_t>(header.num_nodes) * header.dim,
                                     header.what());
-  if (header.checksummed()) reader.check_payload_crc(header.payload_crc);
+  reader.check_payload_crc(header.payload_crc);
   reader.expect_end();
   return {header.num_nodes, header.dim, std::move(data)};
 }
 
-graph::FeatureStore read_features_file(const std::string& path, FeatureBackend backend,
-                                       ReadIntegrity* integrity) {
+graph::FeatureStore read_features_file(const std::string& path, FeatureBackend backend) {
   storage_faults_on_read(path);
   if (backend == FeatureBackend::kMmap) {
     if (auto mapped = MappedFile::map(path); mapped.has_value()) {
@@ -119,14 +102,13 @@ graph::FeatureStore read_features_file(const std::string& path, FeatureBackend b
         // read or SIGBUS on the first gather.
         std::istringstream head(
             std::string(reinterpret_cast<const char*>(mapped->data()),
-                        std::min(mapped->size(), kFeatureHeaderBytesV2)));
+                        std::min(mapped->size(), kFeatureHeaderBytes)));
         SectionReader reader(head, "feature file");
         const FeatureHeader header = read_feature_header(reader);
         const std::uint64_t header_bytes = reader.offset();
         reader.mapped_payload(mapped->data() + header_bytes, mapped->size() - header_bytes,
                               header.payload_bytes, header.what());
-        if (header.checksummed()) reader.check_payload_crc(header.payload_crc);
-        fill_integrity(integrity, header);
+        reader.check_payload_crc(header.payload_crc);
         // Point the store straight at the mapped payload (zero-copy). The
         // shared_ptr keeps the mapping alive as long as any store copy does.
         auto owner = std::make_shared<MappedFile>(std::move(*mapped));
@@ -139,7 +121,7 @@ graph::FeatureStore read_features_file(const std::string& path, FeatureBackend b
   }
   std::ifstream in(path, std::ios::binary);
   if (!in) throw_errno("feature file: cannot open", path);
-  return with_path(path, [&] { return read_features(in, integrity); });
+  return with_path(path, [&] { return read_features(in); });
 }
 
 void write_labels_file(const std::string& path, const std::vector<std::uint32_t>& labels) {
@@ -153,29 +135,20 @@ void write_labels_file(const std::string& path, const std::vector<std::uint32_t>
   });
 }
 
-std::vector<std::uint32_t> read_labels_file(const std::string& path,
-                                            ReadIntegrity* integrity) {
+std::vector<std::uint32_t> read_labels_file(const std::string& path) {
   storage_faults_on_read(path);
   std::ifstream in(path, std::ios::binary);
   if (!in) throw_errno("label file: cannot open", path);
   return with_path(path, [&] {
     SectionReader reader(in, "label file");
     reader.magic(kLabelMagic, "SPLB");
-    const std::uint32_t version = reader.version(kLabelVersionLegacy, kLabelVersion);
+    reader.version(kLabelVersion);
     const auto count = reader.field<std::uint64_t>();
-    const bool checksummed = version == kLabelVersion;
-    std::uint32_t payload_crc = 0;
-    if (checksummed) {
-      payload_crc = reader.field<std::uint32_t>();
-      reader.check_header_crc();
-    }
+    const auto payload_crc = reader.field<std::uint32_t>();
+    reader.check_header_crc();
     auto labels = reader.payload<std::uint32_t>(count, std::to_string(count) + " labels");
-    if (checksummed) reader.check_payload_crc(payload_crc);
+    reader.check_payload_crc(payload_crc);
     reader.expect_end();
-    if (integrity != nullptr) {
-      integrity->version = version;
-      integrity->checksummed = checksummed;
-    }
     return labels;
   });
 }

@@ -12,8 +12,7 @@
 // payload CRC-32, header CRC-32) then one uint32 label per node — the
 // generator's ground-truth communities.
 //
-// Version-1 files (no checksums) of both formats still load; callers that
-// pass a ReadIntegrity see them flagged `checksummed = false`. File writers
+// Version-1 files (no checksums) of either format are rejected. File writers
 // go through io::AtomicFile: a crash mid-write never leaves a torn file
 // under the final name.
 #pragma once
@@ -41,16 +40,12 @@ void write_features_file(const std::string& path, const graph::FeatureStore& fea
 /// Loads a feature file. With kMmap the returned store is a zero-copy view
 /// whose keepalive owns the mapping; with kBuffered (or when mapping fails)
 /// it owns a heap copy. Both return bit-identical rows and verify the same
-/// checksums; `integrity` (when non-null) reports the parsed version and
-/// whether checksums were actually verified (false for v1 files).
-[[nodiscard]] graph::FeatureStore read_features(std::istream& in,
-                                                ReadIntegrity* integrity = nullptr);
+/// checksums.
+[[nodiscard]] graph::FeatureStore read_features(std::istream& in);
 [[nodiscard]] graph::FeatureStore read_features_file(const std::string& path,
-                                                     FeatureBackend backend,
-                                                     ReadIntegrity* integrity = nullptr);
+                                                     FeatureBackend backend);
 
 void write_labels_file(const std::string& path, const std::vector<std::uint32_t>& labels);
-[[nodiscard]] std::vector<std::uint32_t> read_labels_file(const std::string& path,
-                                                          ReadIntegrity* integrity = nullptr);
+[[nodiscard]] std::vector<std::uint32_t> read_labels_file(const std::string& path);
 
 }  // namespace splpg::io

@@ -44,24 +44,19 @@ void SectionReader::fail(const std::string& defect) const {
   throw FormatError(format_ + ": " + defect);
 }
 
-std::uint32_t SectionReader::magic(std::uint32_t current, const char* name,
-                                   std::uint32_t legacy) {
+void SectionReader::magic(std::uint32_t expected, const char* name) {
   header_crc_ = Crc32();
   payload_crc_ = Crc32();
-  const auto value = field<std::uint32_t>();
-  if (value != current && (legacy == 0 || value != legacy)) {
+  if (const auto value = field<std::uint32_t>(); value != expected) {
     fail("bad magic " + hex(value) + " (not an " + name + " file)");
   }
-  return value;
 }
 
-std::uint32_t SectionReader::version(std::uint32_t legacy, std::uint32_t current) {
-  const auto value = field<std::uint32_t>();
-  if (value != legacy && value != current) {
+void SectionReader::version(std::uint32_t expected) {
+  if (const auto value = field<std::uint32_t>(); value != expected) {
     fail("unsupported version " + std::to_string(value) + " (expected " +
-         std::to_string(legacy) + " or " + std::to_string(current) + ")");
+         std::to_string(expected) + ")");
   }
-  return value;
 }
 
 void SectionReader::check_header_crc() {

@@ -3,10 +3,10 @@
 // SPM2 parameter and SPO2 optimizer sections.
 //
 // A section is a fixed-size header followed by a payload. A header opens with
-// a 4-byte magic. At v2 it closes with the CRC-32 of all its preceding bytes,
-// and a section with a payload stores the payload's CRC-32 as the header
-// field just before that. v1 (pre-checksum) headers are the same fields
-// without the two CRCs.
+// a 4-byte magic and closes with the CRC-32 of all its preceding bytes; a
+// section with a payload stores the payload's CRC-32 as the header field just
+// before that. Only these checksummed layouts are read: every accepted byte
+// is CRC-verified.
 //
 // Reading applies one rule set to every format:
 //   - the header CRC is checked over the raw header bytes as read;
@@ -70,12 +70,12 @@ class SectionReader {
   [[noreturn]] void fail(const std::string& defect) const;
 
   /// Opens a section: reads its magic and fails with "bad magic" unless it
-  /// is `current` or `legacy` (0 = none). Returns the magic read.
-  std::uint32_t magic(std::uint32_t current, const char* name, std::uint32_t legacy = 0);
+  /// is `expected`.
+  void magic(std::uint32_t expected, const char* name);
 
   /// Reads a version field; fails with "unsupported version" unless it is
-  /// `legacy` or `current`.
-  std::uint32_t version(std::uint32_t legacy, std::uint32_t current);
+  /// `expected`.
+  void version(std::uint32_t expected);
 
   /// Reads one header field; a short read is "truncated header".
   template <typename T>
@@ -87,8 +87,8 @@ class SectionReader {
     return value;
   }
 
-  /// Reads the stored CRC-32 that closes a v2 header and checks it against
-  /// the raw bytes since magic().
+  /// Reads the stored CRC-32 that closes a header and checks it against the
+  /// raw bytes since magic().
   void check_header_crc();
 
   /// Reads `count` values of payload. `what` names them in the truncation

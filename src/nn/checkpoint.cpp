@@ -20,29 +20,24 @@ namespace fs = std::filesystem;
 
 namespace {
 
-// Train state: magic + version came first since v1, so the magic is stable.
 constexpr std::uint32_t kStateMagic = 0x5350434B;  // "SPCK"
-constexpr std::uint32_t kStateVersionLegacy = 1;
-constexpr std::uint32_t kStateVersion = 2;
+constexpr std::uint32_t kStateVersion = 2;         // v1 had no checksums
 
 // The parameter and optimizer-state sections share one layout: magic, the
 // section's u64 counters, then payload byte count, payload CRC, header CRC
 // and a payload of shape-prefixed matrices (rows, cols as u64, row-major
-// f32). Their legacy forms ("SPLM", "SPOS": no checksums) carry the matrices
-// inline after the counters. The magic changed instead of a version bump
-// because neither legacy layout has a version field.
+// f32). Their unchecksummed predecessors had other magics ("SPLM", "SPOS"),
+// which are rejected as bad magic.
 struct MatrixLayout {
   std::uint32_t magic;
-  std::uint32_t legacy_magic;
   const char* name;
   std::size_t counters;
 };
-constexpr MatrixLayout kParameters{0x53504D32, 0x53504C4D, "SPM2", 1};      // count
-constexpr MatrixLayout kOptimizerState{0x53504F32, 0x53504F53, "SPO2", 2};  // step, count
+constexpr MatrixLayout kParameters{0x53504D32, "SPM2", 1};      // count
+constexpr MatrixLayout kOptimizerState{0x53504F32, "SPO2", 2};  // step, count
 
 struct MatrixSection {
   std::array<std::uint64_t, 2> counters{};
-  bool checksummed = false;
   std::uint64_t payload_bytes = 0;
   std::uint32_t payload_crc = 0;
 };
@@ -71,16 +66,13 @@ void write_matrix_section(std::ostream& out, const MatrixLayout& layout,
 
 MatrixSection read_matrix_header(io::SectionReader& reader, const MatrixLayout& layout) {
   MatrixSection section;
-  section.checksummed =
-      reader.magic(layout.magic, layout.name, layout.legacy_magic) == layout.magic;
+  reader.magic(layout.magic, layout.name);
   for (std::size_t i = 0; i < layout.counters; ++i) {
     section.counters[i] = reader.field<std::uint64_t>();
   }
-  if (section.checksummed) {
-    section.payload_bytes = reader.field<std::uint64_t>();
-    section.payload_crc = reader.field<std::uint32_t>();
-    reader.check_header_crc();
-  }
+  section.payload_bytes = reader.field<std::uint64_t>();
+  section.payload_crc = reader.field<std::uint32_t>();
+  reader.check_header_crc();
   return section;
 }
 
@@ -103,35 +95,24 @@ void read_matrix(io::SectionReader& reader, tensor::Matrix* destination) {
 }
 
 /// Reads a section's `count` matrices into `into` (or only walks them when
-/// `into` is empty). A checksummed payload is verified whole before any of
-/// it is interpreted, and must hold exactly these matrices.
+/// `into` is empty). The payload is verified whole before any of it is
+/// interpreted, and must hold exactly these matrices.
 void read_matrices(io::SectionReader& reader, const MatrixSection& section, std::uint64_t count,
                    std::span<tensor::Matrix* const> into) {
-  const auto read_all = [&](io::SectionReader& source) {
-    for (std::uint64_t i = 0; i < count; ++i) {
-      read_matrix(source, into.empty() ? nullptr : into[i]);
-    }
-  };
-  if (!section.checksummed) {
-    read_all(reader);
-    return;
-  }
   const std::uint64_t payload_start = reader.offset();
   const auto body =
       reader.payload<char>(section.payload_bytes, std::to_string(count) + " matrices");
   reader.check_payload_crc(section.payload_crc);
   std::istringstream verified(std::string(body.begin(), body.end()));
   io::SectionReader payload(verified, reader.format(), payload_start);
-  read_all(payload);
+  for (std::uint64_t i = 0; i < count; ++i) {
+    read_matrix(payload, into.empty() ? nullptr : into[i]);
+  }
   payload.expect_end();
 }
 
-void read_parameters(io::SectionReader& reader, Module& module, io::ReadIntegrity* integrity) {
+void read_parameters(io::SectionReader& reader, Module& module) {
   const MatrixSection section = read_matrix_header(reader, kParameters);
-  if (integrity != nullptr) {
-    integrity->version = section.checksummed ? 2 : 1;
-    integrity->checksummed = section.checksummed;
-  }
   if (section.counters[0] != module.parameters().size()) {
     throw std::invalid_argument(reader.format() + ": parameter count mismatch");
   }
@@ -140,18 +121,13 @@ void read_parameters(io::SectionReader& reader, Module& module, io::ReadIntegrit
   read_matrices(reader, section, into.size(), into);
 }
 
-struct StateHeader {
-  std::uint32_t version = 0;
-  std::uint32_t epoch = 0;
-};
-
-StateHeader read_state_header(io::SectionReader& reader) {
+/// Reads the SPCK header; returns the checkpoint's epoch.
+std::uint32_t read_state_header(io::SectionReader& reader) {
   reader.magic(kStateMagic, "SPCK");
-  StateHeader header;
-  header.version = reader.version(kStateVersionLegacy, kStateVersion);
-  header.epoch = reader.field<std::uint32_t>();
-  if (header.version == kStateVersion) reader.check_header_crc();
-  return header;
+  reader.version(kStateVersion);
+  const auto epoch = reader.field<std::uint32_t>();
+  reader.check_header_crc();
+  return epoch;
 }
 
 /// Parses the epoch out of `<prefix><digits>.bin`; nullopt for other names.
@@ -184,19 +160,18 @@ void save_parameters_file(const std::string& path, const Module& module) {
   io::write_file_atomic(path, [&](std::ostream& out) { save_parameters(out, module); });
 }
 
-void load_parameters(std::istream& in, Module& module, io::ReadIntegrity* integrity) {
+void load_parameters(std::istream& in, Module& module) {
   io::SectionReader reader(in, "load_parameters");
-  read_parameters(reader, module, integrity);
+  read_parameters(reader, module);
 }
 
-void load_parameters_file(const std::string& path, Module& module,
-                          io::ReadIntegrity* integrity) {
+void load_parameters_file(const std::string& path, Module& module) {
   io::storage_faults_on_read(path);
   std::ifstream in(path, std::ios::binary);
   if (!in) io::throw_errno("load_parameters_file: cannot open", path);
   io::with_path(path, [&] {
     io::SectionReader reader(in, "load_parameters_file");
-    read_parameters(reader, module, integrity);
+    read_parameters(reader, module);
     reader.expect_end();
   });
 }
@@ -242,27 +217,21 @@ void save_train_state_file(const std::string& path, const Module& module,
       path, [&](std::ostream& out) { save_train_state(out, module, optimizer, epoch); });
 }
 
-std::uint32_t load_train_state(std::istream& in, Module& module, Optimizer& optimizer,
-                               io::ReadIntegrity* integrity) {
+std::uint32_t load_train_state(std::istream& in, Module& module, Optimizer& optimizer) {
   io::SectionReader reader(in, "load_train_state");
-  const StateHeader header = read_state_header(reader);
-  io::ReadIntegrity params;
-  read_parameters(reader, module, &params);
+  const std::uint32_t epoch = read_state_header(reader);
+  read_parameters(reader, module);
   optimizer.load_state(in);
-  if (integrity != nullptr) {
-    integrity->version = header.version;
-    integrity->checksummed = header.version == kStateVersion && params.checksummed;
-  }
-  return header.epoch;
+  return epoch;
 }
 
 std::uint32_t load_train_state_file(const std::string& path, Module& module,
-                                    Optimizer& optimizer, io::ReadIntegrity* integrity) {
+                                    Optimizer& optimizer) {
   io::storage_faults_on_read(path);
   std::ifstream in(path, std::ios::binary);
   if (!in) io::throw_errno("load_train_state_file: cannot open", path);
   return io::with_path(path, [&] {
-    const std::uint32_t epoch = load_train_state(in, module, optimizer, integrity);
+    const std::uint32_t epoch = load_train_state(in, module, optimizer);
     io::SectionReader(in, "load_train_state_file").expect_end();
     return epoch;
   });
@@ -302,7 +271,7 @@ std::uint32_t validate_train_state_file(const std::string& path) {
   if (!in) io::throw_errno("validate_train_state: cannot open", path);
   return io::with_path(path, [&] {
     io::SectionReader reader(in, "validate_train_state");
-    const StateHeader header = read_state_header(reader);
+    const std::uint32_t epoch = read_state_header(reader);
     const MatrixSection parameters = read_matrix_header(reader, kParameters);
     read_matrices(reader, parameters, parameters.counters[0], {});
     if (!reader.at_end()) {  // stateless optimizers (SGD) write no section
@@ -313,7 +282,7 @@ std::uint32_t validate_train_state_file(const std::string& path) {
       read_matrices(reader, moments, 2 * moments.counters[1], {});
     }
     reader.expect_end();
-    return header.epoch;
+    return epoch;
   });
 }
 

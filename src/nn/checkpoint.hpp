@@ -7,10 +7,9 @@
 // ("SPM2"): magic, parameter count, payload byte count, payload CRC-32,
 // header CRC-32, then each parameter's shape + row-major float data. Loading
 // requires an identically constructed module (same config), mirroring
-// PyTorch's state_dict contract. Legacy "SPLM" sections (no checksums) still
-// load and are flagged `checksummed = false`. Adam's optimizer-state section
-// ("SPO2"; legacy "SPOS") has the same layout with the step count before
-// the parameter count and one (m, v) moment pair per parameter.
+// PyTorch's state_dict contract. Adam's optimizer-state section ("SPO2") has
+// the same layout with the step count before the parameter count and one
+// (m, v) moment pair per parameter.
 //
 // Train-state format ("SPCK", version 2): header (magic, version, epoch,
 // header CRC-32), then the parameter section, then the optimizer's state
@@ -18,7 +17,8 @@
 // makes resumed training bit-identical to never having stopped (the
 // exact-resume contract core::TrainConfig::resume_from relies on); restoring
 // parameters alone would rebuild Adam moments from zero and diverge on the
-// first step. Version-1 states (unchecksummed sections) still load.
+// first step. Pre-checksum layouts (SPCK version 1, "SPLM"/"SPOS" sections)
+// are rejected, so every accepted checkpoint is CRC-verified.
 //
 // Checkpoint directories: write_checkpoint puts `model_epoch_<e>.bin`
 // (servable parameters) + `state_epoch_<e>.bin` (resumable train state) per
@@ -48,11 +48,9 @@ void save_parameters_file(const std::string& path, const Module& module);
 
 /// Throws io::FormatError (a std::runtime_error) on malformed bytes and
 /// std::invalid_argument on arity/shape mismatches with the destination
-/// module. `integrity` (when non-null) reports the parsed format version and
-/// whether checksums were verified (false for legacy "SPLM" sections).
-void load_parameters(std::istream& in, Module& module, io::ReadIntegrity* integrity = nullptr);
-void load_parameters_file(const std::string& path, Module& module,
-                          io::ReadIntegrity* integrity = nullptr);
+/// module.
+void load_parameters(std::istream& in, Module& module);
+void load_parameters_file(const std::string& path, Module& module);
 
 /// Adam's state section: the step count and one (m, v) moment pair per
 /// parameter. Loading checks the pair count and every shape against `m`/`v`
@@ -70,11 +68,9 @@ void save_train_state_file(const std::string& path, const Module& module,
 
 /// Restores parameters and optimizer state; returns the checkpoint's epoch.
 /// Same exception contract as load_parameters.
-std::uint32_t load_train_state(std::istream& in, Module& module, Optimizer& optimizer,
-                               io::ReadIntegrity* integrity = nullptr);
+std::uint32_t load_train_state(std::istream& in, Module& module, Optimizer& optimizer);
 std::uint32_t load_train_state_file(const std::string& path, Module& module,
-                                    Optimizer& optimizer,
-                                    io::ReadIntegrity* integrity = nullptr);
+                                    Optimizer& optimizer);
 
 // ---- checkpoint directories ----
 
@@ -93,8 +89,8 @@ struct CheckpointEntry {
 [[nodiscard]] std::vector<CheckpointEntry> list_checkpoints(const std::string& dir);
 
 /// Structurally validates a train-state file without needing a module: walks
-/// the SPCK header and both sections, verifying every checksum present and
-/// rejecting truncation and trailing garbage. Returns the checkpoint's
+/// the SPCK header and both sections, verifying every checksum and rejecting
+/// pre-checksum layouts, truncation and trailing garbage. Returns the checkpoint's
 /// epoch; throws io::FormatError / io::IoError on any defect.
 std::uint32_t validate_train_state_file(const std::string& path);
 

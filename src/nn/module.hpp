@@ -27,13 +27,6 @@ class Module {
     return parameters_;
   }
 
-  /// Total trainable scalar count.
-  [[nodiscard]] std::size_t parameter_count() const noexcept {
-    std::size_t total = 0;
-    for (const auto& p : parameters_) total += p.value().size();
-    return total;
-  }
-
   void zero_grad() noexcept {
     for (auto& p : parameters_) p.zero_grad();
   }

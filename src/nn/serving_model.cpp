@@ -47,7 +47,9 @@ void ServingModel::compute_row(NodeId v, std::span<std::byte> out) const {
   if (out.size() != row_bytes()) {
     throw std::invalid_argument("ServingModel::compute_row: bad row buffer size");
   }
-  util::Rng rng = util::Rng(options_.seed).split("serve", v);
+  // Full-neighborhood expansion draws no fanout picks, so this stream
+  // never reaches the row.
+  util::Rng rng = util::Rng(7).split("serve", v);
   sampling::GraphProvider provider(*graph_);
   const NodeId seeds[1] = {v};
   const auto cg = sampler_.sample(provider, seeds, rng);

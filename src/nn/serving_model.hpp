@@ -53,10 +53,6 @@ struct ServingOptions {
   /// Store cache rows as int8 payload + f32 scale (dim + 4 bytes instead of
   /// 4 * dim); dequantization error <= amax_row / 254 per entry.
   bool int8_embeddings = false;
-  /// Stream tag for the sampler rng. Full-neighborhood expansion draws no
-  /// fanout picks, so this never reaches the scores; it exists so the
-  /// sampler API contract (rng advances once per call) holds per node.
-  std::uint64_t seed = 7;
 };
 
 class ServingModel {

@@ -1,7 +1,5 @@
 #include "partition/partitioner.hpp"
 
-#include "partition/spectral.hpp"
-
 #include <algorithm>
 #include <cassert>
 #include <cmath>
@@ -9,8 +7,6 @@
 #include <numeric>
 #include <stdexcept>
 #include <unordered_map>
-
-#include "graph/subgraph.hpp"
 
 namespace splpg::partition {
 
@@ -315,7 +311,6 @@ std::unique_ptr<Partitioner> make_partitioner(const std::string& name) {
   if (name == "metis_like") return std::make_unique<MetisLikePartitioner>();
   if (name == "random_tma") return std::make_unique<RandomPartitioner>();
   if (name == "super_tma") return std::make_unique<SuperPartitioner>();
-  if (name == "spectral") return std::make_unique<SpectralPartitioner>();
   throw std::invalid_argument("unknown partitioner: " + name);
 }
 

@@ -54,8 +54,6 @@ class PerSourceNegativeSampler {
   [[nodiscard]] std::vector<NodePair> sample_for_batch(std::span<const graph::Edge> positives,
                                                        util::Rng& rng) const;
 
-  [[nodiscard]] std::size_t candidate_count() const noexcept { return candidates_.size(); }
-
  private:
   std::vector<graph::NodeId> candidates_;
   EdgeOracle is_edge_;
@@ -86,10 +84,6 @@ class BatchIterator {
 
   /// Next batch, empty when the epoch is exhausted.
   [[nodiscard]] std::vector<graph::Edge> next();
-
-  [[nodiscard]] std::size_t batches_per_epoch() const noexcept {
-    return positives_.empty() ? 0 : (positives_.size() + batch_size_ - 1) / batch_size_;
-  }
 
  private:
   std::vector<graph::Edge> original_;   // construction order (reset's base)

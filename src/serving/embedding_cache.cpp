@@ -17,11 +17,6 @@ std::size_t EmbeddingCache::size() const {
   return entries_.size();
 }
 
-std::size_t EmbeddingCache::pinned_count() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return entries_.size() - unpinned_;
-}
-
 void EmbeddingCache::check_row_size_(std::size_t got) const {
   if (got != row_bytes_) {
     throw std::invalid_argument("EmbeddingCache: row size mismatch");
@@ -38,7 +33,7 @@ bool EmbeddingCache::lookup(NodeId node, std::span<std::byte> out) {
     return false;
   }
   ++stats_.hits;
-  if (!it->second.pinned && it->second.lru != lru_.begin()) {
+  if (it->second.lru != lru_.begin()) {
     lru_.splice(lru_.begin(), lru_, it->second.lru);  // refresh recency
   }
   std::copy(it->second.row.begin(), it->second.row.end(), out.begin());
@@ -49,12 +44,11 @@ void EmbeddingCache::insert(NodeId node, std::span<const std::byte> row) {
   check_row_size_(row.size());
   const std::lock_guard<std::mutex> lock(mutex_);
   if (capacity_ == 0 || entries_.count(node) != 0) return;
-  if (unpinned_ == capacity_) {
-    // Evict the least-recently-used unpinned entry.
+  if (entries_.size() == capacity_) {
+    // Evict the least-recently-used entry.
     const NodeId victim = lru_.back();
     lru_.pop_back();
     entries_.erase(victim);
-    --unpinned_;
     ++stats_.evictions;
   }
   lru_.push_front(node);
@@ -62,33 +56,13 @@ void EmbeddingCache::insert(NodeId node, std::span<const std::byte> row) {
   entry.row.assign(row.begin(), row.end());
   entry.lru = lru_.begin();
   entries_.emplace(node, std::move(entry));
-  ++unpinned_;
-}
-
-void EmbeddingCache::pin(NodeId node, std::span<const std::byte> row) {
-  check_row_size_(row.size());
-  const std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = entries_.find(node);
-  if (it != entries_.end()) {
-    if (!it->second.pinned) {  // promote in place
-      lru_.erase(it->second.lru);
-      --unpinned_;
-      it->second.pinned = true;
-    }
-    return;
-  }
-  Entry entry;
-  entry.row.assign(row.begin(), row.end());
-  entry.pinned = true;
-  entries_.emplace(node, std::move(entry));
 }
 
 void EmbeddingCache::clear() {
   const std::lock_guard<std::mutex> lock(mutex_);
-  for (const NodeId node : lru_) entries_.erase(node);
-  stats_.evictions += unpinned_;
+  stats_.evictions += entries_.size();
+  entries_.clear();
   lru_.clear();
-  unpinned_ = 0;
 }
 
 EmbeddingCache::Stats EmbeddingCache::stats() const {

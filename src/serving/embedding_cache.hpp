@@ -9,11 +9,8 @@
 // id, an entry that is evicted and later recomputed holds identical bytes —
 // the cache can never serve a stale or schedule-dependent answer.
 //
-// Pinned hot set: pin() installs entries that are never evicted and do not
-// count against the LRU capacity (size the pin set deliberately — e.g. the
-// top-degree nodes a production mix hammers). capacity 0 is a passthrough:
-// every unpinned lookup misses and inserts are dropped, which is how the
-// bench measures the uncached baseline.
+// Capacity 0 is a passthrough: every lookup misses and inserts are dropped,
+// which is how the bench measures the uncached baseline.
 //
 // Thread-safe: a single mutex guards map + LRU list + counters; lookup
 // copies the row out under the lock so callers never hold references into
@@ -41,34 +38,29 @@ class EmbeddingCache {
     std::uint64_t evictions = 0;
   };
 
-  /// `capacity` bounds the number of UNPINNED entries; `row_bytes` is the
-  /// fixed size of every row.
+  /// `capacity` bounds the number of entries; `row_bytes` is the fixed size
+  /// of every row.
   EmbeddingCache(std::size_t capacity, std::size_t row_bytes);
 
   [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
   [[nodiscard]] std::size_t row_bytes() const noexcept { return row_bytes_; }
 
-  /// Entries currently resident (pinned + unpinned).
+  /// Entries currently resident.
   [[nodiscard]] std::size_t size() const;
-  [[nodiscard]] std::size_t pinned_count() const;
 
   /// Copies the row for `node` into `out` (row_bytes() bytes) and returns
   /// true on a hit; counts one lookup either way. A hit refreshes LRU
-  /// recency (pinned entries have no recency to refresh).
+  /// recency.
   bool lookup(graph::NodeId node, std::span<std::byte> out);
 
-  /// Stores a copy of `row`, evicting the least-recently-used unpinned
-  /// entry when at capacity. No-op at capacity 0 (passthrough) and for
-  /// nodes already resident (rows are pure functions of the node, so a
-  /// re-insert has nothing new to say).
+  /// Stores a copy of `row`, evicting the least-recently-used entry when at
+  /// capacity. No-op at capacity 0 (passthrough) and for nodes already
+  /// resident (rows are pure functions of the node, so a re-insert has
+  /// nothing new to say).
   void insert(graph::NodeId node, std::span<const std::byte> row);
 
-  /// Installs `node` as a pinned entry: never evicted, exempt from
-  /// `capacity`. An existing unpinned entry is promoted in place.
-  void pin(graph::NodeId node, std::span<const std::byte> row);
-
-  /// Drops every UNPINNED entry (counted as evictions); pinned entries and
-  /// counters survive. Models mid-flight invalidation pressure.
+  /// Drops every entry (counted as evictions); counters survive. Models
+  /// mid-flight invalidation pressure.
   void clear();
 
   [[nodiscard]] Stats stats() const;
@@ -76,8 +68,7 @@ class EmbeddingCache {
  private:
   struct Entry {
     std::vector<std::byte> row;
-    bool pinned = false;
-    std::list<graph::NodeId>::iterator lru;  // valid iff !pinned
+    std::list<graph::NodeId>::iterator lru;
   };
 
   void check_row_size_(std::size_t got) const;
@@ -86,8 +77,7 @@ class EmbeddingCache {
   const std::size_t row_bytes_;
   mutable std::mutex mutex_;
   std::unordered_map<graph::NodeId, Entry> entries_;
-  std::list<graph::NodeId> lru_;  // front = most recently used (unpinned only)
-  std::size_t unpinned_ = 0;
+  std::list<graph::NodeId> lru_;  // front = most recently used
   Stats stats_;
 };
 

@@ -16,11 +16,6 @@ ServingServer::ServingServer(const nn::ServingModel& model, ServingConfig config
       cache_(config_.cache_capacity, model.row_bytes()),
       queue_(config_.queue_capacity) {
   if (config_.batch_size == 0) config_.batch_size = 1;
-  std::vector<std::byte> row(model_->row_bytes());
-  for (const NodeId node : config_.pinned_nodes) {
-    model_->compute_row(node, row);
-    cache_.pin(node, row);
-  }
   scorer_ = std::thread([this] { scorer_loop_(); });
 }
 

@@ -52,9 +52,6 @@ struct ServingConfig {
   /// EmbeddingCache capacity in entries; 0 disables caching (passthrough),
   /// SIZE_MAX (the default) never evicts.
   std::size_t cache_capacity = std::numeric_limits<std::size_t>::max();
-  /// Nodes whose rows are precomputed and pinned at startup (never
-  /// evicted, exempt from cache_capacity) — the production hot set.
-  std::vector<graph::NodeId> pinned_nodes;
   /// Test instrumentation: called on the scorer thread with the running
   /// batch index just before each batch is scored (latency/straggler
   /// injection in the soak test). Must not throw.
@@ -77,7 +74,7 @@ struct ServingStats {
 
 class ServingServer {
  public:
-  /// `model` must outlive the server. Precomputes + pins config.pinned_nodes.
+  /// `model` must outlive the server.
   explicit ServingServer(const nn::ServingModel& model, ServingConfig config = {});
   ~ServingServer();
 
@@ -96,8 +93,8 @@ class ServingServer {
   /// scorer. Idempotent; called by the destructor.
   void shutdown();
 
-  /// Drops all unpinned cache entries (mid-flight invalidation; scores are
-  /// unaffected by construction).
+  /// Drops every cache entry (mid-flight invalidation; scores are
+  /// unaffected by construction). Soak-test instrumentation.
   void clear_cache();
 
   [[nodiscard]] EmbeddingCache::Stats cache_stats() const { return cache_.stats(); }

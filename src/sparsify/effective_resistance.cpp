@@ -2,21 +2,15 @@
 
 #include <cmath>
 #include <functional>
-#include <numeric>
-#include <span>
-#include <stdexcept>
 #include <utility>
 
 #include "tensor/cg.hpp"
 #include "tensor/eigen.hpp"
-#include "tensor/vec.hpp"
-#include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
 namespace splpg::sparsify {
 
 using graph::CsrGraph;
-using graph::EdgeId;
 using graph::NodeId;
 using tensor::Matrix;
 using tensor::SparseMatrix;
@@ -35,142 +29,7 @@ void for_each_index(std::size_t n, util::ThreadPool* pool,
   }
 }
 
-/// The original dense route: eigendecompose L, pseudo-invert, read
-/// r = L+_uu + L+_vv - 2 L+_uv per edge. O(n^3) — the small-n oracle the
-/// sparse solvers are cross-checked against.
-std::vector<double> dense_effective_resistance(const CsrGraph& graph, util::ThreadPool* pool) {
-  const Matrix pinv = tensor::symmetric_pseudo_inverse(laplacian(graph, pool), 1e-8, pool);
-  const auto edges = graph.edges();
-  std::vector<double> resistance(edges.size());
-  for_each_index(edges.size(), pool, [&](std::size_t e) {
-    const auto [u, v] = edges[e];
-    // (e_u - e_v)^T L+ (e_u - e_v) = L+_uu + L+_vv - 2 L+_uv.
-    resistance[e] = static_cast<double>(pinv.at(u, u)) + pinv.at(v, v) - 2.0 * pinv.at(u, v);
-  });
-  return resistance;
-}
-
-/// Per-edge CG solves of L x = e_u - e_v for the listed canonical edges.
-/// Each edge is independent work, so the fan-out across `pool` is trivially
-/// bit-identical to serial; a solve that lands on a pool worker runs its
-/// inner spmv inline (ThreadPool nesting semantics), while a solve on the
-/// calling thread row-blocks the spmv across the pool.
-std::vector<double> cg_resistance_for_edges(const CsrGraph& graph,
-                                            std::span<const EdgeId> edge_ids,
-                                            const ErSolverOptions& options,
-                                            util::ThreadPool* pool) {
-  const SparseMatrix lap = sparse_laplacian(graph);
-  const std::size_t n = graph.num_nodes();
-  const auto edges = graph.edges();
-  tensor::CgOptions cg;
-  cg.tolerance = options.tolerance;
-  cg.max_iterations = options.max_iterations;
-
-  std::vector<double> resistance(edge_ids.size());
-  for_each_index(edge_ids.size(), pool, [&](std::size_t i) {
-    const auto [u, v] = edges[edge_ids[i]];
-    std::vector<double> b(n, 0.0);
-    std::vector<double> x(n, 0.0);
-    b[u] = 1.0;
-    b[v] = -1.0;
-    // b sums to zero within u's component (u and v share it — they are an
-    // edge's endpoints), so the singular system is consistent and CG
-    // converges to the pseudo-inverse solution even on disconnected graphs.
-    (void)tensor::pcg_solve(lap, b, x, cg, pool);
-    resistance[i] = x[u] - x[v];
-  });
-  return resistance;
-}
-
-/// Spielman–Srivastava sketch: r(u,v) = ||W^1/2 B L+ (e_u - e_v)||^2, with
-/// B the m x n signed incidence matrix. Project with k random ±1/sqrt(k)
-/// rows Q, solve L z_i = (Q W^1/2 B)_i per row, and every edge's resistance
-/// falls out as sum_i (z_i[u] - z_i[v])^2 — within ~(1 ± jl_epsilon) of
-/// exact for k = O(log n / eps^2).
-std::vector<double> jl_effective_resistance(const CsrGraph& graph,
-                                            const ErSolverOptions& options,
-                                            util::ThreadPool* pool) {
-  const std::size_t n = graph.num_nodes();
-  const auto edges = graph.edges();
-  const std::size_t m = edges.size();
-  if (m == 0) return {};
-
-  std::size_t k = options.jl_projections;
-  if (k == 0) {
-    const double eps = options.jl_epsilon;
-    if (eps <= 0.0) throw std::invalid_argument("jl_epsilon must be > 0");
-    k = static_cast<std::size_t>(
-        std::ceil(4.0 * std::log(static_cast<double>(std::max<std::size_t>(n, 2))) / (eps * eps)));
-  }
-  k = std::max<std::size_t>(k, 1);
-
-  const SparseMatrix lap = sparse_laplacian(graph);
-  tensor::CgOptions cg;
-  cg.tolerance = options.tolerance;
-  cg.max_iterations = options.max_iterations;
-
-  // Solve one system per projection. Projection i draws its ±1 signs from
-  // its own pre-split stream split("jl", i), so the sketch is a pure
-  // function of (jl_seed, i) — bit-identical however the solves are
-  // scheduled. Memory: k solution vectors, O(k * n) doubles.
-  std::vector<std::vector<double>> z(k);
-  const util::Rng base(options.jl_seed);
-  const double scale = 1.0 / std::sqrt(static_cast<double>(k));
-  for_each_index(k, pool, [&](std::size_t i) {
-    util::Rng rng = base.split("jl", i);
-    // y_i = (Q W^1/2 B)_i: edge e adds ±sqrt(w_e)/sqrt(k) at u and the
-    // negation at v. Each term sums to zero inside e's component, so y_i is
-    // in range(L) and the solve is consistent.
-    std::vector<double> y(n, 0.0);
-    for (std::size_t e = 0; e < m; ++e) {
-      const double q = (rng.next() & 1ULL) != 0 ? scale : -scale;
-      const double sw = q * std::sqrt(static_cast<double>(graph.edge_weight(e)));
-      y[edges[e].u] += sw;
-      y[edges[e].v] -= sw;
-    }
-    z[i].assign(n, 0.0);
-    (void)tensor::pcg_solve(lap, y, z[i], cg, pool);
-  });
-
-  // Transpose the k solution vectors into one node-major block: each edge's
-  // sketch distance becomes a contiguous sum of squared differences instead
-  // of striding across k separate vectors. Each edge is owned by one task
-  // and the scalar backend sums in ascending projection order — the same
-  // bytes the projection-major loop produced at every pool width.
-  std::vector<double> zt(n * k);
-  for (std::size_t i = 0; i < k; ++i) {
-    const std::vector<double>& zi = z[i];
-    for (std::size_t u = 0; u < n; ++u) zt[u * k + i] = zi[u];
-  }
-  std::vector<double> resistance(m);
-  const tensor::VecKernels& kern = tensor::vec_kernels();
-  for_each_index(m, pool, [&](std::size_t e) {
-    const auto [u, v] = edges[e];
-    resistance[e] = kern.ssd_f64(&zt[u * k], &zt[v * k], k);
-  });
-  return resistance;
-}
-
 }  // namespace
-
-std::string er_solver_name(ErSolver solver) {
-  switch (solver) {
-    case ErSolver::kDense:
-      return "dense";
-    case ErSolver::kCg:
-      return "cg";
-    case ErSolver::kJl:
-      return "jl";
-  }
-  throw std::invalid_argument("unknown ErSolver");
-}
-
-ErSolver er_solver_from_string(const std::string& name) {
-  if (name == "dense") return ErSolver::kDense;
-  if (name == "cg") return ErSolver::kCg;
-  if (name == "jl") return ErSolver::kJl;
-  throw std::invalid_argument("unknown ER solver '" + name + "' (want dense|cg|jl)");
-}
 
 Matrix laplacian(const CsrGraph& graph, util::ThreadPool* pool) {
   const NodeId n = graph.num_nodes();
@@ -282,48 +141,28 @@ Matrix normalized_laplacian(const CsrGraph& graph, util::ThreadPool* pool) {
 }
 
 std::vector<double> exact_effective_resistance(const CsrGraph& graph, util::ThreadPool* pool) {
-  return exact_effective_resistance(graph, ErSolverOptions{}, pool);
-}
-
-std::vector<double> exact_effective_resistance(const CsrGraph& graph,
-                                               const ErSolverOptions& options,
-                                               util::ThreadPool* pool) {
-  switch (options.solver) {
-    case ErSolver::kDense:
-      return dense_effective_resistance(graph, pool);
-    case ErSolver::kCg: {
-      std::vector<EdgeId> all(graph.num_edges());
-      std::iota(all.begin(), all.end(), EdgeId{0});
-      return cg_resistance_for_edges(graph, all, options, pool);
-    }
-    case ErSolver::kJl:
-      return jl_effective_resistance(graph, options, pool);
-  }
-  throw std::invalid_argument("unknown ErSolver");
-}
-
-std::vector<double> effective_resistance_for_edges(const CsrGraph& graph,
-                                                   std::span<const EdgeId> edge_ids,
-                                                   const ErSolverOptions& options,
-                                                   util::ThreadPool* pool) {
-  for (const EdgeId e : edge_ids) {
-    if (e >= graph.num_edges()) {
-      throw std::out_of_range("effective_resistance_for_edges: edge id out of range");
-    }
-  }
-  if (options.solver == ErSolver::kDense) {
-    const Matrix pinv = tensor::symmetric_pseudo_inverse(laplacian(graph, pool), 1e-8, pool);
-    const auto edges = graph.edges();
-    std::vector<double> resistance(edge_ids.size());
-    for_each_index(edge_ids.size(), pool, [&](std::size_t i) {
-      const auto [u, v] = edges[edge_ids[i]];
-      resistance[i] = static_cast<double>(pinv.at(u, u)) + pinv.at(v, v) - 2.0 * pinv.at(u, v);
-    });
-    return resistance;
-  }
-  // kCg, and kJl too: the sketch prices every edge at once, so subset
-  // queries are cheapest as direct CG solves.
-  return cg_resistance_for_edges(graph, edge_ids, options, pool);
+  const SparseMatrix lap = sparse_laplacian(graph);
+  const std::size_t n = graph.num_nodes();
+  const auto edges = graph.edges();
+  // Per-edge CG solves of L x = e_u - e_v. Each edge is independent work, so
+  // the fan-out across `pool` is trivially bit-identical to serial; a solve
+  // that lands on a pool worker runs its inner spmv inline (ThreadPool
+  // nesting semantics), while a solve on the calling thread row-blocks the
+  // spmv across the pool.
+  std::vector<double> resistance(edges.size());
+  for_each_index(edges.size(), pool, [&](std::size_t e) {
+    const auto [u, v] = edges[e];
+    std::vector<double> b(n, 0.0);
+    std::vector<double> x(n, 0.0);
+    b[u] = 1.0;
+    b[v] = -1.0;
+    // b sums to zero within u's component (u and v share it — they are an
+    // edge's endpoints), so the singular system is consistent and CG
+    // converges to the pseudo-inverse solution even on disconnected graphs.
+    (void)tensor::pcg_solve(lap, b, x, {}, pool);
+    resistance[e] = x[u] - x[v];
+  });
+  return resistance;
 }
 
 std::vector<double> approx_effective_resistance(const CsrGraph& graph) {

@@ -1,35 +1,17 @@
 // Effective resistance of graph edges — exact and approximate.
 //
 // Exact (Eq. (3) of the paper): r(u,v) = (e_u - e_v)^T L+ (e_u - e_v), with
-// L+ the pseudo-inverse of the combinatorial Laplacian. Three solvers
-// compute it:
-//
-//  * kCg (default): per-edge conjugate-gradient solves L x = e_u - e_v on a
-//    sparse CSR Laplacian (tensor/sparse.hpp + tensor/cg.hpp), then
-//    r = x[u] - x[v]. O(m * nnz * cg_iters) total, double precision —
-//    matches the dense pseudo-inverse to solver tolerance and scales to
-//    graphs the dense route cannot touch.
-//  * kJl: the Spielman–Srivastava Johnson–Lindenstrauss sketch. Project the
-//    weighted incidence matrix with k random ±1/sqrt(k) rows, solve one
-//    Laplacian system per projection, and read every edge's resistance as a
-//    squared distance: r(u,v) ~ sum_i (z_i[u] - z_i[v])^2 with relative
-//    error ~jl_epsilon. O(k * nnz * cg_iters) for ALL edges at once —
-//    k = O(log n / eps^2) — the only route that is practical on
-//    million-edge graphs.
-//  * kDense: the original eigendecomposition route
-//    (tensor::symmetric_eigen -> symmetric_pseudo_inverse). O(n^3), float
-//    eigenvectors. Kept as the small-n cross-check oracle for the sparse
-//    solvers; do not use beyond a few hundred nodes.
+// L+ the pseudo-inverse of the combinatorial Laplacian. One solver computes
+// it: per-edge preconditioned conjugate gradients solve L x = e_u - e_v on a
+// sparse CSR Laplacian (tensor/sparse.hpp + tensor/cg.hpp), then
+// r = x[u] - x[v]. O(m * nnz * cg_iters) total, double precision.
 //
 // Approximate (Theorem 2, Lovász): 1/2 (1/du + 1/dv) <= r(u,v) <=
 // (1/gamma)(1/du + 1/dv), where gamma is the spectral gap of the normalized
 // Laplacian. SpLPG samples edges proportionally to (1/du + 1/dv), which
-// needs only node degrees.
+// needs only node degrees; the exact route only validates that proxy.
 #pragma once
 
-#include <cstddef>
-#include <cstdint>
-#include <string>
 #include <vector>
 
 #include "graph/csr_graph.hpp"
@@ -43,37 +25,9 @@ class ThreadPool;
 namespace splpg::sparsify {
 
 // The kernels accept an optional ThreadPool. Results are bit-identical with
-// and without a pool at every width: dense fills row-block disjoint rows,
-// the CG route fans independent per-edge (or per-projection) solves out
-// whole, and every reduction keeps its serial accumulation order.
-
-/// Which solver backs exact_effective_resistance.
-enum class ErSolver : std::uint8_t {
-  kDense,  // O(n^3) eigen pseudo-inverse — small-n oracle
-  kCg,     // sparse per-edge conjugate gradients — exact, scalable
-  kJl,     // Spielman–Srivastava JL sketch — approximate, fastest
-};
-
-/// Round-trips with er_solver_from_string; used by bench/example flags.
-[[nodiscard]] std::string er_solver_name(ErSolver solver);
-[[nodiscard]] ErSolver er_solver_from_string(const std::string& name);
-
-struct ErSolverOptions {
-  ErSolver solver = ErSolver::kCg;
-  /// CG termination: ||r|| <= tolerance * ||b|| (see tensor/cg.hpp).
-  double tolerance = 1e-10;
-  /// CG iteration cap; 0 = auto (10n + 100).
-  std::size_t max_iterations = 0;
-  /// JL sketch error knob: resistances land within ~(1 ± jl_epsilon) of
-  /// exact with high probability. Smaller epsilon -> more projections.
-  double jl_epsilon = 0.25;
-  /// Number of JL projections k; 0 = auto ceil(4 ln n / jl_epsilon^2).
-  std::size_t jl_projections = 0;
-  /// Seed of the deterministic ±1 projection streams (one split("jl", i)
-  /// stream per projection, so results are bit-identical at every thread
-  /// width and independent of how projections are scheduled).
-  std::uint64_t jl_seed = 0x5eed;
-};
+// and without a pool at every width: the Laplacians fill row-block disjoint
+// rows, the CG route fans independent per-edge solves out whole, and every
+// reduction keeps its serial accumulation order.
 
 /// Combinatorial Laplacian L = D - A as a dense matrix (weights respected).
 /// Duplicate (parallel) edges accumulate, and self-loop entries cancel out
@@ -82,7 +36,7 @@ struct ErSolverOptions {
                                        util::ThreadPool* pool = nullptr);
 
 /// Combinatorial Laplacian in CSR form (double precision): the operator the
-/// iterative solvers run on. nnz <= 2m + n; duplicate adjacency entries are
+/// CG solver runs on. nnz <= 2m + n; duplicate adjacency entries are
 /// merged, self-loops cancel. Rows sum to zero exactly as in the dense
 /// `laplacian`.
 [[nodiscard]] tensor::SparseMatrix sparse_laplacian(const graph::CsrGraph& graph);
@@ -92,28 +46,11 @@ struct ErSolverOptions {
 [[nodiscard]] tensor::Matrix normalized_laplacian(const graph::CsrGraph& graph,
                                                   util::ThreadPool* pool = nullptr);
 
-/// Exact effective resistance per canonical edge via the default solver
-/// (CG; see ErSolverOptions). Equivalent to
-/// exact_effective_resistance(graph, ErSolverOptions{}, pool).
+/// Exact effective resistance per canonical edge (CG to a relative residual
+/// of 1e-10). An edge's endpoints always share a component, so every
+/// per-edge system is consistent even on disconnected graphs.
 [[nodiscard]] std::vector<double> exact_effective_resistance(const graph::CsrGraph& graph,
                                                              util::ThreadPool* pool = nullptr);
-
-/// Exact/sketched effective resistance per canonical edge with an explicit
-/// solver choice. kDense and kCg agree to solver tolerance; kJl carries the
-/// jl_epsilon relative error. An edge's endpoints always share a component,
-/// so every per-edge system is consistent even on disconnected graphs.
-[[nodiscard]] std::vector<double> exact_effective_resistance(const graph::CsrGraph& graph,
-                                                             const ErSolverOptions& options,
-                                                             util::ThreadPool* pool = nullptr);
-
-/// Effective resistance of a subset of canonical edges (indices into
-/// graph.edges()). kCg solves only the listed edges — the cheap spot-check
-/// path on graphs where all-edges solves are not wanted; kDense reads the
-/// entries off one pseudo-inverse; kJl (which must sketch every edge anyway)
-/// routes to kCg.
-[[nodiscard]] std::vector<double> effective_resistance_for_edges(
-    const graph::CsrGraph& graph, std::span<const graph::EdgeId> edge_ids,
-    const ErSolverOptions& options, util::ThreadPool* pool = nullptr);
 
 /// Degree-based upper-bound proxy per canonical edge: 1/du + 1/dv.
 /// This is what SpLPG's sampler uses (Theorem 2). Degree-0 endpoints (which

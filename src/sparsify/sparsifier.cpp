@@ -3,6 +3,7 @@
 #include <cmath>
 #include <functional>
 #include <stdexcept>
+#include <string>
 #include <unordered_map>
 
 #include "util/thread_pool.hpp"
@@ -19,7 +20,12 @@ using util::Rng;
 
 Sparsifier::Sparsifier(double alpha, std::size_t num_threads)
     : alpha_(alpha), num_threads_(num_threads) {
-  if (alpha <= 0.0) throw std::invalid_argument("sparsifier: alpha must be > 0");
+  // NaN fails every comparison and infinity makes the draw count a cast of
+  // inf, so both are rejected here with the non-positive values.
+  if (!std::isfinite(alpha) || alpha <= 0.0) {
+    throw std::invalid_argument("sparsifier: alpha must be finite and > 0, got " +
+                                std::to_string(alpha));
+  }
 }
 
 std::pair<std::vector<Edge>, std::vector<float>> Sparsifier::sparsify_edges(

@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "graph/csr_graph.hpp"
-#include "sparsify/effective_resistance.hpp"
 #include "util/rng.hpp"
 
 namespace splpg::sparsify {
@@ -42,11 +41,6 @@ struct SparsifyConfig {
   /// thread (default), 0 = hardware concurrency, N = N pool threads. Output
   /// is bit-identical at every setting (per-partition pre-split RNG).
   std::size_t num_threads = 1;
-  /// Which solver validation tooling (benches, sparsify explorer, quality
-  /// gates) uses when it wants *true* effective resistances to compare the
-  /// Theorem 2 degree proxy against. The sampling path itself never solves
-  /// — it only needs degrees.
-  ErSolverOptions er_solver;
 };
 
 class Sparsifier {

@@ -1,10 +1,10 @@
 // Dense symmetric eigendecomposition (cyclic Jacobi) and pseudo-inverse.
 //
-// Used by the sparsify module for *exact* effective resistance (Laplacian
-// pseudo-inverse, Eq. (3) of the paper) and for the second-smallest
-// eigenvalue of the normalized Laplacian (gamma in Theorem 2). O(n^3);
-// intended for validation on small graphs, not the training path — the
-// production sparsifier uses the Theorem 2 degree approximation.
+// The sparsify module reads the spectral gap of the normalized Laplacian
+// (gamma in Theorem 2) off symmetric_eigen; the pseudo-inverse is the dense
+// reference the tests check the CG effective-resistance solver against.
+// O(n^3); intended for validation on small graphs, not the training path —
+// the production sparsifier uses the Theorem 2 degree approximation.
 #pragma once
 
 #include "tensor/matrix.hpp"

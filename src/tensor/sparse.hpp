@@ -1,13 +1,10 @@
-// Sparse CSR matrix and matrix-vector product for the iterative Laplacian
-// solvers.
+// Sparse CSR matrix and matrix-vector product for the CG Laplacian solver.
 //
 // The dense `Matrix` is float and sized n*n; graph Laplacians are ~2m+n
-// nonzeros, so the O(n^3) eigen route behind exact effective resistance was
-// the scaling wall (see ROADMAP "Kill the O(n^3) dense ER bottleneck").
-// `SparseMatrix` stores double-precision values — the conjugate-gradient
-// solver in cg.hpp iterates on it and accumulates residuals far below float
-// epsilon, which is what lets the sparse route *match* the dense
-// pseudo-inverse instead of merely approximating it.
+// nonzeros. `SparseMatrix` stores double-precision values — the
+// conjugate-gradient solver in cg.hpp iterates on it and accumulates
+// residuals far below float epsilon, which is why exact effective resistance
+// is solved here rather than read off a float dense pseudo-inverse.
 //
 // Threading contract (DESIGN.md §6): `spmv` row-blocks across an optional
 // ThreadPool. Every output row is owned by exactly one task and accumulates

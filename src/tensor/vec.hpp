@@ -26,7 +26,7 @@
 //  * axpy/xpby: elementwise; FMA contraction differs from mul+add by at
 //    most 1 ULP per call. Accumulated over a k-deep GEMM update chain the
 //    divergence is <= (k + 2) * eps * sum_p |a_p * b_pj|.
-//  * dot/ssd/spmv_row: lane-partial accumulation reassociates the sum;
+//  * dot/spmv_row: lane-partial accumulation reassociates the sum;
 //    |simd - scalar| <= 2 * (k + 2) * eps * sum |terms|.
 //  * exp/sigmoid: Cephes polynomial vs libm — <= 16 ULP elementwise, plus
 //    an absolute floor of 2^-120 (the polynomial clamps instead of
@@ -71,8 +71,6 @@ struct VecKernels {
   void (*xpby_f64)(double* dst, const double* src, double beta, std::size_t n);
   /// sum_i a[i] * b[i]
   double (*dot_f64)(const double* a, const double* b, std::size_t n);
-  /// sum_i (a[i] - b[i])^2
-  double (*ssd_f64)(const double* a, const double* b, std::size_t n);
   /// One CSR row of y = A x: sum_i values[i] * x[cols[i]] (gathered).
   double (*spmv_row_f64)(const double* values, const std::uint32_t* cols, const double* x,
                          std::size_t nnz);

@@ -80,7 +80,6 @@ struct Vecd {
   static void store(double* p, Vecd a) { _mm512_storeu_pd(p, a.v); }
 
   static Vecd add(Vecd a, Vecd b) { return {_mm512_add_pd(a.v, b.v)}; }
-  static Vecd sub(Vecd a, Vecd b) { return {_mm512_sub_pd(a.v, b.v)}; }
   static Vecd mul(Vecd a, Vecd b) { return {_mm512_mul_pd(a.v, b.v)}; }
   static Vecd fma(Vecd a, Vecd b, Vecd c) { return {_mm512_fmadd_pd(a.v, b.v, c.v)}; }
 

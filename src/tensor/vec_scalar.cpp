@@ -47,15 +47,6 @@ double dot_f64(const double* a, const double* b, std::size_t n) {
   return total;
 }
 
-double ssd_f64(const double* a, const double* b, std::size_t n) {
-  double total = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const double d = a[i] - b[i];
-    total += d * d;
-  }
-  return total;
-}
-
 double spmv_row_f64(const double* values, const std::uint32_t* cols, const double* x,
                     std::size_t nnz) {
   double total = 0.0;
@@ -112,7 +103,6 @@ const VecKernels kTable = {
     &axpy_f64,
     &xpby_f64,
     &dot_f64,
-    &ssd_f64,
     &spmv_row_f64,
     &exp_f32,
     &sigmoid_f32,

@@ -84,7 +84,6 @@ struct Vecd {
   static void store(double* p, Vecd a) { _mm_storeu_pd(p, a.v); }
 
   static Vecd add(Vecd a, Vecd b) { return {_mm_add_pd(a.v, b.v)}; }
-  static Vecd sub(Vecd a, Vecd b) { return {_mm_sub_pd(a.v, b.v)}; }
   static Vecd mul(Vecd a, Vecd b) { return {_mm_mul_pd(a.v, b.v)}; }
   static Vecd fma(Vecd a, Vecd b, Vecd c) { return add(mul(a, b), c); }
 

@@ -17,8 +17,6 @@ class Logger {
  public:
   static Logger& instance();
 
-  void set_level(LogLevel level) noexcept { level_ = level; }
-  [[nodiscard]] LogLevel level() const noexcept { return level_; }
   [[nodiscard]] bool enabled(LogLevel level) const noexcept { return level >= level_; }
 
   /// Writes one line (with level prefix and elapsed-time stamp) to stderr.

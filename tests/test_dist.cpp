@@ -113,8 +113,6 @@ TEST(MasterStore, PartNodesAndCrossDegree) {
   const Fixture fixture;
   const MasterStore store = fixture.make_store();
   EXPECT_EQ(store.part_nodes(0), (std::vector<NodeId>{0, 1, 2}));
-  EXPECT_EQ(store.cross_partition_degree(0, 2), 1U);  // edge 2-3
-  EXPECT_EQ(store.cross_partition_degree(0, 1), 0U);
 }
 
 TEST(MasterStore, SparsifiedAccessRequiresInstall) {

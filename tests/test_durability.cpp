@@ -1,10 +1,10 @@
 // Durability & crash consistency: CRC-32 checksums, atomic file writes, the
 // seeded storage fault injector, checkpoint-directory recovery machinery
-// (manifest, keep-last-K GC, corruption-skipping discovery), v1 backward
-// compatibility, a corruption-matrix property test over every binary format,
-// and the chaos-recovery harness — kill training mid-checkpoint, corrupt a
-// random artifact, resume via `resume_from = "auto"`, and require the result
-// to be bit-identical to a run that never crashed.
+// (manifest, keep-last-K GC, corruption-skipping discovery), rejection of v1
+// (pre-checksum) files, a corruption-matrix property test over every binary
+// format, and the chaos-recovery harness — kill training mid-checkpoint,
+// corrupt a random artifact, resume via `resume_from = "auto"`, and require
+// the result to be bit-identical to a run that never crashed.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -309,11 +309,7 @@ std::vector<FormatCase> format_cases() {
          util::Rng rng(7);
          io::write_edge_list_binary_file(p, data::generate_erdos_renyi(40, 90, rng));
        },
-       [](const std::string& p) {
-         io::ReadIntegrity integrity;
-         (void)io::read_edge_list_binary_file(p, {}, &integrity);
-         ASSERT_TRUE(integrity.checksummed);
-       }});
+       [](const std::string& p) { (void)io::read_edge_list_binary_file(p); }});
 
   const auto write_features = [](const std::string& p) {
     std::vector<float> data(12 * 5);
@@ -321,14 +317,10 @@ std::vector<FormatCase> format_cases() {
     io::write_features_file(p, graph::FeatureStore(12, 5, std::move(data)));
   };
   cases.push_back({"features-buffered", 32, write_features, [](const std::string& p) {
-                     io::ReadIntegrity integrity;
-                     (void)io::read_features_file(p, io::FeatureBackend::kBuffered, &integrity);
-                     ASSERT_TRUE(integrity.checksummed);
+                     (void)io::read_features_file(p, io::FeatureBackend::kBuffered);
                    }});
   cases.push_back({"features-mmap", 32, write_features, [](const std::string& p) {
-                     io::ReadIntegrity integrity;
-                     (void)io::read_features_file(p, io::FeatureBackend::kMmap, &integrity);
-                     ASSERT_TRUE(integrity.checksummed);
+                     (void)io::read_features_file(p, io::FeatureBackend::kMmap);
                    }});
 
   cases.push_back({"labels", 24,
@@ -339,11 +331,7 @@ std::vector<FormatCase> format_cases() {
                      }
                      io::write_labels_file(p, labels);
                    },
-                   [](const std::string& p) {
-                     io::ReadIntegrity integrity;
-                     (void)io::read_labels_file(p, &integrity);
-                     ASSERT_TRUE(integrity.checksummed);
-                   }});
+                   [](const std::string& p) { (void)io::read_labels_file(p); }});
 
   cases.push_back({"parameters", 28,
                    [](const std::string& p) {
@@ -352,9 +340,7 @@ std::vector<FormatCase> format_cases() {
                    },
                    [](const std::string& p) {
                      nn::LinkPredictionModel destination(tiny_model_config(), 2);
-                     io::ReadIntegrity integrity;
-                     nn::load_parameters_file(p, destination, &integrity);
-                     ASSERT_TRUE(integrity.checksummed);
+                     nn::load_parameters_file(p, destination);
                    }});
 
   const auto write_state = [](const std::string& p) {
@@ -365,9 +351,7 @@ std::vector<FormatCase> format_cases() {
   cases.push_back({"train-state-load", 16, write_state, [](const std::string& p) {
                      nn::LinkPredictionModel destination(tiny_model_config(), 2);
                      nn::Adam adam(destination);
-                     io::ReadIntegrity integrity;
-                     ASSERT_EQ(nn::load_train_state_file(p, destination, adam, &integrity), 7U);
-                     ASSERT_TRUE(integrity.checksummed);
+                     ASSERT_EQ(nn::load_train_state_file(p, destination, adam), 7U);
                    }});
   cases.push_back({"train-state-validate", 16, write_state, [](const std::string& p) {
                      ASSERT_EQ(nn::validate_train_state_file(p), 7U);
@@ -552,17 +536,6 @@ TEST_F(DurabilityTest, CorruptionMatrixForgedSizeIsFormatErrorNamingIt) {
   expect_format_error([&] { return nn::validate_train_state_file(state); }, declared);
   expect_format_error([&] { return nn::load_train_state_file(state, model, adam); }, declared);
 
-  // SPLB v1 has no header CRC to keep valid.
-  const std::string labels = path("forged_v1.splb");
-  {
-    std::ofstream out(labels, std::ios::binary);
-    util::write_pod<std::uint32_t>(out, 0x53504C42);  // "SPLB"
-    util::write_pod<std::uint32_t>(out, 1);           // version 1
-    util::write_pod<std::uint64_t>(out, kForgedSize);  // count
-    for (const std::uint32_t label : {9U, 8U, 7U}) util::write_pod(out, label);
-  }
-  expect_format_error([&] { return io::read_labels_file(labels); }, declared);
-
   // SPFT: nodes x dim x 4 wraps to 0 bytes, which an empty payload would
   // match under valid CRCs.
   const std::string features = path("forged_features.bin");
@@ -601,9 +574,55 @@ TEST_F(DurabilityTest, MmapTruncationIsFormatErrorBeforeTheViewExists) {
   }
 }
 
-// ---- v1 backward compatibility ----
+// ---- v1 (pre-checksum) files are rejected ----
+//
+// Every reader accepts only the checksummed layouts, so a v1 file fails with
+// a FormatError naming its version (or, for the SPLM/SPOS sections, which
+// have no version field, its magic) instead of loading unverified bytes.
 
-TEST_F(DurabilityTest, LegacyV1EdgeFileLoadsFlaggedUnverified) {
+/// A shape-prefixed matrix as the v1 sections stored it inline.
+void write_v1_matrix(std::ostream& out, const tensor::Matrix& matrix) {
+  util::write_pod<std::uint64_t>(out, matrix.rows());
+  util::write_pod<std::uint64_t>(out, matrix.cols());
+  const auto data = matrix.data();
+  out.write(reinterpret_cast<const char*>(data.data()),
+            static_cast<std::streamsize>(data.size() * sizeof(float)));
+}
+
+/// "SPLM" parameter section: magic, parameter count, matrices.
+void write_v1_parameters(std::ostream& out, const nn::Module& module) {
+  util::write_pod<std::uint32_t>(out, 0x53504C4D);  // "SPLM"
+  util::write_pod<std::uint64_t>(out, module.parameters().size());
+  for (const auto& p : module.parameters()) write_v1_matrix(out, p.value());
+}
+
+/// "SPOS" Adam section with zero moments: magic, step, count, (m, v) pairs.
+void write_v1_optimizer(std::ostream& out, const nn::Module& module) {
+  util::write_pod<std::uint32_t>(out, 0x53504F53);  // "SPOS"
+  util::write_pod<std::uint64_t>(out, 0);           // step
+  util::write_pod<std::uint64_t>(out, module.parameters().size());
+  for (const auto& p : module.parameters()) {
+    const tensor::Matrix zero(p.value().rows(), p.value().cols());
+    write_v1_matrix(out, zero);  // m
+    write_v1_matrix(out, zero);  // v
+  }
+}
+
+/// A pre-checksum SPCK: v1 header, SPLM parameters, SPOS optimizer state —
+/// the byte layout shipped before v2.
+void write_v1_train_state(const std::string& path, const nn::Module& module,
+                          std::uint32_t epoch) {
+  std::ofstream out(path, std::ios::binary);
+  util::write_pod<std::uint32_t>(out, 0x5350434B);  // "SPCK"
+  util::write_pod<std::uint32_t>(out, 1);           // version 1
+  util::write_pod<std::uint32_t>(out, epoch);
+  write_v1_parameters(out, module);
+  write_v1_optimizer(out, module);
+}
+
+constexpr const char* kV1Rejected = "unsupported version 1 (expected 2)";
+
+TEST_F(DurabilityTest, V1EdgeFileIsRejectedNamingTheVersion) {
   const std::string file = path("v1.spge");
   {
     std::ofstream out(file, std::ios::binary);
@@ -612,21 +631,15 @@ TEST_F(DurabilityTest, LegacyV1EdgeFileLoadsFlaggedUnverified) {
     util::write_pod<std::uint32_t>(out, 0);           // flags: unweighted
     util::write_pod<std::uint32_t>(out, 4);           // nodes
     util::write_pod<std::uint64_t>(out, 3);           // edges
-    for (const auto [u, v] : {std::pair{0U, 1U}, {1U, 2U}, {2U, 3U}}) {
+    for (const auto& [u, v] : {std::pair{0U, 1U}, {1U, 2U}, {2U, 3U}}) {
       util::write_pod<std::uint32_t>(out, u);
       util::write_pod<std::uint32_t>(out, v);
     }
   }
-  io::ReadIntegrity integrity;
-  const auto graph = io::read_edge_list_binary_file(file, {}, &integrity);
-  EXPECT_EQ(graph.num_nodes(), 4U);
-  EXPECT_EQ(graph.num_edges(), 3U);
-  EXPECT_TRUE(graph.has_edge(1, 2));
-  EXPECT_EQ(integrity.version, 1U);
-  EXPECT_FALSE(integrity.checksummed) << "v1 files must be flagged unverified";
+  expect_format_error([&] { return io::read_edge_list_binary_file(file); }, kV1Rejected);
 }
 
-TEST_F(DurabilityTest, LegacyV1FeatureAndLabelFilesLoadFlaggedUnverified) {
+TEST_F(DurabilityTest, V1FeatureFileIsRejectedNamingTheVersion) {
   const std::string features = path("v1.spft");
   {
     std::ofstream out(features, std::ios::binary);
@@ -637,15 +650,12 @@ TEST_F(DurabilityTest, LegacyV1FeatureAndLabelFilesLoadFlaggedUnverified) {
     for (int i = 0; i < 6; ++i) util::write_pod<float>(out, 0.5F * static_cast<float>(i));
   }
   for (const auto backend : {io::FeatureBackend::kBuffered, io::FeatureBackend::kMmap}) {
-    io::ReadIntegrity integrity;
-    const auto store = io::read_features_file(features, backend, &integrity);
-    ASSERT_EQ(store.num_nodes(), 3U);
-    ASSERT_EQ(store.dim(), 2U);
-    EXPECT_EQ(store.data()[5], 2.5F);
-    EXPECT_EQ(integrity.version, 1U);
-    EXPECT_FALSE(integrity.checksummed);
+    expect_format_error([&] { return io::read_features_file(features, backend); },
+                        kV1Rejected);
   }
+}
 
+TEST_F(DurabilityTest, V1LabelFileIsRejectedNamingTheVersion) {
   const std::string labels = path("v1.splb");
   {
     std::ofstream out(labels, std::ios::binary);
@@ -654,54 +664,39 @@ TEST_F(DurabilityTest, LegacyV1FeatureAndLabelFilesLoadFlaggedUnverified) {
     util::write_pod<std::uint64_t>(out, 3);  // count
     for (const std::uint32_t label : {9U, 8U, 7U}) util::write_pod(out, label);
   }
-  io::ReadIntegrity integrity;
-  EXPECT_EQ(io::read_labels_file(labels, &integrity), (std::vector<std::uint32_t>{9, 8, 7}));
-  EXPECT_EQ(integrity.version, 1U);
-  EXPECT_FALSE(integrity.checksummed);
+  expect_format_error([&] { return io::read_labels_file(labels); }, kV1Rejected);
 }
 
-TEST_F(DurabilityTest, LegacyV1TrainStateLoadsFlaggedUnverified) {
-  // Hand-roll a pre-checksum SPCK: v1 header, SPLM parameter section, SPOS
-  // optimizer section (zero moments) — the byte layout shipped before v2.
-  nn::LinkPredictionModel source(tiny_model_config(), 1);
+TEST_F(DurabilityTest, V1TrainStateIsRejectedNamingTheVersion) {
+  const nn::LinkPredictionModel source(tiny_model_config(), 1);
   const std::string file = path("v1.spck");
-  {
-    std::ofstream out(file, std::ios::binary);
-    util::write_pod<std::uint32_t>(out, 0x5350434B);  // "SPCK"
-    util::write_pod<std::uint32_t>(out, 1);           // version 1
-    util::write_pod<std::uint32_t>(out, 4);           // epoch
-    util::write_pod<std::uint32_t>(out, 0x53504C4D);  // "SPLM"
-    util::write_pod<std::uint64_t>(out, source.parameters().size());
-    const auto write_matrix = [&out](const tensor::Matrix& matrix) {
-      util::write_pod<std::uint64_t>(out, matrix.rows());
-      util::write_pod<std::uint64_t>(out, matrix.cols());
-      const auto data = matrix.data();
-      out.write(reinterpret_cast<const char*>(data.data()),
-                static_cast<std::streamsize>(data.size() * sizeof(float)));
-    };
-    for (const auto& p : source.parameters()) write_matrix(p.value());
-    util::write_pod<std::uint32_t>(out, 0x53504F53);  // "SPOS"
-    util::write_pod<std::uint64_t>(out, 0);           // t
-    util::write_pod<std::uint64_t>(out, source.parameters().size());
-    for (const auto& p : source.parameters()) {
-      const tensor::Matrix zero(p.value().rows(), p.value().cols());
-      write_matrix(zero);  // m
-      write_matrix(zero);  // v
-    }
-  }
-  EXPECT_EQ(nn::validate_train_state_file(file), 4U);
+  write_v1_train_state(file, source, 4);
+  expect_format_error([&] { return nn::validate_train_state_file(file); }, kV1Rejected);
   nn::LinkPredictionModel destination(tiny_model_config(), 2);
   nn::Adam adam(destination);
-  io::ReadIntegrity integrity;
-  EXPECT_EQ(nn::load_train_state_file(file, destination, adam, &integrity), 4U);
-  EXPECT_EQ(integrity.version, 1U);
-  EXPECT_FALSE(integrity.checksummed);
-  for (std::size_t i = 0; i < source.parameters().size(); ++i) {
-    EXPECT_EQ(tensor::max_abs_diff(source.parameters()[i].value(),
-                                   destination.parameters()[i].value()),
-              0.0F)
-        << "parameter " << i;
+  expect_format_error([&] { return nn::load_train_state_file(file, destination, adam); },
+                      kV1Rejected);
+}
+
+TEST_F(DurabilityTest, LegacyParameterSectionIsRejectedNamingTheMagic) {
+  const nn::LinkPredictionModel source(tiny_model_config(), 1);
+  const std::string file = path("v1.splm");
+  {
+    std::ofstream out(file, std::ios::binary);
+    write_v1_parameters(out, source);
   }
+  nn::LinkPredictionModel destination(tiny_model_config(), 2);
+  expect_format_error([&] { nn::load_parameters_file(file, destination); return 0; },
+                      "bad magic 0x53504c4d");
+}
+
+TEST_F(DurabilityTest, LegacyOptimizerSectionIsRejectedNamingTheMagic) {
+  const nn::LinkPredictionModel source(tiny_model_config(), 1);
+  std::stringstream bytes;
+  write_v1_optimizer(bytes, source);
+  nn::LinkPredictionModel destination(tiny_model_config(), 2);
+  nn::Adam adam(destination);
+  expect_format_error([&] { adam.load_state(bytes); return 0; }, "bad magic 0x53504f53");
 }
 
 // ---- v2 layout fixtures ----
@@ -1103,6 +1098,33 @@ TEST_F(TrainerDurabilityTest, CorruptNewestCheckpointIsSkippedOnAutoResume) {
   resumed_config.resume_from = "auto";
   const TrainResult resumed = run_trainer(resumed_config);
   EXPECT_EQ(resumed.resumed_from_epoch, 2U) << "corrupt epoch-3 state must be skipped";
+  EXPECT_EQ(resumed.fault.checkpoints_skipped_invalid, 1U);
+  expect_models_bit_identical(reference, resumed);
+  EXPECT_DOUBLE_EQ(reference.test_hits, resumed.test_hits);
+}
+
+TEST_F(TrainerDurabilityTest, UnverifiedV1NewestCheckpointIsSkippedOnAutoResume) {
+  auto first = trainer_config(3);
+  first.checkpoint_every = 1;
+  first.checkpoint_dir = dir_.string();
+  (void)run_trainer(first);
+  ASSERT_TRUE(fs::exists(state_path(3)));
+
+  // A newer, pre-checksum state with a flipped payload bit: it carries no CRC
+  // that could catch the flip, so it must not be trusted at all.
+  auto model_config = first.model;
+  model_config.in_dim = trainer_problem().dataset.features.dim();
+  const nn::LinkPredictionModel stale(model_config, 99);
+  write_v1_train_state(state_path(4), stale, 4);
+  flip_bit(state_path(4), fs::file_size(state_path(4)) / 2, 2);
+
+  const TrainResult reference = run_trainer(trainer_config(5));
+  auto resumed_config = trainer_config(5);
+  resumed_config.checkpoint_every = 1;
+  resumed_config.checkpoint_dir = dir_.string();
+  resumed_config.resume_from = "auto";
+  const TrainResult resumed = run_trainer(resumed_config);
+  EXPECT_EQ(resumed.resumed_from_epoch, 3U) << "the v1 epoch-4 state must be skipped";
   EXPECT_EQ(resumed.fault.checkpoints_skipped_invalid, 1U);
   expect_models_bit_identical(reference, resumed);
   EXPECT_DOUBLE_EQ(reference.test_hits, resumed.test_hits);

@@ -1,13 +1,10 @@
 // Tests for the sparse effective-resistance solver stack: CSR Laplacian
 // construction (multigraph / self-loop / disconnected regressions), the
-// deflated Jacobi-PCG solver, and the three ER routes (dense oracle, per-edge
-// CG, Spielman–Srivastava JL sketch) — including the repo's
-// bit-identical-across-thread-widths contract and a ≥100k-edge run the dense
-// O(n^3) path could never attempt.
+// deflated Jacobi-PCG solver, and per-edge CG resistances — checked against
+// analytic values, a dense pseudo-inverse reference built here, Foster's
+// theorem and the repo's bit-identical-across-thread-widths contract.
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <cmath>
 #include <numeric>
 #include <vector>
 
@@ -15,6 +12,7 @@
 #include "graph/algorithms.hpp"
 #include "sparsify/effective_resistance.hpp"
 #include "tensor/cg.hpp"
+#include "tensor/eigen.hpp"
 #include "tensor/sparse.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
@@ -23,8 +21,6 @@ namespace splpg::sparsify {
 namespace {
 
 using graph::CsrGraph;
-using graph::Edge;
-using graph::EdgeId;
 using graph::GraphBuilder;
 using graph::NodeId;
 using tensor::SparseMatrix;
@@ -56,10 +52,17 @@ CsrGraph two_triangles() {
   return builder.build();
 }
 
-ErSolverOptions with_solver(ErSolver solver) {
-  ErSolverOptions options;
-  options.solver = solver;
-  return options;
+/// The dense reference: eigendecompose L, pseudo-invert, read
+/// r = L+_uu + L+_vv - 2 L+_uv per canonical edge. O(n^3), float
+/// eigenvectors — good to ~1e-6 relative on small graphs.
+std::vector<double> dense_effective_resistance(const CsrGraph& graph) {
+  const auto pinv = tensor::symmetric_pseudo_inverse(laplacian(graph));
+  std::vector<double> resistance;
+  for (const auto& [u, v] : graph.edges()) {
+    resistance.push_back(static_cast<double>(pinv.at(u, u)) + pinv.at(v, v) -
+                         2.0 * pinv.at(u, v));
+  }
+  return resistance;
 }
 
 // ---- sparse Laplacian construction ----
@@ -250,14 +253,14 @@ TEST(SparseCg, IterationCapReportsNotConverged) {
   EXPECT_GT(result.relative_residual, 0.0);
 }
 
-// ---- exact effective resistance: CG vs analytic vs dense ----
+// ---- exact effective resistance: CG vs analytic vs dense reference ----
 
 TEST(ErSolver, CgMatchesAnalyticValues) {
   // Tree edges are bridges (r = 1); triangle = 2/3; 4-cycle = 3/4; K_n = 2/n.
-  for (const double r : exact_effective_resistance(path(6), with_solver(ErSolver::kCg))) {
+  for (const double r : exact_effective_resistance(path(6))) {
     EXPECT_NEAR(r, 1.0, 1e-8);
   }
-  for (const double r : exact_effective_resistance(complete(3), with_solver(ErSolver::kCg))) {
+  for (const double r : exact_effective_resistance(complete(3))) {
     EXPECT_NEAR(r, 2.0 / 3.0, 1e-8);
   }
   GraphBuilder square(4);
@@ -265,11 +268,10 @@ TEST(ErSolver, CgMatchesAnalyticValues) {
   square.add_edge(1, 2);
   square.add_edge(2, 3);
   square.add_edge(0, 3);
-  for (const double r :
-       exact_effective_resistance(square.build(), with_solver(ErSolver::kCg))) {
+  for (const double r : exact_effective_resistance(square.build())) {
     EXPECT_NEAR(r, 0.75, 1e-8);
   }
-  for (const double r : exact_effective_resistance(complete(8), with_solver(ErSolver::kCg))) {
+  for (const double r : exact_effective_resistance(complete(8))) {
     EXPECT_NEAR(r, 0.25, 1e-8);
   }
 }
@@ -282,8 +284,7 @@ TEST(ErSolver, CgHonorsEdgeWeights) {
   builder.add_edge(0, 1, 2.0F);
   builder.add_edge(0, 2, 1.0F);
   builder.add_edge(1, 2, 1.0F);
-  const auto resistance =
-      exact_effective_resistance(builder.build(), with_solver(ErSolver::kCg));
+  const auto resistance = exact_effective_resistance(builder.build());
   // Canonical edge order: (0,1), (0,2), (1,2).
   EXPECT_NEAR(resistance[0], 0.4, 1e-8);
 }
@@ -301,8 +302,8 @@ TEST(ErSolver, CgMatchesDensePseudoInverseOnSeededGraphs) {
     params.num_communities = 4;
     Rng rng(seed);
     const CsrGraph graph = data::generate_sbm(params, rng);
-    const auto dense = exact_effective_resistance(graph, with_solver(ErSolver::kDense));
-    const auto cg = exact_effective_resistance(graph, with_solver(ErSolver::kCg));
+    const auto dense = dense_effective_resistance(graph);
+    const auto cg = exact_effective_resistance(graph);
     ASSERT_EQ(dense.size(), cg.size());
     for (std::size_t e = 0; e < dense.size(); ++e) {
       EXPECT_NEAR(cg[e] / dense[e], 1.0, 1e-6)
@@ -310,7 +311,7 @@ TEST(ErSolver, CgMatchesDensePseudoInverseOnSeededGraphs) {
     }
     for (const std::size_t width : {2U, 4U, 7U}) {
       util::ThreadPool pool(width);
-      const auto pooled = exact_effective_resistance(graph, with_solver(ErSolver::kCg), &pool);
+      const auto pooled = exact_effective_resistance(graph, &pool);
       for (std::size_t e = 0; e < cg.size(); ++e) {
         ASSERT_EQ(cg[e], pooled[e]) << "seed " << seed << " edge " << e << " width " << width;
       }
@@ -320,25 +321,19 @@ TEST(ErSolver, CgMatchesDensePseudoInverseOnSeededGraphs) {
 
 TEST(ErSolver, CgBitIdenticalAcrossThreadWidths) {
   // The repo-wide determinism contract: pooled solves are the same bytes as
-  // serial at widths {1, 2, 4, 7}, for CG and JL alike.
+  // serial at widths {1, 2, 4, 7}.
   data::SbmParams params;
   params.num_nodes = 150;
   params.num_edges = 700;
   Rng rng(21);
   const CsrGraph graph = data::generate_sbm(params, rng);
-  const auto cg_serial = exact_effective_resistance(graph, with_solver(ErSolver::kCg));
-  const auto jl_serial = exact_effective_resistance(graph, with_solver(ErSolver::kJl));
+  const auto cg_serial = exact_effective_resistance(graph);
   for (const std::size_t width : {2U, 4U, 7U}) {
     util::ThreadPool pool(width);
-    const auto cg_pooled =
-        exact_effective_resistance(graph, with_solver(ErSolver::kCg), &pool);
-    const auto jl_pooled =
-        exact_effective_resistance(graph, with_solver(ErSolver::kJl), &pool);
+    const auto cg_pooled = exact_effective_resistance(graph, &pool);
     ASSERT_EQ(cg_pooled.size(), cg_serial.size());
-    ASSERT_EQ(jl_pooled.size(), jl_serial.size());
     for (std::size_t e = 0; e < cg_serial.size(); ++e) {
       ASSERT_EQ(cg_serial[e], cg_pooled[e]) << "cg edge " << e << " width " << width;
-      ASSERT_EQ(jl_serial[e], jl_pooled[e]) << "jl edge " << e << " width " << width;
     }
   }
 }
@@ -346,8 +341,7 @@ TEST(ErSolver, CgBitIdenticalAcrossThreadWidths) {
 TEST(ErSolver, CgHandlesDisconnectedGraphs) {
   // Every edge's endpoints share a component, so each per-edge system is
   // consistent; both triangles read 2/3 like a lone triangle would.
-  const auto resistance =
-      exact_effective_resistance(two_triangles(), with_solver(ErSolver::kCg));
+  const auto resistance = exact_effective_resistance(two_triangles());
   ASSERT_EQ(resistance.size(), 6U);
   for (const double r : resistance) EXPECT_NEAR(r, 2.0 / 3.0, 1e-8);
 }
@@ -357,7 +351,7 @@ TEST(ErSolver, CgHandlesMultigraphEdges) {
   // both canonical copies. The pre-fix Laplacian (assignment instead of
   // accumulation) made this graph's rows non-singular-consistent.
   const CsrGraph graph(2, {{0, 1}, {0, 1}});
-  const auto resistance = exact_effective_resistance(graph, with_solver(ErSolver::kCg));
+  const auto resistance = exact_effective_resistance(graph);
   ASSERT_EQ(resistance.size(), 2U);
   EXPECT_NEAR(resistance[0], 0.5, 1e-8);
   EXPECT_NEAR(resistance[1], 0.5, 1e-8);
@@ -372,113 +366,9 @@ TEST(ErSolver, FosterSumMatchesNodesMinusComponents) {
   Rng rng(31);
   const CsrGraph graph = data::generate_sbm(params, rng);
   const auto components = graph::connected_components(graph);
-  const auto resistance = exact_effective_resistance(graph, with_solver(ErSolver::kCg));
+  const auto resistance = exact_effective_resistance(graph);
   const double total = std::accumulate(resistance.begin(), resistance.end(), 0.0);
   EXPECT_NEAR(total, static_cast<double>(graph.num_nodes()) - components.count, 1e-5);
-}
-
-TEST(ErSolver, SubsetQueriesMatchFullSolve) {
-  data::SbmParams params;
-  params.num_nodes = 90;
-  params.num_edges = 400;
-  Rng rng(41);
-  const CsrGraph graph = data::generate_sbm(params, rng);
-  const auto full = exact_effective_resistance(graph, with_solver(ErSolver::kCg));
-  const std::vector<EdgeId> ids = {0, 5, 17, graph.num_edges() - 1};
-  const auto subset = effective_resistance_for_edges(graph, ids, with_solver(ErSolver::kCg));
-  ASSERT_EQ(subset.size(), ids.size());
-  for (std::size_t i = 0; i < ids.size(); ++i) {
-    EXPECT_EQ(subset[i], full[ids[i]]) << "edge id " << ids[i];
-  }
-  // JL subset queries route to CG (the sketch prices all edges at once).
-  const auto via_jl = effective_resistance_for_edges(graph, ids, with_solver(ErSolver::kJl));
-  for (std::size_t i = 0; i < ids.size(); ++i) EXPECT_EQ(via_jl[i], subset[i]);
-  EXPECT_THROW((void)effective_resistance_for_edges(graph, {{graph.num_edges()}},
-                                                    with_solver(ErSolver::kCg)),
-               std::out_of_range);
-}
-
-// ---- JL sketch ----
-
-TEST(ErSolver, JlSketchTracksCgWithinEpsilon) {
-  data::SbmParams params;
-  params.num_nodes = 250;
-  params.num_edges = 1800;
-  params.num_communities = 4;
-  Rng rng(51);
-  const CsrGraph graph = data::generate_sbm(params, rng);
-  const auto cg = exact_effective_resistance(graph, with_solver(ErSolver::kCg));
-  ErSolverOptions jl = with_solver(ErSolver::kJl);
-  jl.jl_epsilon = 0.25;  // auto k = ceil(4 ln n / eps^2)
-  const auto sketch = exact_effective_resistance(graph, jl);
-  ASSERT_EQ(sketch.size(), cg.size());
-  double max_rel = 0.0;
-  for (std::size_t e = 0; e < cg.size(); ++e) {
-    max_rel = std::max(max_rel, std::abs(sketch[e] / cg[e] - 1.0));
-  }
-  // Per-edge sketch error is ~sqrt(2/k) ≈ 7% std; the max over ~1.8k edges
-  // stays well inside 2*epsilon for this seed (and the bound's intent).
-  EXPECT_LT(max_rel, 2.0 * jl.jl_epsilon);
-}
-
-TEST(ErSolver, JlSketchIsDeterministicInSeed) {
-  data::SbmParams params;
-  params.num_nodes = 80;
-  params.num_edges = 300;
-  Rng rng(61);
-  const CsrGraph graph = data::generate_sbm(params, rng);
-  ErSolverOptions jl = with_solver(ErSolver::kJl);
-  jl.jl_projections = 32;
-  const auto a = exact_effective_resistance(graph, jl);
-  const auto b = exact_effective_resistance(graph, jl);
-  for (std::size_t e = 0; e < a.size(); ++e) ASSERT_EQ(a[e], b[e]);
-  jl.jl_seed = 123;
-  const auto c = exact_effective_resistance(graph, jl);
-  EXPECT_FALSE(std::equal(a.begin(), a.end(), c.begin()));
-}
-
-TEST(ErSolver, JlFosterSumOnHundredThousandEdgeGraph) {
-  // The point of the sparse route: a 100k-edge graph whose dense Laplacian
-  // would hold 12.5k x 12.5k floats and whose Jacobi eigendecomposition
-  // (O(n^3)) is infeasible, solved end to end by the JL sketch. The sum of
-  // all edge resistances concentrates around n - #components with relative
-  // std ~sqrt(2 / (k * n)) — far tighter than per-edge error — so Foster's
-  // theorem makes a sharp whole-graph correctness check. A CG spot-check
-  // pins individual edges.
-  data::SbmParams params;
-  params.num_nodes = 12'500;
-  params.num_edges = 100'000;
-  params.num_communities = 25;
-  Rng rng(71);
-  const CsrGraph graph = data::generate_sbm(params, rng);
-  ASSERT_GE(graph.num_edges(), 100'000U);
-
-  ErSolverOptions jl = with_solver(ErSolver::kJl);
-  jl.jl_projections = 96;
-  jl.tolerance = 1e-8;
-  util::ThreadPool pool(4);
-  const auto sketch = exact_effective_resistance(graph, jl, &pool);
-  ASSERT_EQ(sketch.size(), graph.num_edges());
-  for (const double r : sketch) {
-    ASSERT_TRUE(std::isfinite(r));
-    ASSERT_GT(r, 0.0);
-  }
-
-  const auto components = graph::connected_components(graph);
-  const double expected = static_cast<double>(graph.num_nodes()) - components.count;
-  const double total = std::accumulate(sketch.begin(), sketch.end(), 0.0);
-  EXPECT_NEAR(total / expected, 1.0, 0.02);
-
-  // Spot-check a spread of edges against exact CG solves: per-edge sketch
-  // error at k = 96 is ~14% std, so 50% relative slack is ~3.5 sigma.
-  ErSolverOptions cg = with_solver(ErSolver::kCg);
-  cg.tolerance = 1e-8;
-  std::vector<EdgeId> ids;
-  for (EdgeId e = 0; e < graph.num_edges(); e += graph.num_edges() / 12) ids.push_back(e);
-  const auto exact = effective_resistance_for_edges(graph, ids, cg, &pool);
-  for (std::size_t i = 0; i < ids.size(); ++i) {
-    EXPECT_NEAR(sketch[ids[i]] / exact[i], 1.0, 0.5) << "edge id " << ids[i];
-  }
 }
 
 // ---- gamma regressions ----
@@ -501,19 +391,12 @@ TEST(ErSolver, GammaBoundsHoldOnDisconnectedGraph) {
   const CsrGraph graph = two_triangles();
   const double gamma = normalized_laplacian_gamma(graph);
   ASSERT_GT(gamma, 0.0);
-  const auto exact = exact_effective_resistance(graph, with_solver(ErSolver::kCg));
+  const auto exact = exact_effective_resistance(graph);
   const auto proxy = approx_effective_resistance(graph);
   for (std::size_t e = 0; e < exact.size(); ++e) {
     EXPECT_GE(exact[e] + 1e-9, 0.5 * proxy[e]);
     EXPECT_LE(exact[e] - 1e-9, proxy[e] / gamma);
   }
-}
-
-TEST(ErSolver, SolverNamesRoundTrip) {
-  for (const ErSolver solver : {ErSolver::kDense, ErSolver::kCg, ErSolver::kJl}) {
-    EXPECT_EQ(er_solver_from_string(er_solver_name(solver)), solver);
-  }
-  EXPECT_THROW((void)er_solver_from_string("qr"), std::invalid_argument);
 }
 
 }  // namespace

@@ -74,15 +74,5 @@ TEST(Auc, EmptySideIsChance) {
   EXPECT_DOUBLE_EQ(auc(std::vector<float>{1.0F}, {}), 0.5);
 }
 
-TEST(AccuracyAtZero, HandComputed) {
-  const std::vector<float> positives{1, -1};   // one right
-  const std::vector<float> negatives{-2, 0.5F};  // one right
-  EXPECT_DOUBLE_EQ(accuracy_at_zero(positives, negatives), 0.5);
-}
-
-TEST(AccuracyAtZero, EmptyIsZero) {
-  EXPECT_DOUBLE_EQ(accuracy_at_zero({}, {}), 0.0);
-}
-
 }  // namespace
 }  // namespace splpg::eval

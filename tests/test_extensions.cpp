@@ -1,5 +1,5 @@
-// Tests for the extension components: uniform sparsifier, spectral
-// partitioner, and degree-weighted negative sampling.
+// Tests for the extension components: uniform sparsifier and
+// degree-weighted negative sampling.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -8,7 +8,6 @@
 #include "core/trainer.hpp"
 #include "data/dataset.hpp"
 #include "data/generators.hpp"
-#include "partition/spectral.hpp"
 #include "sampling/negative_sampler.hpp"
 #include "sparsify/sparsifier.hpp"
 
@@ -85,39 +84,6 @@ TEST(SparsifierFactory, KindsAndNames) {
   const auto uniform = sparsify::make_sparsifier(sparsify::SparsifierKind::kUniform, 0.1);
   EXPECT_EQ(uniform->name(), "uniform");
   EXPECT_DOUBLE_EQ(uniform->alpha(), 0.1);
-}
-
-TEST(SpectralPartitioner, ValidBalancedAssignment) {
-  const CsrGraph graph = community_graph(200, 1200, 4);
-  Rng rng(7);
-  const partition::SpectralPartitioner partitioner;
-  for (const std::uint32_t p : {2U, 3U, 4U}) {
-    const auto parts = partitioner.partition(graph, p, rng);
-    ASSERT_EQ(parts.assignment.size(), graph.num_nodes());
-    for (const auto part : parts.assignment) EXPECT_LT(part, p);
-    EXPECT_LT(partition::balance(graph, parts), 1.25);
-  }
-}
-
-TEST(SpectralPartitioner, RecoversPlantedBisection) {
-  // Two dense communities, sparse cross edges: spectral bisection should cut
-  // far fewer edges than random.
-  const CsrGraph graph = community_graph(200, 1600, 2, 8);
-  Rng rng(9);
-  const auto spectral = partition::SpectralPartitioner().partition(graph, 2, rng);
-  const auto random = partition::RandomPartitioner().partition(graph, 2, rng);
-  EXPECT_LT(partition::edge_cut(graph, spectral), partition::edge_cut(graph, random) / 2);
-}
-
-TEST(SpectralPartitioner, SizeGuardThrows) {
-  const CsrGraph graph = community_graph(300, 1500);
-  Rng rng(10);
-  EXPECT_THROW(partition::SpectralPartitioner(100).partition(graph, 2, rng),
-               std::invalid_argument);
-}
-
-TEST(SpectralPartitioner, InFactory) {
-  EXPECT_EQ(partition::make_partitioner("spectral")->name(), "spectral");
 }
 
 TEST(DegreeWeightedNegatives, PrefersHighDegreeDestinations) {

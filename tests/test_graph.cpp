@@ -1,11 +1,10 @@
 // Unit tests for the graph module: CSR construction, builder semantics,
-// queries, algorithms, and subgraphs.
+// queries, algorithms, and feature stores.
 #include <gtest/gtest.h>
 
 #include "graph/algorithms.hpp"
 #include "graph/csr_graph.hpp"
 #include "graph/features.hpp"
-#include "graph/subgraph.hpp"
 
 namespace splpg::graph {
 namespace {
@@ -135,28 +134,6 @@ TEST(CsrGraph, StructureBytesScalesWithDegree) {
   EXPECT_EQ(graph.structure_bytes(0), 1 * sizeof(NodeId) + sizeof(EdgeId));
 }
 
-TEST(Algorithms, BfsOrderAndDistances) {
-  const CsrGraph graph = make_path_with_chord();
-  const auto order = bfs_order(graph, 0);
-  ASSERT_EQ(order.size(), 4U);
-  EXPECT_EQ(order[0], 0U);
-  EXPECT_EQ(order[1], 1U);
-  const auto dist = bfs_distances(graph, 0);
-  EXPECT_EQ(dist[0], 0U);
-  EXPECT_EQ(dist[1], 1U);
-  EXPECT_EQ(dist[2], 2U);
-  EXPECT_EQ(dist[3], 2U);  // via the chord
-}
-
-TEST(Algorithms, BfsUnreachableMarked) {
-  GraphBuilder builder(4);
-  builder.add_edge(0, 1);  // nodes 2, 3 isolated
-  const CsrGraph graph = builder.build();
-  const auto dist = bfs_distances(graph, 0);
-  EXPECT_EQ(dist[2], kUnreachable);
-  EXPECT_EQ(dist[3], kUnreachable);
-}
-
 TEST(Algorithms, ConnectedComponents) {
   GraphBuilder builder(6);
   builder.add_edge(0, 1);
@@ -208,37 +185,6 @@ TEST(Algorithms, DegreeStatsOnRegularGraph) {
   EXPECT_EQ(stats.min, 2U);
   EXPECT_EQ(stats.max, 2U);
   EXPECT_NEAR(stats.gini, 0.0, 1e-9);
-}
-
-TEST(Subgraph, InducedKeepsInternalEdgesOnly) {
-  const CsrGraph graph = make_path_with_chord();
-  const std::vector<NodeId> nodes{1, 2, 3};
-  const Subgraph sub = induced_subgraph(graph, nodes);
-  EXPECT_EQ(sub.graph.num_nodes(), 3U);
-  EXPECT_EQ(sub.graph.num_edges(), 3U);  // 1-2, 2-3, 1-3
-  EXPECT_EQ(sub.to_global(0), 1U);
-  EXPECT_EQ(sub.to_local(3), 2U);
-  EXPECT_EQ(sub.to_local(0), kInvalidNode);
-  EXPECT_TRUE(sub.contains(2));
-  EXPECT_FALSE(sub.contains(0));
-  // Edge 0-1 crosses the boundary: must not appear.
-  EXPECT_FALSE(sub.graph.has_edge(sub.to_local(1), 99));
-}
-
-TEST(Subgraph, InducedDuplicateNodeThrows) {
-  const CsrGraph graph = make_path_with_chord();
-  const std::vector<NodeId> nodes{1, 1};
-  EXPECT_THROW(induced_subgraph(graph, nodes), std::invalid_argument);
-}
-
-TEST(Subgraph, EdgeSubgraphKeepsMaskedEdges) {
-  const CsrGraph graph = make_path_with_chord();
-  std::vector<bool> mask(graph.num_edges(), false);
-  mask[0] = true;  // first canonical edge
-  const CsrGraph sub = edge_subgraph(graph, mask);
-  EXPECT_EQ(sub.num_nodes(), graph.num_nodes());
-  EXPECT_EQ(sub.num_edges(), 1U);
-  EXPECT_EQ(sub.edges()[0], graph.edges()[0]);
 }
 
 TEST(FeatureStore, RowAccessAndGather) {

@@ -8,7 +8,9 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <sstream>
+#include <vector>
 
 #include "core/trainer.hpp"
 #include "data/dataset.hpp"
@@ -17,8 +19,8 @@
 #include "io/edge_list.hpp"
 #include "io/feature_file.hpp"
 #include "io/mmap_file.hpp"
+#include "io/section.hpp"
 #include "sampling/edge_split.hpp"
-#include "util/serialize.hpp"
 
 namespace splpg {
 namespace {
@@ -224,32 +226,31 @@ TEST(IoEdgeListBinary, TruncatedPayloadIsDescriptiveError) {
   expect_format_error([&] { return io::read_edge_list_binary(in); }, "truncated");
 }
 
+/// A checksummed (v2) unweighted SPGE stream holding the raw `ids` pairs, so
+/// the id checks behind the codec see exactly these values.
+std::unique_ptr<std::stringstream> spge_stream(std::uint32_t num_nodes,
+                                               const std::vector<std::uint32_t>& ids) {
+  auto stream = std::make_unique<std::stringstream>();
+  io::SectionWriter()
+      .field<std::uint32_t>(0x53504745)  // "SPGE"
+      .field<std::uint32_t>(2)           // version
+      .field<std::uint32_t>(0)           // flags: unweighted
+      .field(num_nodes)
+      .field<std::uint64_t>(ids.size() / 2)
+      .payload(ids.data(), ids.size() * sizeof(std::uint32_t))
+      .write(*stream);
+  return stream;
+}
+
 TEST(IoEdgeListBinary, OutOfRangeNodeIdIsDescriptiveError) {
-  std::stringstream stream;
-  util::write_pod<std::uint32_t>(stream, 0x53504745);  // magic
-  util::write_pod<std::uint32_t>(stream, 1);           // version
-  util::write_pod<std::uint32_t>(stream, 0);           // flags
-  util::write_pod<std::uint32_t>(stream, 4);           // num_nodes
-  util::write_pod<std::uint64_t>(stream, 1);           // num_edges
-  util::write_pod<std::uint32_t>(stream, 2);           // u
-  util::write_pod<std::uint32_t>(stream, 9);           // v >= num_nodes
-  expect_format_error([&] { return io::read_edge_list_binary(stream); }, "out of range");
+  auto stream = spge_stream(4, {2, 9});  // v >= num_nodes
+  expect_format_error([&] { return io::read_edge_list_binary(*stream); }, "out of range");
 }
 
 TEST(IoEdgeListBinary, SelfLoopAndDuplicateRejectedInStrictMode) {
-  auto craft = [](std::uint32_t u1, std::uint32_t v1, std::uint32_t u2, std::uint32_t v2) {
-    auto stream = std::make_unique<std::stringstream>();
-    util::write_pod<std::uint32_t>(*stream, 0x53504745);
-    util::write_pod<std::uint32_t>(*stream, 1);
-    util::write_pod<std::uint32_t>(*stream, 0);
-    util::write_pod<std::uint32_t>(*stream, 8);
-    util::write_pod<std::uint64_t>(*stream, 2);
-    for (const std::uint32_t id : {u1, v1, u2, v2}) util::write_pod(*stream, id);
-    return stream;
-  };
-  auto self_loop = craft(3, 3, 0, 1);
+  auto self_loop = spge_stream(8, {3, 3, 0, 1});
   expect_format_error([&] { return io::read_edge_list_binary(*self_loop); }, "self-loop");
-  auto duplicate = craft(0, 1, 1, 0);
+  auto duplicate = spge_stream(8, {0, 1, 1, 0});
   expect_format_error([&] { return io::read_edge_list_binary(*duplicate); }, "duplicate edge");
 }
 

@@ -55,7 +55,8 @@ TEST(Linear, RegistersWeightAndBias) {
   Rng rng(2);
   Linear layer(4, 3, rng);
   ASSERT_EQ(layer.parameters().size(), 2U);
-  EXPECT_EQ(layer.parameter_count(), 4 * 3 + 3);
+  EXPECT_EQ(layer.parameters()[0].value().size() + layer.parameters()[1].value().size(),
+            4U * 3U + 3U);
 }
 
 TEST(Mlp, DepthAndOutputShape) {

@@ -1,9 +1,8 @@
 // Serving test battery (DESIGN.md §11).
 //
 // Proves the online serving layer correct under load:
-//   * EmbeddingCache unit suite — LRU order, pinned immunity, counter
-//     consistency, capacity-0 passthrough, byte-identical reuse after
-//     eviction.
+//   * EmbeddingCache unit suite — LRU order, counter consistency,
+//     capacity-0 passthrough, byte-identical reuse after eviction.
 //   * tensor/int8 kernel suite — documented round-trip bound amax/254,
 //     integer-grid exactness (mirrors test_comm's CommHook tests), int8 dot.
 //   * Seeded oracle property test — 20 randomized request traces replayed
@@ -74,36 +73,6 @@ TEST(EmbeddingCache, EvictsLeastRecentlyUsedFirst) {
   EXPECT_EQ(cache.stats().evictions, 1U);
 }
 
-TEST(EmbeddingCache, PinnedEntriesAreNeverEvictedAndDontCountAgainstCapacity) {
-  EmbeddingCache cache(1, 8);
-  cache.pin(7, row_of(7));
-  cache.insert(1, row_of(1));
-  cache.insert(2, row_of(2));  // evicts 1, not the pinned 7
-  std::vector<std::byte> out(8);
-  EXPECT_TRUE(cache.lookup(7, out));
-  EXPECT_EQ(out, row_of(7));
-  EXPECT_FALSE(cache.lookup(1, out));
-  EXPECT_TRUE(cache.lookup(2, out));
-  EXPECT_EQ(cache.pinned_count(), 1U);
-
-  cache.clear();  // drops unpinned only
-  EXPECT_TRUE(cache.lookup(7, out));
-  EXPECT_FALSE(cache.lookup(2, out));
-  EXPECT_EQ(cache.size(), 1U);
-}
-
-TEST(EmbeddingCache, PinPromotesAnExistingUnpinnedEntryInPlace) {
-  EmbeddingCache cache(1, 8);
-  cache.insert(1, row_of(1));
-  cache.pin(1, row_of(1));
-  cache.insert(2, row_of(2));  // capacity 1 again free -> no eviction of 1
-  std::vector<std::byte> out(8);
-  EXPECT_TRUE(cache.lookup(1, out));
-  EXPECT_TRUE(cache.lookup(2, out));
-  EXPECT_EQ(cache.pinned_count(), 1U);
-  EXPECT_EQ(cache.stats().evictions, 0U);
-}
-
 TEST(EmbeddingCache, HitsPlusMissesEqualsLookups) {
   EmbeddingCache cache(2, 8);
   util::Rng rng(42);
@@ -125,10 +94,7 @@ TEST(EmbeddingCache, CapacityZeroIsPassthrough) {
   std::vector<std::byte> out(8);
   EXPECT_FALSE(cache.lookup(1, out));
   EXPECT_EQ(cache.size(), 0U);
-  // Pinning is exempt from capacity, even capacity 0.
-  cache.pin(2, row_of(2));
-  EXPECT_TRUE(cache.lookup(2, out));
-  EXPECT_EQ(cache.stats().hits, 1U);
+  EXPECT_EQ(cache.stats().hits, 0U);
   EXPECT_EQ(cache.stats().misses, 1U);
 }
 
@@ -308,27 +274,6 @@ TEST(ServingServer, ValidatesRequestsAndRejectsAfterShutdown) {
   server.shutdown();
   EXPECT_THROW(static_cast<void>(server.submit({{0, 1}})), std::runtime_error);
   server.shutdown();  // idempotent
-}
-
-TEST(ServingServer, PinnedHotSetServesWithoutMisses) {
-  const Fixture f = make_fixture(nn::PredictorKind::kDot);
-  const nn::ServingModel serving(*f.model, f.split.train_graph, f.dataset.features);
-  ServingConfig config;
-  for (NodeId v = 0; v < f.split.train_graph.num_nodes(); ++v) {
-    config.pinned_nodes.push_back(v);
-  }
-  ServingServer server(serving, config);
-  util::Rng rng(5);
-  const auto pairs = random_pairs(rng, f.split.train_graph.num_nodes(), 24);
-  const auto reply = server.score_pairs(pairs);
-  EXPECT_EQ(reply.scores, f.oracle_scores(pairs));
-  const auto stats = server.cache_stats();
-  EXPECT_EQ(stats.misses, 0U);
-  EXPECT_EQ(stats.hits, stats.lookups);
-  server.clear_cache();  // pinned rows survive invalidation
-  const auto reply2 = server.score_pairs(pairs);
-  EXPECT_EQ(reply2.scores, reply.scores);
-  EXPECT_EQ(server.cache_stats().misses, 0U);
 }
 
 TEST(ServingServer, CacheHitsAccumulateAcrossRepeatedRequests) {

@@ -268,8 +268,18 @@ TEST(Sparsifier, DeterministicGivenRngState) {
 }
 
 TEST(Sparsifier, InvalidAlphaThrows) {
-  EXPECT_THROW(EffectiveResistanceSparsifier(0.0), std::invalid_argument);
-  EXPECT_THROW(EffectiveResistanceSparsifier(-1.0), std::invalid_argument);
+  // NaN passes an `alpha <= 0` check, and +inf turns the draw count into a
+  // cast of infinity; every one must fail at construction, naming alpha.
+  for (const double alpha : {0.0, -1.0, std::nan(""), HUGE_VAL, -HUGE_VAL}) {
+    for (const auto kind : {SparsifierKind::kEffectiveResistance, SparsifierKind::kUniform}) {
+      try {
+        (void)make_sparsifier(kind, alpha);
+        ADD_FAILURE() << "alpha " << alpha << " was accepted";
+      } catch (const std::invalid_argument& error) {
+        EXPECT_NE(std::string(error.what()).find("alpha"), std::string::npos) << error.what();
+      }
+    }
+  }
 }
 
 TEST(Sparsifier, EmptyGraphYieldsEmptyOutput) {

@@ -104,7 +104,6 @@ TEST(VecBackendRegistry, SupportedTablesAreComplete) {
     EXPECT_NE(kern.axpy_f64, nullptr);
     EXPECT_NE(kern.xpby_f64, nullptr);
     EXPECT_NE(kern.dot_f64, nullptr);
-    EXPECT_NE(kern.ssd_f64, nullptr);
     EXPECT_NE(kern.spmv_row_f64, nullptr);
     EXPECT_NE(kern.exp_f32, nullptr);
     EXPECT_NE(kern.sigmoid_f32, nullptr);
@@ -184,14 +183,8 @@ TEST(VecKnownAnswer, DoubleKernels) {
       b[i] = static_cast<double>(2 * i);
     }
     double dot = 0.0;
-    double ssd = 0.0;
-    for (std::size_t i = 0; i < a.size(); ++i) {
-      dot += a[i] * b[i];
-      const double d = a[i] - b[i];
-      ssd += d * d;
-    }
+    for (std::size_t i = 0; i < a.size(); ++i) dot += a[i] * b[i];
     EXPECT_EQ(kern.dot_f64(a.data(), b.data(), a.size()), dot) << kern.name;
-    EXPECT_EQ(kern.ssd_f64(a.data(), b.data(), a.size()), ssd) << kern.name;
 
     std::vector<double> dst = a;
     kern.axpy_f64(dst.data(), b.data(), 0.5, dst.size());
@@ -292,20 +285,12 @@ TEST(VecUlpProperty, DoubleReductionsWithinReassociationBound) {
       const double eps = std::numeric_limits<double>::epsilon();
 
       double dot_mag = 0.0;
-      double ssd_mag = 0.0;
-      for (std::size_t i = 0; i < n; ++i) {
-        dot_mag += std::abs(a[i] * b[i]);
-        ssd_mag += (a[i] - b[i]) * (a[i] - b[i]);
-      }
+      for (std::size_t i = 0; i < n; ++i) dot_mag += std::abs(a[i] * b[i]);
       const double k = static_cast<double>(n) + 2.0;
       EXPECT_LE(std::abs(kern.dot_f64(a.data(), b.data(), n) -
                          scalar.dot_f64(a.data(), b.data(), n)),
                 2.0 * k * eps * dot_mag + 1e-300)
           << kern.name << " dot n=" << n;
-      EXPECT_LE(std::abs(kern.ssd_f64(a.data(), b.data(), n) -
-                         scalar.ssd_f64(a.data(), b.data(), n)),
-                2.0 * k * eps * ssd_mag + 1e-300)
-          << kern.name << " ssd n=" << n;
 
       // spmv row: gather indices into a shared x.
       std::vector<std::uint32_t> cols(n);
