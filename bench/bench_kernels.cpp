@@ -1,29 +1,41 @@
 // Kernel-engine benchmark: per-kernel throughput of every compiled-and-
 // runnable Vec backend (scalar, sse2, avx2, avx512) on the hot-path kernels
-// from src/tensor/vec.hpp, plus a composite GEMM row driven through
-// Matrix::matmul_acc with the backend pinned.
+// from src/tensor/vec.hpp, plus a GEMM table on the shapes the training and
+// serving workloads run.
 //
 // All kernel calls go through the VecKernels function-pointer table, so the
 // compiler cannot inline or dead-code-eliminate the work being timed.
 // Results land in --json (BENCH_kernels.json) with one section per backend
 // and a per-kernel speedup-vs-scalar summary.
 //
+// The GEMM table times matmul_acc (A*B) and matmul_tn_acc (A^T*B) on each
+// SIMD backend against the row-axpy loops they replaced ("before": one
+// axpy_f32 per output row and reduction index, with those loops' pooled
+// schedules), at 0%, 50% and 90% zeros in A, serially and on a 4-thread
+// pool. Every "after" result is compared with "before" bit for bit;
+// the bench exits 1 if any differs. The scalar backend's block kernel is
+// the row loop itself, so it has no rows.
+//
 // `--probe=<backend>` is a shell-support check: exits 0 when the named
 // backend is compiled in AND runnable on this CPU, 1 when it is not, 2 on an
 // unknown name. scripts/run_all.sh uses it to size the SPLPG_VEC sweep.
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <functional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common.hpp"
 #include "tensor/matrix.hpp"
+#include "tensor/parallel.hpp"
 #include "tensor/vec.hpp"
 #include "util/flags.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 #include "util/timer.hpp"
 
 namespace {
@@ -55,6 +67,123 @@ struct KernelResult {
 // Keep reduction results observably live across the opaque call boundary.
 double g_sink = 0.0;
 
+using splpg::tensor::Matrix;
+
+// ---- GEMM table ----
+
+/// The row-axpy loops matmul_acc / matmul_tn_acc ran before the block
+/// kernel, with their pooled schedules: A*B split rows of C across the pool;
+/// A^T*B split rows of C and read A's columns with a stride.
+void before_matmul_acc(const Matrix& a, const Matrix& b, Matrix& c) {
+  const VecKernels& kern = splpg::tensor::vec_kernels();
+  const bool skip_zero = splpg::tensor::kernels_assume_finite();
+  const auto run_row = [&](std::size_t i) {
+    for (std::size_t p = 0; p < a.cols(); ++p) {
+      const float alpha = a.at(i, p);
+      if (skip_zero && alpha == 0.0F) continue;
+      kern.axpy_f32(c.row(i).data(), b.row(p).data(), alpha, b.cols());
+    }
+  };
+  if (splpg::util::ThreadPool* pool = splpg::tensor::pool_for(
+          splpg::tensor::sat_flops(a.rows(), a.cols(), b.cols()))) {
+    pool->parallel_for(0, a.rows(), run_row);
+  } else {
+    for (std::size_t i = 0; i < a.rows(); ++i) run_row(i);
+  }
+}
+
+void before_matmul_tn_acc(const Matrix& a, const Matrix& b, Matrix& c) {
+  const VecKernels& kern = splpg::tensor::vec_kernels();
+  const bool skip_zero = splpg::tensor::kernels_assume_finite();
+  const std::size_t n = b.cols();
+  if (splpg::util::ThreadPool* pool = splpg::tensor::pool_for(
+          splpg::tensor::sat_flops(a.rows(), a.cols(), n))) {
+    pool->parallel_for(0, a.cols(), [&](std::size_t p) {
+      for (std::size_t i = 0; i < a.rows(); ++i) {
+        const float alpha = a.at(i, p);
+        if (skip_zero && alpha == 0.0F) continue;
+        kern.axpy_f32(c.row(p).data(), b.row(i).data(), alpha, n);
+      }
+    });
+    return;
+  }
+  for (std::size_t i = 0; i < a.rows(); ++i) {
+    for (std::size_t p = 0; p < a.cols(); ++p) {
+      const float alpha = a.at(i, p);
+      if (skip_zero && alpha == 0.0F) continue;
+      kern.axpy_f32(c.row(p).data(), b.row(i).data(), alpha, n);
+    }
+  }
+}
+
+/// Pool width of the GEMM table's pooled rows.
+constexpr std::size_t kGemmThreads = 4;
+
+struct GemmShape {
+  const char* name;
+  bool transposed;  // A^T*B: C is k x n and B is m x n
+  std::size_t m, k, n;
+};
+
+struct GemmRow {
+  std::string backend;
+  const GemmShape* shape = nullptr;
+  double zero_share = 0.0;
+  std::size_t threads = 1;
+  double before_seconds = 0.0;
+  double after_seconds = 0.0;
+  bool bit_identical = false;
+  [[nodiscard]] double speedup() const {
+    return after_seconds > 0.0 ? before_seconds / after_seconds : 0.0;
+  }
+};
+
+/// A (m x k) with `zero_share` of its entries zero; B with no zeros.
+Matrix random_matrix(std::size_t rows, std::size_t cols, double zero_share,
+                     splpg::util::Rng& rng) {
+  Matrix out(rows, cols);
+  for (float& x : out.data()) {
+    x = rng.bernoulli(zero_share) ? 0.0F : static_cast<float>(rng.uniform(-1.0, 1.0));
+  }
+  return out;
+}
+
+/// Times one GEMM table row: `before` and `after` each run from a zeroed C,
+/// best of `repeats` samples of `calls` calls, then compared bytewise.
+GemmRow time_gemm(const GemmShape& shape, double zero_share, splpg::util::ThreadPool* pool,
+                  int repeats, splpg::util::Rng& rng) {
+  const Matrix a = random_matrix(shape.m, shape.k, zero_share, rng);
+  const Matrix b = random_matrix(shape.transposed ? shape.m : shape.k, shape.n, 0.0, rng);
+  Matrix before(shape.transposed ? shape.k : shape.m, shape.n);
+  Matrix after(before.rows(), before.cols());
+  // Small shapes repeat inside a sample so each one lasts long enough to time.
+  const std::size_t macs = std::max<std::size_t>(1, shape.m * shape.k * shape.n);
+  const std::size_t calls = std::max<std::size_t>(1, (std::size_t{1} << 26U) / macs);
+  const splpg::tensor::ComputePoolScope scope(pool);
+  const auto sample = [&](Matrix& c, auto gemm) {
+    return time_best(repeats, [&] {
+      for (std::size_t call = 0; call < calls; ++call) {
+        c.zero();
+        gemm(a, b, c);
+      }
+    }) / static_cast<double>(calls);
+  };
+  GemmRow row;
+  row.shape = &shape;
+  row.zero_share = zero_share;
+  row.threads = pool != nullptr ? pool->size() : 1;
+  if (shape.transposed) {
+    row.before_seconds = sample(before, before_matmul_tn_acc);
+    row.after_seconds = sample(after, splpg::tensor::matmul_tn_acc);
+  } else {
+    row.before_seconds = sample(before, before_matmul_acc);
+    row.after_seconds = sample(after, splpg::tensor::matmul_acc);
+  }
+  row.bit_identical =
+      std::memcmp(before.data().data(), after.data().data(), before.size() * sizeof(float)) == 0;
+  return row;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -68,8 +197,9 @@ int main(int argc, char** argv) {
                "elements per kernel invocation (vectors; spmv row length)");
   flags.define("total-elements", static_cast<std::int64_t>(1 << 24),
                "element-ops per timed call (sets the inner iteration count)");
-  flags.define("gemm", static_cast<std::int64_t>(192),
-               "square GEMM dimension for the matmul composite (0 = skip)");
+  flags.define("gemm", static_cast<std::int64_t>(2048),
+               "mini-batch rows m of the GEMM table's training shapes (2048 = the "
+               "first SAGE layer's; the hidden layers use 2m); 0 skips the table");
   flags.define("repeats", static_cast<std::int64_t>(5), "timing repetitions (best-of)");
   flags.define("seed", static_cast<std::int64_t>(1), "input-data seed");
   flags.define("probe", "",
@@ -89,9 +219,21 @@ int main(int argc, char** argv) {
     return ok ? 0 : 1;
   }
 
+  for (const char* name : {"size", "total-elements", "gemm"}) {
+    if (flags.get_int(name) < 0) {
+      std::fprintf(stderr, "bench_kernels: --%s must be >= 0, got %lld\n", name,
+                   static_cast<long long>(flags.get_int(name)));
+      return 1;
+    }
+  }
+  if (flags.get_int("repeats") < 1) {
+    std::fprintf(stderr, "bench_kernels: --repeats must be >= 1, got %lld\n",
+                 static_cast<long long>(flags.get_int("repeats")));
+    return 1;
+  }
   const auto n = static_cast<std::size_t>(flags.get_int("size"));
   const auto total = static_cast<std::uint64_t>(flags.get_int("total-elements"));
-  const auto gemm_dim = static_cast<std::size_t>(flags.get_int("gemm"));
+  const auto gemm_rows = static_cast<std::size_t>(flags.get_int("gemm"));
   const auto repeats = static_cast<int>(flags.get_int("repeats"));
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed"));
   const std::size_t iters = std::max<std::size_t>(1, total / std::max<std::size_t>(1, n));
@@ -181,27 +323,31 @@ int main(int argc, char** argv) {
     }
   }
 
-  // GEMM composite: Matrix::matmul_acc through the pinned active backend.
-  std::vector<KernelResult> gemm_results;
-  if (gemm_dim > 0) {
+  // GEMM table: the shapes the workloads' traces show, on each SIMD backend.
+  const GemmShape gemm_shapes[] = {
+      {"sage_layer1", false, gemm_rows, 1433, 64},
+      {"sage_layer1_grad", true, gemm_rows, 1433, 64},
+      {"hidden", false, 2 * gemm_rows, 64, 64},
+      {"hidden_grad", true, 2 * gemm_rows, 64, 64},
+      {"serve_miss", false, 64, 387, 64},
+  };
+  std::vector<GemmRow> gemm_results;
+  if (gemm_rows > 0) {
     const VecBackend previous = tensor::vec_active_backend();
+    util::ThreadPool pool(kGemmThreads);
     util::Rng gemm_rng(seed + 1);
-    tensor::Matrix a(gemm_dim, gemm_dim);
-    tensor::Matrix bmat(gemm_dim, gemm_dim);
-    tensor::Matrix c(gemm_dim, gemm_dim);
-    for (std::size_t r = 0; r < gemm_dim; ++r) {
-      for (std::size_t col = 0; col < gemm_dim; ++col) {
-        a.at(r, col) = static_cast<float>(gemm_rng.uniform()) - 0.5F;
-        bmat.at(r, col) = static_cast<float>(gemm_rng.uniform()) - 0.5F;
-      }
-    }
     for (const VecBackend backend : backends) {
+      if (backend == VecBackend::kScalar) continue;  // its block kernel is the row loop
       tensor::set_vec_backend(backend);
-      KernelResult r;
-      r.kernel = "matmul_f32";
-      r.elements = static_cast<std::uint64_t>(gemm_dim) * gemm_dim * gemm_dim;  // MACs
-      r.wall_seconds = time_best(repeats, [&] { tensor::matmul_acc(a, bmat, c); });
-      gemm_results.push_back(r);
+      for (const GemmShape& shape : gemm_shapes) {
+        for (const double zero_share : {0.0, 0.5, 0.9}) {
+          for (util::ThreadPool* p : {static_cast<util::ThreadPool*>(nullptr), &pool}) {
+            GemmRow row = time_gemm(shape, zero_share, p, repeats, gemm_rng);
+            row.backend = tensor::vec_backend_name(backend);
+            gemm_results.push_back(row);
+          }
+        }
+      }
     }
     tensor::set_vec_backend(previous);
   }
@@ -213,43 +359,61 @@ int main(int argc, char** argv) {
   }
   std::printf("\n");
   bench::print_rule();
-  const std::size_t kernel_count = std::size(kernels);
-  for (std::size_t k = 0; k < kernel_count + (gemm_results.empty() ? 0 : 1); ++k) {
-    const bool is_gemm = k == kernel_count;
-    const auto row = [&](std::size_t b) -> const KernelResult& {
-      return is_gemm ? gemm_results[b] : results[b][k];
-    };
-    std::printf("%-18s", row(0).kernel.c_str());
-    const double scalar_rate = row(0).gelems_per_second();
+  for (std::size_t k = 0; k < std::size(kernels); ++k) {
+    std::printf("%-18s", results[0][k].kernel.c_str());
+    const double scalar_rate = results[0][k].gelems_per_second();
     for (std::size_t b = 0; b < backends.size(); ++b) {
-      const double rate = row(b).gelems_per_second();
+      const double rate = results[b][k].gelems_per_second();
       std::printf(" | %13.3f %6.2fx", rate, scalar_rate > 0.0 ? rate / scalar_rate : 0.0);
     }
     std::printf("\n");
   }
   std::printf("\nExpected shape: wider backends win on streaming kernels (axpy, sigmoid);\n"
-              "reductions and the gather-bound spmv gain less. matmul_f32 counts MACs.\n"
-              "(sink=%g)\n", g_sink);
+              "reductions and the gather-bound spmv gain less.\n(sink=%g)\n", g_sink);
+
+  bool all_identical = true;
+  double min_speedup = 0.0;
+  if (!gemm_results.empty()) {
+    std::printf("\nGEMM: block kernel vs the row-axpy loops (ms per call, best of %d)\n",
+                repeats);
+    std::printf("%-8s %-17s %-6s %-20s %5s %3s %10s %10s %8s %s\n", "backend", "shape", "op",
+                "m x k x n", "zeros", "thr", "before_ms", "after_ms", "speedup", "bits");
+    bench::print_rule();
+    min_speedup = gemm_results.front().speedup();
+    for (const GemmRow& row : gemm_results) {
+      const std::string dims = std::to_string(row.shape->m) + "x" +
+                               std::to_string(row.shape->k) + "x" +
+                               std::to_string(row.shape->n);
+      std::printf("%-8s %-17s %-6s %-20s %4.0f%% %3zu %10.3f %10.3f %7.2fx %s\n",
+                  row.backend.c_str(), row.shape->name, row.shape->transposed ? "A^T*B" : "A*B",
+                  dims.c_str(), 100.0 * row.zero_share, row.threads, 1e3 * row.before_seconds,
+                  1e3 * row.after_seconds, row.speedup(), row.bit_identical ? "same" : "DIFFER");
+      all_identical = all_identical && row.bit_identical;
+      min_speedup = std::min(min_speedup, row.speedup());
+    }
+    std::printf("all bit-identical: %s; slowest row %.2fx\n", all_identical ? "yes" : "NO",
+                min_speedup);
+  }
 
   const std::string json_path = flags.get_string("json");
   if (!json_path.empty()) {
     std::ofstream out(json_path);
     out << "{\n"
         << "  \"bench\": \"kernels\",\n"
-        << "  \"size\": " << n << ",\n"
-        << "  \"iters_per_call\": " << iters << ",\n"
-        << "  \"gemm_dim\": " << gemm_dim << ",\n"
-        << "  \"repeats\": " << repeats << ",\n"
+        << "  \"hardware_concurrency\": " << std::thread::hardware_concurrency() << ",\n"
+        << "  \"active_backend\": \"" << tensor::vec_backend_name(tensor::vec_active_backend())
+        << "\",\n"
         << "  \"best_backend\": \"" << tensor::vec_backend_name(tensor::vec_best_backend())
         << "\",\n"
+        << "  \"size\": " << n << ",\n"
+        << "  \"iters_per_call\": " << iters << ",\n"
+        << "  \"repeats\": " << repeats << ",\n"
         << "  \"sections\": {\n";
     for (std::size_t b = 0; b < backends.size(); ++b) {
       out << "    \"" << tensor::vec_backend_name(backends[b]) << "\": [\n";
-      std::vector<KernelResult> rows = results[b];
-      if (!gemm_results.empty()) rows.push_back(gemm_results[b]);
+      const std::vector<KernelResult>& rows = results[b];
       for (std::size_t k = 0; k < rows.size(); ++k) {
-        const double scalar_rate =
-            (k < results[0].size() ? results[0][k] : gemm_results[0]).gelems_per_second();
+        const double scalar_rate = results[0][k].gelems_per_second();
         const double rate = rows[k].gelems_per_second();
         out << "      {\"kernel\": \"" << rows[k].kernel << "\", \"elements\": "
             << rows[k].elements << ", \"wall_seconds\": " << rows[k].wall_seconds
@@ -259,8 +423,27 @@ int main(int argc, char** argv) {
       }
       out << "    ]" << (b + 1 < backends.size() ? "," : "") << "\n";
     }
-    out << "  }\n}\n";
+    out << "  },\n"
+        << "  \"gemm\": {\n"
+        << "    \"before\": \"row-axpy loops: one axpy_f32 per (row of C, reduction index)\",\n"
+        << "    \"after\": \"matmul_acc / matmul_tn_acc through VecKernels::gemm_f32\",\n"
+        << "    \"pool_threads\": " << kGemmThreads << ",\n"
+        << "    \"all_bit_identical\": " << (all_identical ? "true" : "false") << ",\n"
+        << "    \"min_speedup\": " << min_speedup << ",\n"
+        << "    \"rows\": [\n";
+    for (std::size_t r = 0; r < gemm_results.size(); ++r) {
+      const GemmRow& row = gemm_results[r];
+      out << "      {\"backend\": \"" << row.backend << "\", \"shape\": \"" << row.shape->name
+          << "\", \"op\": \"" << (row.shape->transposed ? "A^T*B" : "A*B")
+          << "\", \"m\": " << row.shape->m << ", \"k\": " << row.shape->k
+          << ", \"n\": " << row.shape->n << ", \"zero_share\": " << row.zero_share
+          << ", \"threads\": " << row.threads << ", \"before_seconds\": " << row.before_seconds
+          << ", \"after_seconds\": " << row.after_seconds << ", \"speedup\": " << row.speedup()
+          << ", \"bit_identical\": " << (row.bit_identical ? "true" : "false") << "}"
+          << (r + 1 < gemm_results.size() ? "," : "") << "\n";
+    }
+    out << "    ]\n  }\n}\n";
     std::printf("\nwrote %s\n", json_path.c_str());
   }
-  return 0;
+  return all_identical ? 0 : 1;
 }

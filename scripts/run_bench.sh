@@ -19,8 +19,10 @@
 #                        kernels, the intra-worker batch pipeline)
 #   BENCH_kernels.json   bench_kernels — the Vec kernel engine: per-backend
 #                        (scalar/sse2/avx2/avx512, as supported by the host
-#                        CPU) throughput of every tensor hot-path kernel plus
-#                        a GEMM composite, with speedup-vs-scalar per kernel.
+#                        CPU) throughput of every tensor hot-path kernel, with
+#                        speedup-vs-scalar per kernel, plus the GEMMs on the
+#                        workloads' shapes against the row-axpy loop they
+#                        replaced (exit 1 if any result differs bitwise).
 #                        Override its flags via BENCH_KERNELS_FLAGS.
 #   BENCH_comm.json      bench_comm_regimes — communication-efficient
 #                        training regimes: sync-payload bytes/epoch, accuracy

@@ -26,7 +26,9 @@
 # three: ASan/UBSan cover the intrinsics' tail handling and gather index
 # arithmetic (exactly where a lane of out-of-bounds would live), and the
 # Vec* training-matrix suites run under TSan because backend dispatch is a
-# process-global atomic read on every pooled kernel call.
+# process-global atomic read on every pooled kernel call. So does the pooled
+# half of the GEMM bit-identity suite (VecGemmBitIdentity.Pooled*): pool
+# threads write disjoint row blocks of one C and each packs its own A^T panel.
 #
 # The communication-regime suites (`ctest -L comm`, test_comm: CommHook*,
 # CommSync*, CommRegime*) run under TSan too: compression executes in the
@@ -70,7 +72,7 @@ for sanitizer in "${sanitizers[@]}"; do
     # race report from being buried.
     TSAN_OPTIONS="halt_on_error=1" \
       ctest --test-dir "$dir" --output-on-failure \
-        -R 'Barrier|Sync|Trainer|Integration|WorkerView|ThreadPool|Sparsifier|Evaluator|PooledKernels|IoDifferentialTraining|ResumeTest|WorkerParallel|WorkerPipeline|PooledGradient|ErSolver|SparseCg|SparseLaplacian|TrainerDurability|VecTrainingMatrix|Comm|EmbeddingCache|ServingServer|ServingOracle|ServingSoak|BoundedQueue' -j
+        -R 'Barrier|Sync|Trainer|Integration|WorkerView|ThreadPool|Sparsifier|Evaluator|PooledKernels|IoDifferentialTraining|ResumeTest|WorkerParallel|WorkerPipeline|PooledGradient|ErSolver|SparseCg|SparseLaplacian|TrainerDurability|VecTrainingMatrix|VecGemmBitIdentity.Pooled|Comm|EmbeddingCache|ServingServer|ServingOracle|ServingSoak|BoundedQueue' -j
   else
     ASAN_OPTIONS="detect_leaks=1" UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
       ctest --test-dir "$dir" --output-on-failure -j

@@ -2,11 +2,65 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 #include "tensor/parallel.hpp"
 #include "tensor/vec.hpp"
 
 namespace splpg::tensor {
+
+namespace {
+
+std::string shape_text(std::size_t rows, std::size_t cols) {
+  return std::to_string(rows) + " x " + std::to_string(cols);
+}
+
+/// Rows of C per block kernel call, and the reduction depth of an A^T
+/// panel: a panel holds at most kCallRows x kPanelDepth floats (48 KB).
+constexpr std::size_t kCallRows = 48;
+constexpr std::size_t kPanelDepth = 256;
+
+/// fn(begin, end) over [0, rows) of C: one block when the kernel runs
+/// serially, else one block per thread of the calling thread's compute
+/// pool, each a multiple of `align` rows (the backend's tile height) except
+/// the last. Blocks own disjoint rows of C and run their reduction whole, so
+/// the schedule never changes an element's operations: the bytes are the
+/// same at every pool width.
+template <typename Fn>
+void for_row_blocks(std::size_t rows, std::size_t flops, std::size_t align, const Fn& fn) {
+  if (rows == 0) return;
+  util::ThreadPool* pool = pool_for(flops);
+  if (pool == nullptr) {
+    fn(0, rows);
+    return;
+  }
+  const std::size_t per_thread = (rows + pool->size() - 1) / pool->size();
+  const std::size_t block = (per_thread + align - 1) / align * align;
+  pool->parallel_for(0, (rows + block - 1) / block, [&](std::size_t index) {
+    const std::size_t begin = index * block;
+    fn(begin, std::min(rows, begin + block));
+  });
+}
+
+}  // namespace
+
+std::size_t Matrix::checked_size(std::size_t rows, std::size_t cols) {
+  std::size_t size = 0;
+  if (__builtin_mul_overflow(rows, cols, &size)) {
+    throw std::length_error("Matrix: shape " + shape_text(rows, cols) +
+                            " has a size (rows * cols) that overflows size_t");
+  }
+  return size;
+}
+
+void Matrix::check_data_size(std::size_t rows, std::size_t cols, std::size_t size) {
+  if (size != checked_size(rows, cols)) {
+    throw std::invalid_argument("Matrix: shape " + shape_text(rows, cols) + " needs " +
+                                std::to_string(rows * cols) + " floats but the data has size " +
+                                std::to_string(size));
+  }
+}
 
 void Matrix::add_inplace(const Matrix& other) noexcept {
   assert(same_shape(other));
@@ -65,21 +119,12 @@ void matmul_acc(const Matrix& a, const Matrix& b, Matrix& c) {
   // Skipping alpha == 0 exploits activation sparsity but masks NaN/Inf in
   // the skipped B row (IEEE says 0 * NaN = NaN); see vec.hpp for the flag.
   const bool skip_zero = kernels_assume_finite();
-  const auto run_row = [&](std::size_t i) {
-    const auto a_row = a.row(i);
-    const auto c_row = c.row(i);
-    for (std::size_t p = 0; p < k; ++p) {
-      const float alpha = a_row[p];
-      if (skip_zero && alpha == 0.0F) continue;
-      kern.axpy_f32(c_row.data(), b.row(p).data(), alpha, n);
+  for_row_blocks(m, sat_flops(m, k, n), kern.gemm_rows, [&](std::size_t begin, std::size_t end) {
+    for (std::size_t r0 = begin; r0 < end; r0 += kCallRows) {
+      kern.gemm_f32(c.row(r0).data(), n, a.row(r0).data(), k, 1, b.data().data(), n,
+                    std::min(kCallRows, end - r0), k, n, skip_zero);
     }
-  };
-  // Each task owns disjoint rows of C; per-row work is untouched.
-  if (util::ThreadPool* pool = pool_for(sat_flops(m, k, n))) {
-    pool->parallel_for(0, m, run_row);
-  } else {
-    for (std::size_t i = 0; i < m; ++i) run_row(i);
-  }
+  });
 }
 
 Matrix matmul(const Matrix& a, const Matrix& b) {
@@ -89,7 +134,11 @@ Matrix matmul(const Matrix& a, const Matrix& b) {
 }
 
 void matmul_tn_acc(const Matrix& a, const Matrix& b, Matrix& c) {
-  // C(k x n) += A^T(k x m) * B(m x n): iterate rows of A and B together.
+  // C(k x n) += A^T(k x m) * B(m x n). Rows [r0, r0 + rows) of C are A's
+  // columns [r0, r0 + rows). A panel copies them out of kPanelDepth rows of
+  // A at a time (panel row q = A's row i0 + q), which the block kernel reads
+  // transposed, and the panels walk the reduction in ascending i: every
+  // element still gets its terms in the serial order, one per row of A and B.
   assert(a.rows() == b.rows());
   assert(c.rows() == a.cols() && c.cols() == b.cols());
   const std::size_t m = a.rows();
@@ -97,31 +146,21 @@ void matmul_tn_acc(const Matrix& a, const Matrix& b, Matrix& c) {
   const std::size_t n = b.cols();
   const VecKernels& kern = vec_kernels();
   const bool skip_zero = kernels_assume_finite();
-  if (util::ThreadPool* pool = pool_for(sat_flops(m, k, n))) {
-    // Row i of A touches EVERY row of C, so the i-loop cannot be split.
-    // Parallelize over C rows instead: each task owns disjoint rows p, and
-    // for a fixed (p, j) the contributions a(i,p)*b(i,j) still accumulate in
-    // ascending i — the exact per-element order of the serial loop below —
-    // so the bytes are identical (within one backend).
-    pool->parallel_for(0, k, [&](std::size_t p) {
-      const auto c_row = c.row(p);
-      for (std::size_t i = 0; i < m; ++i) {
-        const float alpha = a.at(i, p);
-        if (skip_zero && alpha == 0.0F) continue;
-        kern.axpy_f32(c_row.data(), b.row(i).data(), alpha, n);
+  for_row_blocks(k, sat_flops(m, k, n), kern.gemm_rows, [&](std::size_t begin, std::size_t end) {
+    std::vector<float> panel(std::min(end - begin, kCallRows) * std::min(m, kPanelDepth));
+    for (std::size_t r0 = begin; r0 < end; r0 += kCallRows) {
+      const std::size_t rows = std::min(kCallRows, end - r0);
+      for (std::size_t i0 = 0; i0 < m; i0 += kPanelDepth) {
+        const std::size_t depth = std::min(kPanelDepth, m - i0);
+        for (std::size_t q = 0; q < depth; ++q) {
+          const float* a_row = a.row(i0 + q).data() + r0;
+          std::copy(a_row, a_row + rows, panel.begin() + static_cast<std::ptrdiff_t>(q * rows));
+        }
+        kern.gemm_f32(c.row(r0).data(), n, panel.data(), 1, rows, b.row(i0).data(), n, rows,
+                      depth, n, skip_zero);
       }
-    });
-    return;
-  }
-  for (std::size_t i = 0; i < m; ++i) {
-    const auto a_row = a.row(i);
-    const auto b_row = b.row(i);
-    for (std::size_t p = 0; p < k; ++p) {
-      const float alpha = a_row[p];
-      if (skip_zero && alpha == 0.0F) continue;
-      kern.axpy_f32(c.row(p).data(), b_row.data(), alpha, n);
     }
-  }
+  });
 }
 
 Matrix matmul_tn(const Matrix& a, const Matrix& b) {

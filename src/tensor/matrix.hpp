@@ -3,8 +3,14 @@
 //
 // Deliberately BLAS-free: the experiments compare training *methods*, not
 // kernels, and a self-contained implementation keeps the library dependency-
-// free. The GEMM uses an i-k-j loop order so the inner loop streams both B
-// and C rows (vectorizable by the compiler).
+// free. A*B and A^T*B run the Vec engine's register-tiled block kernel
+// (VecKernels::gemm_f32) over blocks of C rows; A^T*B first packs a bounded
+// panel of A^T per block. A*B^T is a dot product per element of C.
+//
+// Every shape is checked in every build type: a rows x cols product that
+// overflows size_t throws std::length_error, and a data vector of the wrong
+// size throws std::invalid_argument, so rows() * cols() == size() always
+// holds for the kernels that trust it.
 #pragma once
 
 #include <cassert>
@@ -20,11 +26,11 @@ class Matrix {
   Matrix() = default;
 
   Matrix(std::size_t rows, std::size_t cols, float fill = 0.0F)
-      : rows_(rows), cols_(cols), data_(rows * cols, fill) {}
+      : rows_(rows), cols_(cols), data_(checked_size(rows, cols), fill) {}
 
   Matrix(std::size_t rows, std::size_t cols, std::vector<float> data)
       : rows_(rows), cols_(cols), data_(std::move(data)) {
-    assert(data_.size() == rows_ * cols_);
+    check_data_size(rows_, cols_, data_.size());
   }
 
   [[nodiscard]] std::size_t rows() const noexcept { return rows_; }
@@ -54,11 +60,12 @@ class Matrix {
   void fill(float value) noexcept { std::fill(data_.begin(), data_.end(), value); }
   void zero() noexcept { fill(0.0F); }
 
-  /// Resizes (contents become unspecified) — used to size gradient buffers.
+  /// Reshapes to rows x cols and zero-fills every element — used to size
+  /// gradient buffers; Node::accumulate relies on the zeros.
   void resize(std::size_t rows, std::size_t cols) {
+    data_.assign(checked_size(rows, cols), 0.0F);
     rows_ = rows;
     cols_ = cols;
-    data_.assign(rows * cols, 0.0F);
   }
 
   [[nodiscard]] bool same_shape(const Matrix& other) const noexcept {
@@ -81,6 +88,11 @@ class Matrix {
   [[nodiscard]] Matrix transposed() const;
 
  private:
+  /// rows * cols; std::length_error naming the shape if it overflows.
+  static std::size_t checked_size(std::size_t rows, std::size_t cols);
+  /// std::invalid_argument naming the shape unless size == rows * cols.
+  static void check_data_size(std::size_t rows, std::size_t cols, std::size_t size);
+
   std::size_t rows_ = 0;
   std::size_t cols_ = 0;
   std::vector<float> data_;

@@ -17,15 +17,24 @@
 //  * Every SIMD backend is a pure function of its inputs — same backend,
 //    same bytes, at every thread count and schedule (kernels never split
 //    work across threads themselves; row/edge decomposition happens above
-//    them and each output element is produced by exactly one kernel call) —
+//    them and each output element is produced on one thread by a fixed
+//    sequence of kernel calls) —
 //    and matches the scalar backend within the documented per-kernel bounds
 //    below.
+//
+// Kernels: axpy/dot (f32, f64), the block GEMM gemm_f32, xpby, the CSR
+// spmv row, exp/sigmoid/sigmoid_grad, the BCE forward and gradient, and the
+// fused Adam step.
 //
 // Per-kernel scalar-vs-SIMD bounds (eps = machine epsilon of the element
 // type, k = reduction length):
 //  * axpy/xpby: elementwise; FMA contraction differs from mul+add by at
 //    most 1 ULP per call. Accumulated over a k-deep GEMM update chain the
 //    divergence is <= (k + 2) * eps * sum_p |a_p * b_pj|.
+//  * gemm_f32: runs axpy_f32's operation sequence for every element (one
+//    fma per term on full vectors, mul+add on the tail, ascending k, the
+//    same zero skip), so on one backend it equals the row loop of axpy_f32
+//    calls bit for bit, and against scalar it has axpy's GEMM bound above.
 //  * dot/spmv_row: lane-partial accumulation reassociates the sum;
 //    |simd - scalar| <= 2 * (k + 2) * eps * sum |terms|.
 //  * exp/sigmoid: Cephes polynomial vs libm — <= 16 ULP elementwise, plus
@@ -57,12 +66,29 @@ struct VecKernels {
   const char* name = "scalar";
   std::size_t width_f32 = 1;  ///< float lanes per vector op
   std::size_t width_f64 = 1;  ///< double lanes per vector op
+  std::size_t gemm_rows = 1;  ///< rows of C per gemm_f32 register tile
 
   // ---- linear float kernels (GEMM / aggregation inner loops) ----
   /// dst[i] += alpha * src[i]
   void (*axpy_f32)(float* dst, const float* src, float alpha, std::size_t n);
   /// sum_i a[i] * b[i]
   float (*dot_f32)(const float* a, const float* b, std::size_t n);
+  /// Block GEMM: C (m x n) += A (m x k) * B (k x n). C and B are row-major
+  /// with row strides ldc and ldb; A(i, p) = a[i * a_row_stride + p *
+  /// a_col_stride], so A may be a row-major matrix or a transposed view.
+  /// Every element of C takes exactly the operations of the row loop
+  /// `for p < k: axpy_f32(C row i, B row p, A(i, p), n)`: one fma per term
+  /// on full-vector columns, a mul then an add on the n % width_f32 tail, p
+  /// ascending. With `skip_zero` the terms with A(i, p) == 0 are left out,
+  /// as the loop's skip does; the update is masked, never fma(0, b, c). So
+  /// it equals those loops bit for bit on the same backend. Scalar runs the
+  /// row loop itself. SSE2 and AVX2 run C's rows one at a time, each in a
+  /// register tile over its listed terms (the nonzero ones with skip_zero).
+  /// AVX-512 holds a 6-row register tile of C across the reduction, and runs
+  /// rows one at a time instead when more than 3/4 of A is zero.
+  void (*gemm_f32)(float* c, std::size_t ldc, const float* a, std::size_t a_row_stride,
+                   std::size_t a_col_stride, const float* b, std::size_t ldb, std::size_t m,
+                   std::size_t k, std::size_t n, bool skip_zero);
 
   // ---- linear double kernels (sparse CSR solvers) ----
   /// dst[i] += alpha * src[i]
@@ -132,10 +158,10 @@ bool set_vec_backend(VecBackend backend) noexcept;
 // ---------------------------------------------------------------------------
 // IEEE strictness of the GEMM zero-skip.
 //
-// matmul_acc / matmul_tn_acc skip an A-row entry when alpha == 0: for finite
-// B this is exact (c + 0*b == c except for signed-zero flips the skip also
-// avoids), but it masks NaN/Inf in the skipped B row — the IEEE result of
-// 0 * NaN is NaN and would propagate into C. The skip is ON by default
+// matmul_acc / matmul_tn_acc (gemm_f32) skip an A entry when alpha == 0:
+// for finite B this is exact (c + 0*b == c except for signed-zero flips the
+// skip also avoids), but it masks NaN/Inf in the skipped B row — the IEEE
+// result of 0 * NaN is NaN and would propagate into C. The skip is ON by default
 // (bit-compatible with the historical kernels and with the sparsity the
 // skip exists to exploit); flip it off when NaN poisoning must surface.
 // Process-wide, read with relaxed ordering at kernel entry.

@@ -30,6 +30,11 @@ struct Vecf {
   static Vecf mul(Vecf a, Vecf b) { return {_mm512_mul_ps(a.v, b.v)}; }
   static Vecf div(Vecf a, Vecf b) { return {_mm512_div_ps(a.v, b.v)}; }
   static Vecf fma(Vecf a, Vecf b, Vecf c) { return {_mm512_fmadd_ps(a.v, b.v, c.v)}; }
+  /// fma(a, b, c) in the lanes where a != 0, c where a == +-0.
+  static Vecf fma_nonzero(Vecf a, Vecf b, Vecf c) {
+    return {_mm512_mask3_fmadd_ps(a.v, b.v, c.v,
+                                  _mm512_cmp_ps_mask(a.v, _mm512_setzero_ps(), _CMP_NEQ_UQ))};
+  }
   static Vecf min(Vecf a, Vecf b) { return {_mm512_min_ps(a.v, b.v)}; }
   static Vecf max(Vecf a, Vecf b) { return {_mm512_max_ps(a.v, b.v)}; }
   static Vecf sqrt(Vecf a) { return {_mm512_sqrt_ps(a.v)}; }
@@ -99,16 +104,30 @@ struct Vecd {
   }
 };
 
+// GEMM tile, the only multi-row one (SSE2 and AVX2 run rows one at a time,
+// which measured faster there at every zero share): 6 rows x 4 vectors
+// (6 x 64 floats) = 24 of the 32 zmm accumulators, leaving room for the 4 B
+// vectors and the broadcast.
+inline constexpr std::size_t kGemmRows = 6;
+inline constexpr std::size_t kGemmVecs = 4;
+// Masked lanes are free here (mask registers). Forcing each path on the
+// training shapes put the crossover at 65-80% zeros on the first layer and
+// 80-90% on the hidden layers (serial); above 75% a call runs its rows one
+// at a time over their nonzero terms.
+inline constexpr double kGemmTileMaxZeros = 0.75;
+
 }  // namespace vec_avx512_impl
 }  // namespace splpg::tensor
 
 #define SPLPG_VEC_NS vec_avx512_impl
 #define SPLPG_VEC_NAME "avx512"
 #define SPLPG_VEC_ENUM VecBackend::kAvx512
+#define SPLPG_VEC_GEMM_TILE
 #include "tensor/vec_kernels.inl"
 #undef SPLPG_VEC_NS
 #undef SPLPG_VEC_NAME
 #undef SPLPG_VEC_ENUM
+#undef SPLPG_VEC_GEMM_TILE
 
 namespace splpg::tensor::detail {
 const VecKernels* vec_table_avx512() noexcept { return &vec_avx512_impl::kTable; }

@@ -41,6 +41,18 @@ void xpby_f64(double* dst, const double* src, double beta, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) dst[i] = src[i] + beta * dst[i];
 }
 
+void gemm_f32(float* c, std::size_t ldc, const float* a, std::size_t a_row_stride,
+              std::size_t a_col_stride, const float* b, std::size_t ldb, std::size_t m,
+              std::size_t k, std::size_t n, bool skip_zero) {
+  for (std::size_t i = 0; i < m; ++i) {
+    for (std::size_t p = 0; p < k; ++p) {
+      const float alpha = a[i * a_row_stride + p * a_col_stride];
+      if (skip_zero && alpha == 0.0F) continue;
+      axpy_f32(c + i * ldc, b + p * ldb, alpha, n);
+    }
+  }
+}
+
 double dot_f64(const double* a, const double* b, std::size_t n) {
   double total = 0.0;
   for (std::size_t i = 0; i < n; ++i) total += a[i] * b[i];
@@ -98,8 +110,10 @@ const VecKernels kTable = {
     "scalar",
     /*width_f32=*/1,
     /*width_f64=*/1,
+    /*gemm_rows=*/1,
     &axpy_f32,
     &dot_f32,
+    &gemm_f32,
     &axpy_f64,
     &xpby_f64,
     &dot_f64,

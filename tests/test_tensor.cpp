@@ -4,6 +4,9 @@
 
 #include <cmath>
 #include <limits>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "tensor/eigen.hpp"
 #include "tensor/init.hpp"
@@ -180,6 +183,50 @@ TEST(Matrix, AssumeFiniteScopeRestoresPreviousValue) {
     EXPECT_FALSE(kernels_assume_finite());
   }
   EXPECT_TRUE(kernels_assume_finite());
+}
+
+// Shapes are checked in every build type (the GEMM block kernel trusts
+// rows * cols == size()), not only by asserts.
+TEST(Matrix, OverflowingShapeThrowsLengthErrorNamingIt) {
+  constexpr std::size_t kHuge = std::size_t{1} << 32U;
+  const auto expect_length_error = [](const auto& make) {
+    try {
+      make();
+      FAIL() << "expected std::length_error";
+    } catch (const std::length_error& error) {
+      EXPECT_NE(std::string(error.what()).find("4294967296 x 4294967296"), std::string::npos)
+          << error.what();
+      EXPECT_NE(std::string(error.what()).find("size"), std::string::npos) << error.what();
+    }
+  };
+  expect_length_error([] { (void)Matrix(kHuge, kHuge); });
+  expect_length_error([] { (void)Matrix(kHuge, kHuge, std::vector<float>{}); });
+  Matrix m(2, 3, 7.0F);
+  expect_length_error([&] { m.resize(kHuge, kHuge); });
+  // A failed resize leaves the matrix as it was; a good one zero-fills.
+  EXPECT_EQ(m.rows(), 2U);
+  EXPECT_EQ(m.cols(), 3U);
+  EXPECT_EQ(m.size(), 6U);
+  m.resize(3, 4);
+  EXPECT_EQ(m.rows() * m.cols(), m.size());
+  for (const float x : m.data()) EXPECT_EQ(x, 0.0F);
+}
+
+TEST(Matrix, DataSizeMismatchThrowsInvalidArgumentNamingIt) {
+  for (const std::size_t size : {3U, 5U, 0U}) {
+    try {
+      (void)Matrix(2, 2, std::vector<float>(size, 1.0F));
+      FAIL() << "expected std::invalid_argument for " << size << " floats";
+    } catch (const std::invalid_argument& error) {
+      const std::string what = error.what();
+      EXPECT_NE(what.find("2 x 2"), std::string::npos) << what;
+      EXPECT_NE(what.find("size " + std::to_string(size)), std::string::npos) << what;
+    }
+  }
+  const Matrix empty(0, 5, std::vector<float>{});
+  EXPECT_EQ(empty.size(), 0U);
+  const Matrix exact(2, 2, std::vector<float>{1.0F, 2.0F, 3.0F, 4.0F});
+  EXPECT_EQ(exact.at(1, 1), 4.0F);
 }
 
 TEST(Parallel, SaturatingFlopGateDoesNotWrap) {

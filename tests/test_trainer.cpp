@@ -553,7 +553,9 @@ TEST(Evaluator, RejectsOutOfRangeNodeIds) {
 // change that reorders RNG draws or collective calls passes them all. These
 // digests were recorded once and cover final parameters, per-epoch records,
 // graph/sync bytes per worker and fault counters. The scalar backend is
-// pinned so the digests hold on every host.
+// pinned so the digests hold on every host; the SIMD cases at the end pin
+// one SpLPG and one centralized run per SIMD backend and skip on hosts that
+// cannot run it.
 
 /// FNV-1a over the raw bytes of trivially copyable values.
 class Digest {
@@ -612,9 +614,13 @@ std::uint64_t result_digest(const TrainResult& result) {
   return digest.value();
 }
 
-void expect_golden(const TrainConfig& config, std::uint64_t want) {
+void expect_golden(const TrainConfig& config, std::uint64_t want,
+                   tensor::VecBackend backend = tensor::VecBackend::kScalar) {
+  if (!tensor::vec_backend_supported(backend)) {
+    GTEST_SKIP() << tensor::vec_backend_name(backend) << " is not supported on this host";
+  }
   const tensor::VecBackend original = tensor::vec_active_backend();
-  ASSERT_TRUE(tensor::set_vec_backend(tensor::VecBackend::kScalar));
+  ASSERT_TRUE(tensor::set_vec_backend(backend));
   const TrainResult result =
       train_link_prediction(problem().split, problem().dataset.features, config);
   ASSERT_TRUE(tensor::set_vec_backend(original));
@@ -689,6 +695,49 @@ TEST(TrainerGolden, SplpgPlusWorkerZeroCrashEarlyStopWithoutCheckpoints) {
   config.eval_every = 1;
   config.patience = 1;
   expect_golden(config, 0xc4af56428bd94134ULL);
+}
+
+// SIMD backends keep their own bytes: FMA contraction and lane-order
+// reductions make them differ from scalar, but each must reproduce its own
+// digest exactly. The centralized run uses a hidden width that leaves a
+// remainder on every vector width, so the GEMMs' scalar tail columns train
+// too.
+TrainConfig simd_splpg_config() {
+  auto config = base_config(Method::kSplpg, 3);
+  config.sync = dist::SyncMode::kGradientAveraging;
+  return config;
+}
+
+TrainConfig simd_centralized_config() {
+  auto config = base_config(Method::kCentralized, 3);
+  config.model.hidden_dim = 20;
+  return config;
+}
+
+TEST(TrainerGolden, SplpgOnSse2) {
+  expect_golden(simd_splpg_config(), 0x088522dc174b80beULL, tensor::VecBackend::kSse2);
+}
+
+TEST(TrainerGolden, SplpgOnAvx2) {
+  expect_golden(simd_splpg_config(), 0x9eb47170a32a0a47ULL, tensor::VecBackend::kAvx2);
+}
+
+TEST(TrainerGolden, SplpgOnAvx512) {
+  expect_golden(simd_splpg_config(), 0x46a3f5b37694e7a4ULL, tensor::VecBackend::kAvx512);
+}
+
+TEST(TrainerGolden, CentralizedOnSse2) {
+  expect_golden(simd_centralized_config(), 0x728251fc57293730ULL, tensor::VecBackend::kSse2);
+}
+
+TEST(TrainerGolden, CentralizedOnAvx2) {
+  expect_golden(simd_centralized_config(), 0x4a35066fa05a08a7ULL, tensor::VecBackend::kAvx2);
+}
+
+// Equal to the AVX2 digest: at hidden width 20 both backends issue the same
+// fma per GEMM element and their dot products add the same lane pairs.
+TEST(TrainerGolden, CentralizedOnAvx512) {
+  expect_golden(simd_centralized_config(), 0x4a35066fa05a08a7ULL, tensor::VecBackend::kAvx512);
 }
 
 }  // namespace

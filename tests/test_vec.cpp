@@ -1,24 +1,30 @@
 // Kernel-engine tests: backend registry/dispatch, per-backend known-answer
 // checks, randomized scalar-vs-SIMD bound property tests (the documented
 // ULP bounds from vec.hpp), the bit-identical-on-every-backend kernels
-// (adam_step, sigmoid_grad, xpby, alpha=1 axpy), and a per-backend
-// end-to-end training determinism matrix across thread widths {1,2,4,7} x
-// pipeline depths {0,2}.
+// (adam_step, sigmoid_grad, xpby, alpha=1 axpy), the GEMMs against the
+// row-axpy loops they replaced (bit for bit, per backend, serial and
+// pooled), and a per-backend end-to-end training determinism matrix across
+// thread widths {1,2,4,7} x pipeline depths {0,2}.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "core/trainer.hpp"
 #include "data/dataset.hpp"
 #include "sampling/edge_split.hpp"
+#include "tensor/matrix.hpp"
+#include "tensor/parallel.hpp"
 #include "tensor/vec.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace splpg::tensor {
 namespace {
@@ -111,6 +117,7 @@ TEST(VecBackendRegistry, SupportedTablesAreComplete) {
     EXPECT_NE(kern.bce_forward_f64, nullptr);
     EXPECT_NE(kern.bce_grad_f32, nullptr);
     EXPECT_NE(kern.adam_step_f32, nullptr);
+    EXPECT_NE(kern.gemm_f32, nullptr);
   }
 }
 
@@ -524,6 +531,161 @@ TEST(VecBitIdentity, ElementwiseTranscendentalsIgnorePosition) {
       }
     }
   }
+}
+
+// ---- GEMM: matmul_acc / matmul_tn_acc vs the row-axpy loops ----
+//
+// The reference is the pair of loops the GEMMs ran before the block kernel:
+// one axpy_f32 per (output row, reduction index), reduction ascending, and
+// alpha == 0 skipped when kernels_assume_finite(). Every output element must
+// come out byte for byte the same on every backend, at every pool width.
+
+void row_loop_matmul_acc(const VecKernels& kern, const Matrix& a, const Matrix& b, Matrix& c) {
+  const bool skip_zero = kernels_assume_finite();
+  for (std::size_t i = 0; i < a.rows(); ++i) {
+    for (std::size_t p = 0; p < a.cols(); ++p) {
+      const float alpha = a.at(i, p);
+      if (skip_zero && alpha == 0.0F) continue;
+      kern.axpy_f32(c.row(i).data(), b.row(p).data(), alpha, b.cols());
+    }
+  }
+}
+
+void row_loop_matmul_tn_acc(const VecKernels& kern, const Matrix& a, const Matrix& b,
+                            Matrix& c) {
+  const bool skip_zero = kernels_assume_finite();
+  for (std::size_t i = 0; i < a.rows(); ++i) {
+    for (std::size_t p = 0; p < a.cols(); ++p) {
+      const float alpha = a.at(i, p);
+      if (skip_zero && alpha == 0.0F) continue;
+      kern.axpy_f32(c.row(p).data(), b.row(i).data(), alpha, b.cols());
+    }
+  }
+}
+
+struct GemmShape {
+  std::size_t m, k, n;  // A is m x k; A*B uses B k x n, A^T*B uses B m x n
+};
+
+/// Every remainder: empty dimensions, row counts off every tile height,
+/// widths with and without a tail on every vector width, the 1,433-deep
+/// first-layer reduction, and A^T*B reductions longer than one panel.
+constexpr GemmShape kSerialGemmShapes[] = {
+    {0, 7, 17}, {7, 0, 17}, {7, 9, 0},     {1, 1, 1},      {5, 3, 1},       {7, 31, 33},
+    {13, 1433, 17}, {50, 1433, 65}, {301, 37, 64}, {97, 19, 65}, {4, 64, 64}, {11, 6, 16}};
+/// Large enough to cross the pool gate (m*k*n >= 2^15) except the last.
+constexpr GemmShape kPooledGemmShapes[] = {
+    {13, 1433, 17}, {301, 37, 64}, {50, 200, 65}, {97, 19, 65}, {7, 31, 33}};
+
+/// The NaN bit pattern x86 generates for an invalid operation (0 * Inf,
+/// Inf - Inf). Seeding B's NaNs with it leaves one NaN pattern in the whole
+/// computation, so memcmp compares the arithmetic rather than which operand's
+/// payload an instruction encoding happens to forward.
+const float kDefaultNan = std::bit_cast<float>(0xFFC00000U);
+
+struct GemmInputs {
+  Matrix a, b_ab, b_tn, c_ab, c_tn;
+};
+
+/// A with `zero_share` of its entries zero (a third of those -0), B with
+/// NaN and +-Inf sprinkled in when `poisoned`, C seeded with -0 on every
+/// other entry and small values elsewhere.
+GemmInputs make_gemm_inputs(const GemmShape& shape, double zero_share, bool poisoned,
+                            util::Rng& rng) {
+  GemmInputs in;
+  const auto fill_b = [&](Matrix& b) {
+    for (float& x : b.data()) {
+      x = static_cast<float>(rng.uniform(-1.0, 1.0));
+      if (poisoned && rng.bernoulli(0.03)) {
+        const std::uint64_t pick = rng.uniform_u64(3);
+        x = pick == 0 ? kDefaultNan
+                      : (pick == 1 ? std::numeric_limits<float>::infinity()
+                                   : -std::numeric_limits<float>::infinity());
+      }
+    }
+  };
+  const auto fill_c = [&](Matrix& c) {
+    std::size_t index = 0;
+    for (float& x : c.data()) {
+      x = (index++ % 2 == 0) ? -0.0F : static_cast<float>(rng.uniform(-0.5, 0.5));
+    }
+  };
+  in.a = Matrix(shape.m, shape.k);
+  for (float& x : in.a.data()) {
+    x = static_cast<float>(rng.uniform(-1.0, 1.0));
+    if (rng.bernoulli(zero_share)) x = rng.bernoulli(1.0 / 3.0) ? -0.0F : 0.0F;
+  }
+  in.b_ab = Matrix(shape.k, shape.n);
+  in.b_tn = Matrix(shape.m, shape.n);
+  fill_b(in.b_ab);
+  fill_b(in.b_tn);
+  in.c_ab = Matrix(shape.m, shape.n);
+  in.c_tn = Matrix(shape.k, shape.n);
+  fill_c(in.c_ab);
+  fill_c(in.c_tn);
+  return in;
+}
+
+bool same_bytes(const Matrix& x, const Matrix& y) {
+  return x.same_shape(y) && x.size() == y.size() &&
+         (x.size() == 0 ||
+          std::memcmp(x.data().data(), y.data().data(), x.size() * sizeof(float)) == 0);
+}
+
+/// Runs both GEMMs under every (backend, zero share, skip, poison) case and
+/// each pool width in `widths` (0 = no pool), comparing with the row loops.
+void expect_gemms_match_row_loops(std::span<const GemmShape> shapes,
+                                  std::span<const std::size_t> widths) {
+  BackendGuard guard;
+  util::Rng rng(4099);
+  for (const VecBackend backend : supported_backends()) {
+    ASSERT_TRUE(set_vec_backend(backend));
+    const VecKernels& kern = vec_kernels_for(backend);
+    // 0.05: tile steps mix plain and masked rows; 0.5: some tile steps skip
+    // outright; 0.75: calls fall on both sides of AVX-512's tile threshold;
+    // 0.9: rows run one at a time.
+    for (const double zero_share : {0.0, 0.05, 0.5, 0.75, 0.9}) {
+      for (const bool assume_finite : {true, false}) {
+        const AssumeFiniteScope finite(assume_finite);
+        for (const bool poisoned : {false, true}) {
+          for (const GemmShape& shape : shapes) {
+            const GemmInputs in = make_gemm_inputs(shape, zero_share, poisoned, rng);
+            Matrix want_ab = in.c_ab;
+            Matrix want_tn = in.c_tn;
+            row_loop_matmul_acc(kern, in.a, in.b_ab, want_ab);
+            row_loop_matmul_tn_acc(kern, in.a, in.b_tn, want_tn);
+            for (const std::size_t width : widths) {
+              std::optional<util::ThreadPool> pool;
+              if (width > 0) pool.emplace(width);
+              const ComputePoolScope scope(pool ? &*pool : nullptr);
+              Matrix got_ab = in.c_ab;
+              Matrix got_tn = in.c_tn;
+              matmul_acc(in.a, in.b_ab, got_ab);
+              matmul_tn_acc(in.a, in.b_tn, got_tn);
+              const std::string what =
+                  std::string(kern.name) + " m=" + std::to_string(shape.m) +
+                  " k=" + std::to_string(shape.k) + " n=" + std::to_string(shape.n) +
+                  " zeros=" + std::to_string(zero_share) +
+                  " assume_finite=" + std::to_string(assume_finite) +
+                  " poisoned=" + std::to_string(poisoned) + " pool=" + std::to_string(width);
+              EXPECT_TRUE(same_bytes(got_ab, want_ab)) << "A*B " << what;
+              EXPECT_TRUE(same_bytes(got_tn, want_tn)) << "A^T*B " << what;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(VecGemmBitIdentity, SerialMatchesRowAxpyLoops) {
+  constexpr std::size_t kWidths[] = {0};
+  expect_gemms_match_row_loops(kSerialGemmShapes, kWidths);
+}
+
+TEST(VecGemmBitIdentity, PooledMatchesRowAxpyLoops) {
+  constexpr std::size_t kWidths[] = {2, 4, 7};
+  expect_gemms_match_row_loops(kPooledGemmShapes, kWidths);
 }
 
 // ---- end-to-end: per-backend training determinism matrix ----
