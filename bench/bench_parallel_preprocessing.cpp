@@ -1,6 +1,7 @@
 // Parallel preprocessing benchmark: serial vs ThreadPool execution of the
-// master-side hot paths (partition sparsification, the Laplacian and CG
-// effective-resistance kernels, and evaluation scoring), with a bit-identity check per section.
+// master-side hot paths (partition sparsification, the per-edge CG
+// effective-resistance solves, and evaluation scoring), with a bit-identity
+// check per section.
 //
 // The determinism contract is the point: every parallel path must produce
 // the same bytes as its serial counterpart, so the speedup column is pure
@@ -56,7 +57,7 @@ int main(int argc, char** argv) {
 
   util::Flags flags(
       "Parallel preprocessing benchmark: serial vs ThreadPool sparsification, "
-      "ER kernels, and evaluation scoring. Each section verifies the "
+      "exact ER solves, and evaluation scoring. Each section verifies the "
       "parallel output is bit-identical to serial before timing it.");
   flags.define("dataset", "cora", "dataset for sparsification/evaluation sections");
   flags.define("scale", 0.25, "dataset scale factor in (0, 1]");
@@ -67,7 +68,7 @@ int main(int argc, char** argv) {
                "ThreadPool width for the parallel variants (0 = hardware)");
   flags.define("repeats", static_cast<std::int64_t>(3), "timing repetitions (best-of)");
   flags.define("er_nodes", static_cast<std::int64_t>(220),
-               "node count of the synthetic graph for the Laplacian and CG ER kernels");
+               "node count of the synthetic graph for the exact ER section");
   flags.define("json", "BENCH_parallel.json", "output path for machine-readable results");
   if (!flags.parse(argc, argv)) return 1;
 
@@ -125,7 +126,7 @@ int main(int argc, char** argv) {
     sections.push_back(section);
   }
 
-  // ---- sections 2+3: ER kernels on a synthetic graph ----
+  // ---- section 2: exact effective resistance on a synthetic graph ----
   {
     data::SbmParams params;
     params.num_nodes = er_nodes;
@@ -134,41 +135,19 @@ int main(int argc, char** argv) {
     const auto graph = data::generate_sbm(params, rng);
     util::ThreadPool pool(threads);
 
-    Section norm{"normalized_laplacian"};
-    {
-      const auto a = sparsify::normalized_laplacian(graph);
-      const auto b = sparsify::normalized_laplacian(graph, &pool);
-      norm.bit_identical = true;
-      for (graph::NodeId i = 0; norm.bit_identical && i < graph.num_nodes(); ++i) {
-        for (graph::NodeId j = 0; j < graph.num_nodes(); ++j) {
-          if (a.at(i, j) != b.at(i, j)) {
-            norm.bit_identical = false;
-            break;
-          }
-        }
-      }
-      norm.serial_seconds =
-          time_best(repeats, [&] { (void)sparsify::normalized_laplacian(graph); });
-      norm.parallel_seconds =
-          time_best(repeats, [&] { (void)sparsify::normalized_laplacian(graph, &pool); });
-    }
-    sections.push_back(norm);
-
-    Section exact{"exact_effective_resistance"};
-    {
-      // Per-edge CG solves fan out whole across the pool.
-      const auto a = sparsify::exact_effective_resistance(graph);
-      const auto b = sparsify::exact_effective_resistance(graph, &pool);
-      exact.bit_identical = std::equal(a.begin(), a.end(), b.begin(), b.end());
-      exact.serial_seconds =
-          time_best(repeats, [&] { (void)sparsify::exact_effective_resistance(graph); });
-      exact.parallel_seconds =
-          time_best(repeats, [&] { (void)sparsify::exact_effective_resistance(graph, &pool); });
-    }
-    sections.push_back(exact);
+    // Per-edge CG solves fan out whole across the pool.
+    Section section{"exact_effective_resistance"};
+    const auto a = sparsify::exact_effective_resistance(graph);
+    const auto b = sparsify::exact_effective_resistance(graph, &pool);
+    section.bit_identical = std::equal(a.begin(), a.end(), b.begin(), b.end());
+    section.serial_seconds =
+        time_best(repeats, [&] { (void)sparsify::exact_effective_resistance(graph); });
+    section.parallel_seconds =
+        time_best(repeats, [&] { (void)sparsify::exact_effective_resistance(graph, &pool); });
+    sections.push_back(section);
   }
 
-  // ---- section 4: evaluation scoring ----
+  // ---- section 3: evaluation scoring ----
   {
     const auto dataset = data::make_dataset(dataset_name, scale, seed);
     util::Rng split_rng = util::Rng(seed).split("split/" + dataset_name);

@@ -1,11 +1,11 @@
 // Worker-side parallelism benchmark: serial vs ThreadPool execution of the
 // per-batch hot paths inside one worker — chunk-parallel neighbor sampling,
-// row-blocked forward/backward kernels, and the two-stage batch pipeline —
-// with a bit-identity check per section.
+// row-blocked forward/backward kernels, and a whole training epoch at
+// worker_threads N against 1 — with a bit-identity check per section.
 //
 // Companion to bench_parallel_preprocessing (the master-side hot paths).
-// The determinism contract is again the point: every pooled/pipelined path
-// must produce the same bytes as its serial counterpart, so the speedup
+// The determinism contract is again the point: every pooled path must
+// produce the same bytes as its serial counterpart, so the speedup
 // column is pure profit. Each section also reports process-CPU time: a
 // pooled section burns ~the serial CPU across more threads, so cpu/wall
 // shows the achieved parallelism. Writes machine-readable results to --json
@@ -107,21 +107,19 @@ int main(int argc, char** argv) {
 
   util::Flags flags(
       "Worker-side parallelism benchmark: serial vs ThreadPool neighbor "
-      "sampling, row-blocked forward/backward kernels, and the intra-worker "
-      "batch pipeline. Each section verifies the parallel output is "
-      "bit-identical to serial before timing it.");
+      "sampling, row-blocked forward/backward kernels, and a training epoch. "
+      "Each section verifies the parallel output is bit-identical to serial "
+      "before timing it.");
   flags.define("dataset", "cora", "dataset for every section");
   flags.define("scale", 0.25, "dataset scale factor in (0, 1]");
   flags.define("seed", static_cast<std::int64_t>(1), "run seed");
-  flags.define("partitions", static_cast<std::int64_t>(2), "partition count (pipeline section)");
-  flags.define("epochs", static_cast<std::int64_t>(2), "epochs for the pipeline section");
+  flags.define("partitions", static_cast<std::int64_t>(2), "partition count (epoch section)");
+  flags.define("epochs", static_cast<std::int64_t>(2), "epochs for the epoch section");
   flags.define("max_batches", static_cast<std::int64_t>(4), "mini-batches per epoch");
   flags.define("hidden", static_cast<std::int64_t>(48), "hidden dimension");
   flags.define("layers", static_cast<std::int64_t>(2), "GNN layers");
   flags.define("worker-threads", static_cast<std::int64_t>(4),
                "per-worker ThreadPool width for the parallel variants (0 = hardware)");
-  flags.define("pipeline", static_cast<std::int64_t>(2),
-               "pipeline depth for the pipelined variant");
   flags.define("repeats", static_cast<std::int64_t>(3), "timing repetitions (best-of)");
   flags.define("json", "BENCH_worker.json", "output path for machine-readable results");
   if (!flags.parse(argc, argv)) return 1;
@@ -135,16 +133,14 @@ int main(int argc, char** argv) {
   const auto hidden = static_cast<std::size_t>(flags.get_int("hidden"));
   const auto layers = static_cast<std::uint32_t>(flags.get_int("layers"));
   const auto worker_threads = static_cast<std::size_t>(flags.get_int("worker-threads"));
-  const auto pipeline = static_cast<std::uint32_t>(flags.get_int("pipeline"));
   const auto repeats = static_cast<int>(flags.get_int("repeats"));
 
   const unsigned hardware = std::max(1U, std::thread::hardware_concurrency());
-  bench::print_title("WORKER-SIDE PARALLELISM — SERIAL vs THREADPOOL / PIPELINE",
+  bench::print_title("WORKER-SIDE PARALLELISM — SERIAL vs THREADPOOL",
                      "per-batch hot paths; bit-identical outputs at every thread count");
-  std::printf("dataset=%s scale=%.2f partitions=%u worker_threads=%zu pipeline=%u "
+  std::printf("dataset=%s scale=%.2f partitions=%u worker_threads=%zu "
               "repeats=%d hardware_concurrency=%u\n\n",
-              dataset_name.c_str(), scale, num_parts, worker_threads, pipeline, repeats,
-              hardware);
+              dataset_name.c_str(), scale, num_parts, worker_threads, repeats, hardware);
   if (hardware < 2) {
     std::printf("NOTE: this host exposes %u CPU(s); pool speedups are bounded by the\n"
                 "available cores, so expect ~1x here and scaling on multi-core hosts.\n\n",
@@ -253,7 +249,7 @@ int main(int argc, char** argv) {
     sections.push_back(section);
   }
 
-  // ---- section 3: full training epoch, serial vs pooled + pipelined ----
+  // ---- section 3: full training epochs, worker_threads N vs 1 ----
   {
     core::TrainConfig config;
     config.method = core::Method::kSplpg;
@@ -266,21 +262,20 @@ int main(int argc, char** argv) {
     config.sync = dist::SyncMode::kGradientAveraging;
     config.seed = seed;
 
-    auto run_with = [&](std::size_t wt, std::uint32_t pl) {
+    auto run_with = [&](std::size_t wt) {
       core::TrainConfig c = config;
       c.worker_threads = wt;
-      c.pipeline_batches = pl;
       return core::train_link_prediction(split, dataset.features, c);
     };
 
-    Section section{"train_epoch_pipeline"};
-    const auto a = run_with(1, 0);
-    const auto b = run_with(worker_threads, pipeline);
+    Section section{"train_epoch"};
+    const auto a = run_with(1);
+    const auto b = run_with(worker_threads);
     section.bit_identical = same_result(a, b);
-    time_best(repeats, [&] { (void)run_with(1, 0); }, section.serial_seconds,
+    time_best(repeats, [&] { (void)run_with(1); }, section.serial_seconds,
               section.serial_cpu_seconds);
-    time_best(repeats, [&] { (void)run_with(worker_threads, pipeline); },
-              section.parallel_seconds, section.parallel_cpu_seconds);
+    time_best(repeats, [&] { (void)run_with(worker_threads); }, section.parallel_seconds,
+              section.parallel_cpu_seconds);
     sections.push_back(section);
   }
 
@@ -311,7 +306,6 @@ int main(int argc, char** argv) {
         << "  \"scale\": " << scale << ",\n"
         << "  \"partitions\": " << num_parts << ",\n"
         << "  \"worker_threads\": " << worker_threads << ",\n"
-        << "  \"pipeline\": " << pipeline << ",\n"
         << "  \"repeats\": " << repeats << ",\n"
         << "  \"hardware_concurrency\": " << hardware << ",\n"
         << "  \"all_bit_identical\": " << (all_identical ? "true" : "false") << ",\n"

@@ -29,10 +29,6 @@ std::optional<Env> parse_env(int argc, char** argv, const std::string& descripti
                "per-worker ThreadPool width for neighbor sampling and the "
                "forward/backward kernels (1 = serial, 0 = hardware "
                "concurrency); results are bit-identical at every setting");
-  flags.define("pipeline", static_cast<std::int64_t>(0),
-               "intra-worker batch pipeline depth: sample/fetch batch i+1 "
-               "while batch i trains, buffering up to this many prepared "
-               "batches (0 = off); results are bit-identical");
   flags.define("datasets", defaults.datasets,
                "comma-separated dataset names, or 'all' for the full Table I list");
   flags.define("partitions", defaults.partitions, "comma-separated partition counts");
@@ -57,6 +53,29 @@ std::optional<Env> parse_env(int argc, char** argv, const std::string& descripti
                "other value switches to model averaging every H rounds "
                "(local-SGD), 0 = once per epoch");
   if (!flags.parse(argc, argv)) return std::nullopt;
+  // A negative count would wrap to a huge unsigned size or loop bound.
+  for (const char* name : {"epochs", "hidden", "layers", "max_batches", "threads",
+                           "worker-threads", "local-steps"}) {
+    if (flags.get_int(name) < 0) {
+      std::fprintf(stderr, "error: flag --%s must be >= 0, got %lld\n", name,
+                   static_cast<long long>(flags.get_int(name)));
+      return std::nullopt;
+    }
+  }
+  std::vector<std::int64_t> partitions;
+  try {
+    partitions = flags.get_int_list("partitions");
+  } catch (const std::invalid_argument& error) {
+    std::fprintf(stderr, "error: %s\n", error.what());
+    return std::nullopt;
+  }
+  for (const auto p : partitions) {
+    if (p < 1) {
+      std::fprintf(stderr, "error: flag --partitions entries must be >= 1, got %lld\n",
+                   static_cast<long long>(p));
+      return std::nullopt;
+    }
+  }
 
   Env env;
   env.scale = flags.get_double("scale");
@@ -68,7 +87,6 @@ std::optional<Env> parse_env(int argc, char** argv, const std::string& descripti
   env.alpha = flags.get_double("alpha");
   env.threads = static_cast<std::size_t>(flags.get_int("threads"));
   env.worker_threads = static_cast<std::size_t>(flags.get_int("worker-threads"));
-  env.pipeline = static_cast<std::uint32_t>(flags.get_int("pipeline"));
 
   const std::string datasets = flags.get_string("datasets");
   if (datasets == "all") {
@@ -84,9 +102,7 @@ std::optional<Env> parse_env(int argc, char** argv, const std::string& descripti
       }
     }
   }
-  for (const auto p : flags.get_int_list("partitions")) {
-    env.partitions.push_back(static_cast<std::uint32_t>(p));
-  }
+  for (const auto p : partitions) env.partitions.push_back(static_cast<std::uint32_t>(p));
   env.dataset_dir = flags.get_string("dataset");
   env.storage_faults = flags.get_bool("storage-faults");
   try {
@@ -141,7 +157,6 @@ core::TrainConfig make_config(const Env& env, core::Method method, std::uint32_t
   config.alpha = env.alpha;
   config.num_threads = env.threads;
   config.worker_threads = env.worker_threads;
-  config.pipeline_batches = env.pipeline;
   config.seed = env.seed;
   // The paper reports model averaging over 500 epochs and notes gradient
   // averaging performs "more or less the same" (§V-A). At the harness's

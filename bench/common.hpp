@@ -30,7 +30,6 @@ struct Env {
   double alpha = 0.15;
   std::size_t threads = 1;  // master ThreadPool width (1 = serial, 0 = hardware)
   std::size_t worker_threads = 1;  // per-worker pool width (1 = serial, 0 = hardware)
-  std::uint32_t pipeline = 0;      // intra-worker batch pipeline depth (0 = off)
   std::vector<std::string> datasets;
   std::vector<std::uint32_t> partitions;
   /// Non-empty: load every problem from this saved dataset directory (see
@@ -63,7 +62,9 @@ struct EnvDefaults {
 };
 
 /// Defines + parses the common flags. Returns nullopt on --help / bad args
-/// (caller should exit 0/1 accordingly).
+/// (caller should exit 0/1 accordingly): a malformed number, a negative
+/// count or a --partitions entry below 1 is reported naming the flag,
+/// before anything is allocated.
 [[nodiscard]] std::optional<Env> parse_env(int argc, char** argv,
                                            const std::string& description,
                                            const EnvDefaults& defaults = {});

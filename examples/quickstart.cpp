@@ -42,9 +42,6 @@ int main(int argc, char** argv) {
                "per-WORKER ThreadPool width: chunked neighbor sampling and "
                "the forward/backward kernels (1 = serial, 0 = hardware); "
                "results are bit-identical");
-  flags.define("pipeline", static_cast<std::int64_t>(0),
-               "intra-worker batch pipeline depth — sample batch i+1 while "
-               "batch i trains (0 = off); results are bit-identical");
   flags.define("dataset", "",
                "load the dataset from this directory (written by --export) "
                "instead of generating it");
@@ -77,6 +74,20 @@ int main(int argc, char** argv) {
                "serving layer and score the test edges through the batched, "
                "embedding-cached server (f32 and int8)");
   if (!flags.parse(argc, argv)) return 1;
+  // A negative count would wrap to a huge unsigned size or loop bound.
+  for (const char* name : {"epochs", "hidden", "threads", "worker-threads", "keep-checkpoints",
+                           "local-steps"}) {
+    if (flags.get_int(name) < 0) {
+      std::fprintf(stderr, "error: flag --%s must be >= 0, got %lld\n", name,
+                   static_cast<long long>(flags.get_int(name)));
+      return 1;
+    }
+  }
+  if (flags.get_int("partitions") < 1) {
+    std::fprintf(stderr, "error: flag --partitions must be >= 1, got %lld\n",
+                 static_cast<long long>(flags.get_int("partitions")));
+    return 1;
+  }
 
   const std::uint64_t seed = static_cast<std::uint64_t>(flags.get_int("seed"));
 
@@ -152,9 +163,8 @@ int main(int argc, char** argv) {
   }
   config.num_threads = static_cast<std::size_t>(flags.get_int("threads"));
   // --threads above is master-side only; the worker-side hot paths have
-  // their own pool + pipeline knobs (every combination is bit-identical).
+  // their own pool knob (every combination is bit-identical).
   config.worker_threads = static_cast<std::size_t>(flags.get_int("worker-threads"));
-  config.pipeline_batches = static_cast<std::uint32_t>(flags.get_int("pipeline"));
   config.seed = seed;
   // Durability knobs: on-disk checkpoints (atomic + checksummed), keep-last-K
   // retention, and crash recovery via --resume=auto.

@@ -23,8 +23,8 @@ int main(int argc, char** argv) {
   flags.define("edges", static_cast<std::int64_t>(800), "edge count");
   flags.define("seed", static_cast<std::int64_t>(7), "seed");
   flags.define("threads", static_cast<std::int64_t>(1),
-               "ThreadPool width for the ER kernels (1 = serial, 0 = hardware); "
-               "the output is bit-identical at every setting");
+               "ThreadPool width for the per-edge exact ER solves (1 = serial, "
+               "0 = hardware); the output is bit-identical at every setting");
   if (!flags.parse(argc, argv)) return 1;
 
   const auto threads = static_cast<std::size_t>(flags.get_int("threads"));
@@ -44,7 +44,7 @@ int main(int argc, char** argv) {
   // 1. Exact vs approximate effective resistance.
   const auto exact = sparsify::exact_effective_resistance(graph, pool.get());
   const auto proxy = sparsify::approx_effective_resistance(graph);
-  const double gamma = sparsify::normalized_laplacian_gamma(graph, pool.get());
+  const double gamma = sparsify::normalized_laplacian_gamma(graph);
   std::printf("\nTheorem 2: (1/2)(1/du + 1/dv) <= r(u,v) <= (1/gamma)(1/du + 1/dv),"
               "  gamma = %.4f\n", gamma);
   std::printf("%6s %6s | %10s %12s %12s\n", "u", "v", "exact r", "lower bnd", "upper bnd");

@@ -12,11 +12,11 @@
 #   BENCH_WORKER_FLAGS="--worker-threads=8 --scale=0.5" scripts/run_bench.sh
 #
 #   BENCH_parallel.json  bench_parallel_preprocessing — master-side pools
-#                        (partition sparsification, Laplacian and CG ER
-#                        kernels, evaluation scoring)
+#                        (partition sparsification, per-edge CG exact ER
+#                        solves, evaluation scoring)
 #   BENCH_worker.json    bench_worker_parallel — worker-side pools (chunked
 #                        neighbor sampling, row-blocked forward/backward
-#                        kernels, the intra-worker batch pipeline)
+#                        kernels, a training epoch at worker_threads N vs 1)
 #   BENCH_kernels.json   bench_kernels — the Vec kernel engine: per-backend
 #                        (scalar/sse2/avx2/avx512, as supported by the host
 #                        CPU) throughput of every tensor hot-path kernel, with

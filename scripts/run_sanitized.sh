@@ -11,11 +11,10 @@
 # then TSan over the concurrency-heavy binaries (test_dist, test_trainer,
 # test_util, the ThreadPool-parallel sparsify/eval paths, the io
 # differential/resume suites, whose worker threads read a shared mmap view,
-# the worker-parallel/pipeline suites — chunked sampling, row-blocked
-# kernels, and the bounded-queue batch pipeline, also sliceable via
-# `ctest -L worker` — and the effective-resistance solver suites
-# (`ctest -L er`): pooled spmv and the per-edge CG fan-out share the
-# Laplacian read-only across pool threads) — the
+# the worker-parallel suites — chunked sampling and row-blocked kernels,
+# also sliceable via `ctest -L worker` — and the effective-resistance solver
+# suites (`ctest -L er`): the per-edge CG fan-out shares the Laplacian
+# read-only across pool threads) — the
 # barrier/elastic-membership/crash-recovery and pool fan-out paths are
 # where a data race would live. The trainer-level durability suites
 # (`ctest -L durability` for the whole slice) also run under TSan: torn
@@ -26,24 +25,27 @@
 # three: ASan/UBSan cover the intrinsics' tail handling and gather index
 # arithmetic (exactly where a lane of out-of-bounds would live), and the
 # Vec* training-matrix suites run under TSan because backend dispatch is a
-# process-global atomic read on every pooled kernel call. So does the pooled
-# half of the GEMM bit-identity suite (VecGemmBitIdentity.Pooled*): pool
-# threads write disjoint row blocks of one C and each packs its own A^T panel.
+# process-global atomic read on every pooled kernel call. So do the pooled
+# halves of the GEMM and spmm_edges bit-identity suites
+# (VecGemmBitIdentity.Pooled*, VecSpmmEdges.Pooled*): pool threads write
+# disjoint row blocks of one C (each packing its own A^T panel) and disjoint
+# output rows, input-gradient rows and coefficient slots of spmm_edges.
 #
 # The communication-regime suites (`ctest -L comm`, test_comm: CommHook*,
 # CommSync*, CommRegime*) run under TSan too: compression executes in the
-# barrier's serial section while each worker's pipeline producer may be
-# charging the same CommMeter's fetch counters concurrently — the
-# hook-vs-producer meter split and the elastic leave/rejoin-with-residual
-# paths are exactly where a data race would live.
+# barrier's serial section on one worker's thread, charging the sync
+# payload to every active worker's CommMeter while those workers wait at the
+# barrier — the barrier's ordering of those charges against each worker's
+# own fetch charges, and the elastic leave/rejoin-with-residual paths, are
+# exactly where a data race would live.
 #
 # The serving suites (`ctest -L serving`, test_serving: EmbeddingCache*,
 # ServingServer*, ServingOracle*, ServingSoak*) run under TSan as well:
 # client threads block in submit()'s bounded-queue backpressure while the
 # scorer thread drains batches and a chaos thread clears the shared
 # EmbeddingCache mid-flight — the cache's single-mutex protocol, the
-# promise/future handoff, and the drain-shutdown close are exactly where a
-# lost wakeup or data race would live.
+# promise/future handoff, and the drain-shutdown close (BoundedQueue's one
+# stop mode) are exactly where a lost wakeup or data race would live.
 #
 # Each sanitizer gets its own build tree (build-asan/, build-ubsan/,
 # build-tsan/) so they never poison the main build/ directory.
@@ -72,7 +74,7 @@ for sanitizer in "${sanitizers[@]}"; do
     # race report from being buried.
     TSAN_OPTIONS="halt_on_error=1" \
       ctest --test-dir "$dir" --output-on-failure \
-        -R 'Barrier|Sync|Trainer|Integration|WorkerView|ThreadPool|Sparsifier|Evaluator|PooledKernels|IoDifferentialTraining|ResumeTest|WorkerParallel|WorkerPipeline|PooledGradient|ErSolver|SparseCg|SparseLaplacian|TrainerDurability|VecTrainingMatrix|VecGemmBitIdentity.Pooled|Comm|EmbeddingCache|ServingServer|ServingOracle|ServingSoak|BoundedQueue' -j
+        -R 'Barrier|Sync|Trainer|Integration|WorkerView|ThreadPool|Sparsifier|Evaluator|PooledKernels|IoDifferentialTraining|ResumeTest|WorkerParallel|PooledGradient|ErSolver|SparseCg|SparseLaplacian|TrainerDurability|VecTrainingMatrix|VecGemmBitIdentity.Pooled|VecSpmmEdges.Pooled|Comm|EmbeddingCache|ServingServer|ServingOracle|ServingSoak|BoundedQueue' -j
   else
     ASAN_OPTIONS="detect_leaks=1" UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
       ctest --test-dir "$dir" --output-on-failure -j

@@ -26,22 +26,6 @@ std::string to_string(Method method) {
   return "unknown";
 }
 
-Method method_from_string(const std::string& name) {
-  if (name == "centralized") return Method::kCentralized;
-  if (name == "psgd_pa") return Method::kPsgdPa;
-  if (name == "psgd_pa+") return Method::kPsgdPaPlus;
-  if (name == "random_tma") return Method::kRandomTma;
-  if (name == "random_tma+") return Method::kRandomTmaPlus;
-  if (name == "super_tma") return Method::kSuperTma;
-  if (name == "super_tma+") return Method::kSuperTmaPlus;
-  if (name == "llcg") return Method::kLlcg;
-  if (name == "splpg") return Method::kSplpg;
-  if (name == "splpg+") return Method::kSplpgPlus;
-  if (name == "splpg-") return Method::kSplpgMinus;
-  if (name == "splpg--") return Method::kSplpgMinusMinus;
-  throw std::invalid_argument("unknown method: " + name);
-}
-
 WorkerPolicy worker_policy(Method method) {
   switch (method) {
     case Method::kCentralized:

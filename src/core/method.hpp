@@ -30,7 +30,6 @@ enum class Method {
 };
 
 [[nodiscard]] std::string to_string(Method method);
-[[nodiscard]] Method method_from_string(const std::string& name);
 
 /// Worker locality/negative policy for the method.
 [[nodiscard]] dist::WorkerPolicy worker_policy(Method method);

@@ -6,6 +6,7 @@
 #include <exception>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <sstream>
 #include <thread>
 #include <unordered_map>
@@ -18,7 +19,6 @@
 #include "sampling/neighbor_sampler.hpp"
 #include "sparsify/sparsifier.hpp"
 #include "tensor/parallel.hpp"
-#include "util/bounded_queue.hpp"
 #include "util/logging.hpp"
 #include "util/thread_pool.hpp"
 #include "util/timer.hpp"
@@ -37,10 +37,8 @@ namespace {
 struct WorkerCrashed {};
 
 /// Stage-1 output of one mini-batch: everything the forward/backward pass
-/// needs, with all RNG- and WorkerView-touching work already done. Splitting
-/// the batch step here is what lets the pipeline overlap batch i+1's
-/// sampling (producer thread) with batch i's compute (worker thread) without
-/// perturbing any random stream.
+/// needs, with all RNG- and WorkerView-touching work already done. LLCG's
+/// correction runs the same two stages on the master's full-graph view.
 struct PreparedBatch {
   sampling::ComputationGraph cg;
   tensor::Matrix input_features;
@@ -93,8 +91,8 @@ PreparedBatch prepare_batch(dist::WorkerView& view,
   return prep;
 }
 
-/// Stage 2: forward, loss, backward. RNG-free and view-free, so it can run
-/// while the producer is already sampling the next batch. Returns the loss.
+/// Stage 2: forward, loss, backward. RNG-free and view-free. Returns the
+/// loss.
 float compute_batch(nn::LinkPredictionModel& model, PreparedBatch prep) {
   const auto embeddings = model.encode(prep.cg, std::move(prep.input_features));
   const auto logits = model.score(embeddings, prep.pairs);
@@ -103,26 +101,6 @@ float compute_batch(nn::LinkPredictionModel& model, PreparedBatch prep) {
   loss.backward();
   return loss.item();
 }
-
-/// One pipeline hand-off: a prepared round (or the reason there isn't one).
-struct PipelineItem {
-  PreparedBatch prep;
-  bool has_batch = false;       // false = the worker owns no training edge
-  bool crash = false;           // the fault plan scheduled a crash this round
-  std::exception_ptr error;     // a real producer failure
-};
-
-/// Joins the epoch's producer thread on every exit path (normal, injected
-/// crash, real error) so it never outlives the queue or the epoch state it
-/// captures by reference.
-struct ProducerGuard {
-  util::BoundedQueue<PipelineItem>& queue;
-  std::thread& producer;
-  ~ProducerGuard() {
-    queue.cancel();
-    if (producer.joinable()) producer.join();
-  }
-};
 
 /// Per-source negative sampler whose rejection oracle is the training graph:
 /// a worker always knows the full neighbor list of its own (source) nodes.
@@ -394,93 +372,49 @@ class TrainingRun {
     }
   }
 
-  /// One epoch of rounds on worker `w`: serially, or through the pipeline.
+  /// One epoch of rounds on worker `w`, in ascending round order.
   void run_rounds(std::uint32_t w, EpochStreams& streams, std::uint32_t epoch) {
     Worker& me = workers_[w];
     streams.batches.reset(streams.shuffle);
     me.epoch_loss = 0.0;
     me.epoch_batches = 0;
     me.rounds_since_average = 0;
-    if (config_.pipeline_batches > 0) {
-      run_pipelined(w, streams, epoch);
-      return;
-    }
     for (std::uint32_t round = 0; round < rounds_; ++round) {
       consume_round(me, produce_round(w, streams, epoch, round));
     }
   }
 
-  /// Two-stage pipeline: a dedicated producer thread runs stage 1 for round
-  /// i+1 (and ahead, up to the queue bound) while this thread runs stage 2 for
-  /// round i. All RNG and WorkerView state lives in stage 1 on the single
-  /// producer thread, in serial round order, so the hand-off cannot perturb
-  /// any stream. A scheduled crash or producer failure is delivered in order
-  /// as a marker item; the producer stops at it, and stage 2 raises it after
-  /// finishing every earlier round — exactly the serial semantics. The queue
-  /// bound caps how far the producer runs ahead (memory); cancel() unblocks
-  /// a producer stuck in push() when this thread dies early.
-  void run_pipelined(std::uint32_t w, EpochStreams& streams, std::uint32_t epoch) {
-    util::BoundedQueue<PipelineItem> queue(config_.pipeline_batches);
-    std::thread producer([&] {
-      for (std::uint32_t round = 0; round < rounds_; ++round) {
-        PipelineItem item;
-        try {
-          item = produce_round(w, streams, epoch, round);
-        } catch (...) {
-          item.error = std::current_exception();
-        }
-        const bool stop = item.crash || item.error != nullptr;
-        if (!queue.push(std::move(item)) || stop) return;
-      }
-    });
-    const ProducerGuard guard{queue, producer};
-    for (std::uint32_t round = 0; round < rounds_; ++round) {
-      // The consumer pops at most as many items as the producer pushes (it
-      // stops at a crash/error marker), so pop() never drains a finished
-      // producer dry: value() always holds.
-      consume_round(workers_[w], std::move(queue.pop().value()));
-    }
-  }
-
   /// Stage 1 of one round: crash check, batch draw, and batch preparation
-  /// (with the degraded-batch fallback on permanent fetch failure). The serial
-  /// loop and the pipeline producer both run exactly this, in round order —
-  /// the basis of the pipeline's bit-identity.
-  PipelineItem produce_round(std::uint32_t w, EpochStreams& streams,
-                             std::uint32_t epoch, std::uint32_t round) {
+  /// (with the degraded-batch fallback on permanent fetch failure). Throws
+  /// WorkerCrashed when the fault plan schedules a crash this round; returns
+  /// nothing when the worker owns no training edge.
+  std::optional<PreparedBatch> produce_round(std::uint32_t w, EpochStreams& streams,
+                                             std::uint32_t epoch, std::uint32_t round) {
     Worker& me = workers_[w];
-    PipelineItem item;
-    if (injector_ && injector_->crash_due(w, epoch, round)) {
-      item.crash = true;
-      return item;
-    }
+    if (injector_ && injector_->crash_due(w, epoch, round)) throw WorkerCrashed{};
     std::vector<Edge> batch = streams.batches.next();
     if (batch.empty()) {
       streams.batches.reset(streams.shuffle);
       batch = streams.batches.next();
     }
-    if (batch.empty()) return item;
+    if (batch.empty()) return std::nullopt;
     try {
-      item.prep = prepare_batch(*me.view, sampler_, *me.negatives, batch, streams.rng);
+      return prepare_batch(*me.view, sampler_, *me.negatives, batch, streams.rng);
     } catch (const dist::RemoteFetchError&) {
       // Permanent fetch failure: finish the batch on local data (local
       // negative candidates, no remote reads) instead of aborting the worker.
       ++me.view->meter().faults().degraded_batches;
       me.view->set_degraded(true);
-      item.prep = prepare_batch(*me.view, sampler_, *me.fallback, batch, streams.rng);
+      PreparedBatch prep = prepare_batch(*me.view, sampler_, *me.fallback, batch, streams.rng);
       me.view->set_degraded(false);
+      return prep;
     }
-    item.has_batch = true;
-    return item;
   }
 
-  /// Stage 2 of one round: compute, synchronize, step — on the worker thread,
-  /// in ascending round order in both modes.
-  void consume_round(Worker& me, PipelineItem item) {
-    if (item.error) std::rethrow_exception(item.error);
-    if (item.crash) throw WorkerCrashed{};
-    if (item.has_batch) {
-      me.epoch_loss += compute_batch(*me.replica, std::move(item.prep));
+  /// Stage 2 of one round: compute, synchronize, step.
+  void consume_round(Worker& me, std::optional<PreparedBatch> prep) {
+    if (prep) {
+      me.epoch_loss += compute_batch(*me.replica, std::move(*prep));
       ++me.epoch_batches;
     } else {
       // No training edge: contribute nothing. The all-reduce skips empty

@@ -136,14 +136,6 @@ struct TrainConfig {
   /// are bit-identical at every setting (DESIGN.md §6).
   std::size_t worker_threads = 1;
 
-  /// Intra-worker two-stage batch pipeline depth. When > 0, each worker runs
-  /// a dedicated producer thread that samples/fetches batch i+1 (buffering up
-  /// to this many prepared batches) while the worker thread trains batch i.
-  /// 0 = off (default). Bit-identical to the non-pipelined path: the producer
-  /// executes exactly the statements (in exactly the order) the serial loop
-  /// would, and the consumer processes rounds in order.
-  std::uint32_t pipeline_batches = 0;
-
   std::uint64_t seed = 1;
 };
 

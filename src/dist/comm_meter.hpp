@@ -95,10 +95,8 @@ class CommMeter {
 
   /// Charges one synchronization payload of `bytes` (compressed size under
   /// the active CommHook). Called from the collectives' barrier serial
-  /// section — which may run concurrently with this worker's pipeline
-  /// producer charging structure/feature fetches, so the hook path must
-  /// touch ONLY the sync fields (distinct members; no shared state with the
-  /// fetch-side counters or the dedup sets).
+  /// section, possibly on another worker's thread; this meter's own worker
+  /// is blocked at that barrier, which orders the charge with its fetches.
   void charge_sync(std::uint64_t bytes) {
     stats_.sync_bytes += bytes;
     ++stats_.sync_messages;

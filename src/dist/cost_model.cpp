@@ -29,15 +29,4 @@ CostEstimate estimate_cost(const CommStats& stats, const LinkProfile& link) {
   return out;
 }
 
-CostEstimate estimate_cost(const CommStats& stats, const FaultStats& faults,
-                           const LinkProfile& link) {
-  CostEstimate out = estimate_cost(stats, link);
-  if (link.bandwidth_bytes_per_sec > 0.0) {
-    out.fault_seconds += static_cast<double>(faults.wasted_bytes) / link.bandwidth_bytes_per_sec;
-  }
-  out.fault_seconds += static_cast<double>(faults.transient_failures) * link.latency_sec;
-  out.fault_seconds += faults.injected_latency_seconds + faults.backoff_seconds;
-  return out;
-}
-
 }  // namespace splpg::dist

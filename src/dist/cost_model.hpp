@@ -11,7 +11,6 @@
 #include <string>
 
 #include "dist/comm_meter.hpp"
-#include "dist/fault.hpp"
 
 namespace splpg::dist {
 
@@ -29,23 +28,13 @@ struct LinkProfile {
 struct CostEstimate {
   double transfer_seconds = 0.0;  // bytes / bandwidth
   double latency_seconds = 0.0;   // fetches * latency
-  /// Fault overhead: wasted (re-transferred) bytes, failed-attempt RPC
-  /// latencies, injected fetch latency, and simulated retry backoff. Zero
-  /// for the base (fault-free) estimate.
-  double fault_seconds = 0.0;
   [[nodiscard]] double total_seconds() const noexcept {
-    return transfer_seconds + latency_seconds + fault_seconds;
+    return transfer_seconds + latency_seconds;
   }
 };
 
 /// Prices the metered transfer volume on the given link. Fetch count uses
 /// the deduplicated structure+feature fetch counters (one RPC each).
 [[nodiscard]] CostEstimate estimate_cost(const CommStats& stats, const LinkProfile& link);
-
-/// Fault-aware estimate: adds the cost of injected faults — wasted bytes of
-/// failed attempts on the link's bandwidth, one RPC latency per failed
-/// attempt, plus the plan's injected latency and retry backoff seconds.
-[[nodiscard]] CostEstimate estimate_cost(const CommStats& stats, const FaultStats& faults,
-                                         const LinkProfile& link);
 
 }  // namespace splpg::dist

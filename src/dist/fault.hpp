@@ -31,7 +31,7 @@ struct FaultPlan {
   /// Probability that a single remote-fetch attempt fails transiently.
   double transient_fetch_failure_rate = 0.0;
   /// Simulated latency of one remote-fetch attempt (seconds). Charged to
-  /// FaultStats::injected_latency_seconds and priced by dist::estimate_cost.
+  /// FaultStats::injected_latency_seconds.
   double fetch_latency_seconds = 0.0;
   /// Per-worker slowdown factors (>= 1) multiplying that worker's fetch
   /// latency. Empty = no stragglers; otherwise one entry per worker.

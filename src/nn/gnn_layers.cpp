@@ -183,14 +183,6 @@ std::string to_string(GnnKind kind) {
   return "unknown";
 }
 
-GnnKind gnn_kind_from_string(const std::string& name) {
-  if (name == "gcn") return GnnKind::kGcn;
-  if (name == "graphsage" || name == "sage") return GnnKind::kSage;
-  if (name == "gat") return GnnKind::kGat;
-  if (name == "gatv2") return GnnKind::kGatv2;
-  throw std::invalid_argument("unknown GNN kind: " + name);
-}
-
 std::unique_ptr<GnnLayer> make_gnn_layer(GnnKind kind, std::size_t in_dim, std::size_t out_dim,
                                          util::Rng& rng, std::uint32_t num_heads) {
   switch (kind) {

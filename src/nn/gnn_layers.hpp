@@ -110,7 +110,6 @@ class Gatv2Conv final : public GnnLayer {
 enum class GnnKind { kGcn, kSage, kGat, kGatv2 };
 
 [[nodiscard]] std::string to_string(GnnKind kind);
-[[nodiscard]] GnnKind gnn_kind_from_string(const std::string& name);
 
 /// Factory for a single layer. `num_heads` applies to the attention kinds
 /// only (must divide out_dim).

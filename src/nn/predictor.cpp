@@ -50,12 +50,6 @@ std::string to_string(PredictorKind kind) {
   return kind == PredictorKind::kDot ? "dot" : "mlp";
 }
 
-PredictorKind predictor_kind_from_string(const std::string& name) {
-  if (name == "dot") return PredictorKind::kDot;
-  if (name == "mlp") return PredictorKind::kMlp;
-  throw std::invalid_argument("unknown predictor kind: " + name);
-}
-
 std::unique_ptr<EdgePredictor> make_predictor(PredictorKind kind, std::size_t embedding_dim,
                                               std::size_t hidden_dim, std::uint32_t num_layers,
                                               util::Rng& rng) {

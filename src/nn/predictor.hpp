@@ -48,7 +48,6 @@ class MlpPredictor final : public EdgePredictor {
 enum class PredictorKind { kDot, kMlp };
 
 [[nodiscard]] std::string to_string(PredictorKind kind);
-[[nodiscard]] PredictorKind predictor_kind_from_string(const std::string& name);
 
 [[nodiscard]] std::unique_ptr<EdgePredictor> make_predictor(PredictorKind kind,
                                                             std::size_t embedding_dim,

@@ -66,7 +66,6 @@ ComputationGraph NeighborSampler::sample(AdjacencyProvider& adjacency,
   }
   if (dst.empty()) throw std::invalid_argument("NeighborSampler: empty seed set");
   if (chunk_size == 0) chunk_size = 1;
-  if (pool != nullptr && pool->size() <= 1) pool = nullptr;
 
   // The caller's stream advances by exactly ONE draw per sample() call, no
   // matter how many nodes/layers/chunks get expanded. Everything below runs
@@ -102,11 +101,7 @@ ComputationGraph NeighborSampler::sample(AdjacencyProvider& adjacency,
         s.adj_offsets.push_back(s.adj_nodes.size());
       }
     };
-    if (pool != nullptr && adjacency.concurrent_safe()) {
-      pool->parallel_for(0, num_chunks, fetch_chunk);
-    } else {
-      for (std::size_t c = 0; c < num_chunks; ++c) fetch_chunk(c);
-    }
+    util::for_each_index(adjacency.concurrent_safe() ? pool : nullptr, num_chunks, fetch_chunk);
 
     // Phase B — fanout picks. Each chunk samples from its own pre-split
     // stream and writes only its own scratch, so running this on the pool
@@ -135,11 +130,7 @@ ComputationGraph NeighborSampler::sample(AdjacencyProvider& adjacency,
         }
       }
     };
-    if (pool != nullptr) {
-      pool->parallel_for(0, num_chunks, pick_chunk);
-    } else {
-      for (std::size_t c = 0; c < num_chunks; ++c) pick_chunk(c);
-    }
+    util::for_each_index(pool, num_chunks, pick_chunk);
 
     // Phase C — serial merge in ascending (chunk, destination, pick) order.
     // src_nodes ordering (and hence the whole block) is fixed by this order.

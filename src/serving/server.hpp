@@ -1,12 +1,12 @@
 // Batched online link-prediction server.
 //
 // Clients submit() vectors of node pairs and get a future per request. All
-// requests flow through one util::BoundedQueue (the PR-5 pipeline queue,
-// hoisted) into a single scorer thread that coalesces pairs FIFO across
-// concurrent requests into fixed-size scoring batches: per batch it
-// resolves each distinct node's embedding row through the EmbeddingCache
-// (miss = exact full-neighborhood encode on the SIMD kernel engine, then
-// insert) and scores all pairs in one ServingModel::score_rows call.
+// requests flow through one util::BoundedQueue into a single scorer thread
+// that coalesces pairs FIFO across concurrent requests into fixed-size
+// scoring batches: per batch it resolves each distinct node's embedding row
+// through the EmbeddingCache (miss = exact full-neighborhood encode on the
+// SIMD kernel engine, then insert) and scores all pairs in one
+// ServingModel::score_rows call.
 //
 // Delivery contract (the serving soak test's assertions):
 //   * no response is lost or duplicated — every accepted submit()'s future

@@ -1,7 +1,6 @@
 #include "sparsify/effective_resistance.hpp"
 
 #include <cmath>
-#include <functional>
 #include <utility>
 
 #include "tensor/cg.hpp"
@@ -15,30 +14,12 @@ using graph::NodeId;
 using tensor::Matrix;
 using tensor::SparseMatrix;
 
-namespace {
-
-/// Runs fn(i) over [0, n) — on the pool when one is given, inline otherwise.
-/// Callers guarantee fn(i) touches state no other i touches, so pooled and
-/// inline execution produce identical bytes.
-void for_each_index(std::size_t n, util::ThreadPool* pool,
-                    const std::function<void(std::size_t)>& fn) {
-  if (pool != nullptr && n > 1) {
-    pool->parallel_for(0, n, fn);
-  } else {
-    for (std::size_t i = 0; i < n; ++i) fn(i);
-  }
-}
-
-}  // namespace
-
-Matrix laplacian(const CsrGraph& graph, util::ThreadPool* pool) {
+Matrix laplacian(const CsrGraph& graph) {
   const NodeId n = graph.num_nodes();
   Matrix lap(n, n);
   // Row u depends only on u's adjacency: off-diagonals are -w per neighbor,
-  // the diagonal is u's weighted degree. Rows are disjoint, so row blocks
-  // parallelize without synchronization.
-  for_each_index(n, pool, [&](std::size_t row) {
-    const auto u = static_cast<NodeId>(row);
+  // the diagonal is u's weighted degree.
+  for (NodeId u = 0; u < n; ++u) {
     const auto neighbors = graph.neighbors(u);
     const auto weights = graph.neighbor_weights(u);
     float degree = 0.0F;
@@ -57,7 +38,7 @@ Matrix laplacian(const CsrGraph& graph, util::ThreadPool* pool) {
       degree += w;
     }
     lap.at(u, u) = degree;
-  });
+  }
   return lap;
 }
 
@@ -114,7 +95,7 @@ SparseMatrix sparse_laplacian(const CsrGraph& graph) {
   return SparseMatrix(n, n, std::move(offsets), std::move(cols), std::move(vals));
 }
 
-Matrix normalized_laplacian(const CsrGraph& graph, util::ThreadPool* pool) {
+Matrix normalized_laplacian(const CsrGraph& graph) {
   const NodeId n = graph.num_nodes();
   // Weighted degrees.
   std::vector<double> degree(n, 0.0);
@@ -125,18 +106,17 @@ Matrix normalized_laplacian(const CsrGraph& graph, util::ThreadPool* pool) {
     degree[u] += w;
     degree[v] += w;
   }
-  const Matrix lap = laplacian(graph, pool);
+  const Matrix lap = laplacian(graph);
   Matrix out(n, n);
-  for_each_index(n, pool, [&](std::size_t row) {
-    const auto i = static_cast<NodeId>(row);
+  for (NodeId i = 0; i < n; ++i) {
     const double di = degree[i];
-    if (di <= 0.0) return;
+    if (di <= 0.0) continue;
     for (NodeId j = 0; j < n; ++j) {
       const double dj = degree[j];
       if (dj <= 0.0) continue;
       out.at(i, j) = static_cast<float>(lap.at(i, j) / std::sqrt(di * dj));
     }
-  });
+  }
   return out;
 }
 
@@ -144,13 +124,10 @@ std::vector<double> exact_effective_resistance(const CsrGraph& graph, util::Thre
   const SparseMatrix lap = sparse_laplacian(graph);
   const std::size_t n = graph.num_nodes();
   const auto edges = graph.edges();
-  // Per-edge CG solves of L x = e_u - e_v. Each edge is independent work, so
-  // the fan-out across `pool` is trivially bit-identical to serial; a solve
-  // that lands on a pool worker runs its inner spmv inline (ThreadPool
-  // nesting semantics), while a solve on the calling thread row-blocks the
-  // spmv across the pool.
+  // Per-edge CG solves of L x = e_u - e_v. Each edge writes only its own
+  // slot, so the fan-out across `pool` is bit-identical to serial.
   std::vector<double> resistance(edges.size());
-  for_each_index(edges.size(), pool, [&](std::size_t e) {
+  util::for_each_index(pool, edges.size(), [&](std::size_t e) {
     const auto [u, v] = edges[e];
     std::vector<double> b(n, 0.0);
     std::vector<double> x(n, 0.0);
@@ -159,7 +136,7 @@ std::vector<double> exact_effective_resistance(const CsrGraph& graph, util::Thre
     // b sums to zero within u's component (u and v share it — they are an
     // edge's endpoints), so the singular system is consistent and CG
     // converges to the pseudo-inverse solution even on disconnected graphs.
-    (void)tensor::pcg_solve(lap, b, x, {}, pool);
+    (void)tensor::pcg_solve(lap, b, x);
     resistance[e] = x[u] - x[v];
   });
   return resistance;
@@ -182,8 +159,8 @@ std::vector<double> approx_effective_resistance(const CsrGraph& graph) {
   return proxy;
 }
 
-double normalized_laplacian_gamma(const CsrGraph& graph, util::ThreadPool* pool) {
-  const auto decomposition = tensor::symmetric_eigen(normalized_laplacian(graph, pool));
+double normalized_laplacian_gamma(const CsrGraph& graph) {
+  const auto decomposition = tensor::symmetric_eigen(normalized_laplacian(graph));
   // The spectrum has one exact zero per connected component (and Jacobi
   // noise can push those slightly negative), so eigenvalues[1] is 0 on any
   // disconnected graph — which would blow up the 1/gamma upper bound.

@@ -24,16 +24,10 @@ class ThreadPool;
 
 namespace splpg::sparsify {
 
-// The kernels accept an optional ThreadPool. Results are bit-identical with
-// and without a pool at every width: the Laplacians fill row-block disjoint
-// rows, the CG route fans independent per-edge solves out whole, and every
-// reduction keeps its serial accumulation order.
-
 /// Combinatorial Laplacian L = D - A as a dense matrix (weights respected).
 /// Duplicate (parallel) edges accumulate, and self-loop entries cancel out
 /// of L entirely, so rows always sum to zero.
-[[nodiscard]] tensor::Matrix laplacian(const graph::CsrGraph& graph,
-                                       util::ThreadPool* pool = nullptr);
+[[nodiscard]] tensor::Matrix laplacian(const graph::CsrGraph& graph);
 
 /// Combinatorial Laplacian in CSR form (double precision): the operator the
 /// CG solver runs on. nnz <= 2m + n; duplicate adjacency entries are
@@ -43,12 +37,13 @@ namespace splpg::sparsify {
 
 /// Symmetric normalized Laplacian D^-1/2 L D^-1/2 (isolated nodes yield zero
 /// rows/columns).
-[[nodiscard]] tensor::Matrix normalized_laplacian(const graph::CsrGraph& graph,
-                                                  util::ThreadPool* pool = nullptr);
+[[nodiscard]] tensor::Matrix normalized_laplacian(const graph::CsrGraph& graph);
 
 /// Exact effective resistance per canonical edge (CG to a relative residual
 /// of 1e-10). An edge's endpoints always share a component, so every
-/// per-edge system is consistent even on disconnected graphs.
+/// per-edge system is consistent even on disconnected graphs. The per-edge
+/// solves are independent: with a `pool` they fan out one edge per task,
+/// with the same bytes as the serial loop at every pool width.
 [[nodiscard]] std::vector<double> exact_effective_resistance(const graph::CsrGraph& graph,
                                                              util::ThreadPool* pool = nullptr);
 
@@ -66,7 +61,6 @@ namespace splpg::sparsify {
 /// upper bound finite and meaningful per component. Returns 0.0 (sentinel:
 /// "no spectral gap") when no eigenvalue clears the tolerance — e.g. an
 /// edgeless graph. O(n^3) — validation only.
-[[nodiscard]] double normalized_laplacian_gamma(const graph::CsrGraph& graph,
-                                                util::ThreadPool* pool = nullptr);
+[[nodiscard]] double normalized_laplacian_gamma(const graph::CsrGraph& graph);
 
 }  // namespace splpg::sparsify

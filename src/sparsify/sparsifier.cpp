@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <functional>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <unordered_map>
@@ -122,12 +123,9 @@ std::vector<CsrGraph> Sparsifier::sparsify_partitions(
     if (stats != nullptr) (*stats)[part] = part_stats;
   };
 
-  if (num_threads_ != 1 && num_parts > 1) {
-    util::ThreadPool pool(num_threads_);
-    pool.parallel_for(0, num_parts, process_part);
-  } else {
-    for (std::uint32_t part = 0; part < num_parts; ++part) process_part(part);
-  }
+  std::optional<util::ThreadPool> pool;
+  if (num_threads_ != 1 && num_parts > 1) pool.emplace(num_threads_);
+  util::for_each_index(pool ? &*pool : nullptr, num_parts, process_part);
   return out;
 }
 

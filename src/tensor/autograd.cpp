@@ -15,10 +15,10 @@ namespace {
 
 // Stable grouping of edge ids by an endpoint (counting sort): after
 // group_edges(keys, n), edges with keys[e] == r occupy
-// edges[offsets[r]..offsets[r+1]) in ascending e. Used by the pooled
-// spmm_edges paths so each task owns disjoint output rows while the
-// per-row, per-element accumulation order stays ascending e — exactly the
-// serial loop's order, so the bytes are identical.
+// edges[offsets[r]..offsets[r+1]) in ascending e. spmm_edges walks output
+// rows through these groups, so a row is one task's whole work and its
+// elements accumulate in ascending e at every pool width — the order of
+// the plain edge loop, so the bytes are identical.
 struct EdgeGroups {
   std::vector<std::uint32_t> offsets;  // num_keys + 1
   std::vector<std::uint32_t> edges;    // edge ids, grouped by key, stable
@@ -27,7 +27,10 @@ struct EdgeGroups {
 EdgeGroups group_edges(std::span<const std::uint32_t> keys, std::size_t num_keys) {
   EdgeGroups groups;
   groups.offsets.assign(num_keys + 1, 0);
-  for (const std::uint32_t key : keys) ++groups.offsets[key + 1];
+  for (const std::uint32_t key : keys) {
+    assert(key < num_keys);
+    ++groups.offsets[key + 1];
+  }
   for (std::size_t r = 0; r < num_keys; ++r) groups.offsets[r + 1] += groups.offsets[r];
   groups.edges.resize(keys.size());
   std::vector<std::uint32_t> cursor(groups.offsets.begin(), groups.offsets.end() - 1);
@@ -316,29 +319,6 @@ Tensor tanh_op(const Tensor& a) {
                            [](float y) { return 1.0F - y * y; });
 }
 
-Tensor dropout(const Tensor& a, float p, util::Rng& rng, bool training) {
-  if (!training || p <= 0.0F) return a;
-  assert(p < 1.0F);
-  const float keep = 1.0F - p;
-  auto mask = std::make_shared<std::vector<float>>(a.value().size());
-  Matrix out(a.rows(), a.cols());
-  const auto src = a.value().data();
-  const auto dst = out.data();
-  for (std::size_t i = 0; i < src.size(); ++i) {
-    const float m = rng.uniform() < p ? 0.0F : 1.0F / keep;
-    (*mask)[i] = m;
-    dst[i] = src[i] * m;
-  }
-  return make_op(std::move(out), {a}, [a, mask](Node& self) {
-    if (!a.requires_grad()) return;
-    Matrix da(a.rows(), a.cols());
-    const auto grad = self.grad.data();
-    const auto out_data = da.data();
-    for (std::size_t i = 0; i < out_data.size(); ++i) out_data[i] = grad[i] * (*mask)[i];
-    a.node_ref().accumulate(da);
-  });
-}
-
 Tensor gather_rows(const Tensor& a, std::span<const std::uint32_t> indices) {
   Matrix out(indices.size(), a.cols());
   for (std::size_t i = 0; i < indices.size(); ++i) {
@@ -386,55 +366,36 @@ Tensor spmm_edges(const Tensor& a, const Tensor& coef, std::span<const std::uint
          (coef.rows() == src_idx.size() && coef.cols() == 1));
   Matrix out(num_dst, a.cols());
   const VecKernels& kern = vec_kernels();
-  const std::size_t flops = sat_mul(src_idx.size(), a.cols());
-  if (util::ThreadPool* pool = pool_for(flops)) {
-    // Edges sharing a dst row conflict, so group edges by dst (stable) and
-    // hand each task disjoint output rows; within a row, edges still run in
-    // ascending e, matching the serial loop's per-element order exactly.
-    const EdgeGroups by_dst = group_edges(dst_idx, num_dst);
-    pool->parallel_for(0, num_dst, [&](std::size_t r) {
-      const auto dst = out.row(r);
-      for (std::uint32_t i = by_dst.offsets[r]; i < by_dst.offsets[r + 1]; ++i) {
-        const std::uint32_t e = by_dst.edges[i];
-        assert(src_idx[e] < a.rows());
-        const float c = coef.defined() ? coef.value().at(e, 0) : 1.0F;
-        kern.axpy_f32(dst.data(), a.value().row(src_idx[e]).data(), c, dst.size());
-      }
-    });
-  } else {
-    for (std::size_t e = 0; e < src_idx.size(); ++e) {
-      assert(src_idx[e] < a.rows() && dst_idx[e] < num_dst);
+  // Edges sharing a dst row conflict, so each output row runs its own edge
+  // group; a task owns whole rows.
+  const EdgeGroups by_dst = group_edges(dst_idx, num_dst);
+  util::ThreadPool* pool = pool_for(sat_mul(src_idx.size(), a.cols()));
+  util::for_each_index(pool, num_dst, [&](std::size_t r) {
+    const auto dst = out.row(r);
+    for (std::uint32_t i = by_dst.offsets[r]; i < by_dst.offsets[r + 1]; ++i) {
+      const std::uint32_t e = by_dst.edges[i];
+      assert(src_idx[e] < a.rows());
       const float c = coef.defined() ? coef.value().at(e, 0) : 1.0F;
-      const auto dst = out.row(dst_idx[e]);
       kern.axpy_f32(dst.data(), a.value().row(src_idx[e]).data(), c, dst.size());
     }
-  }
+  });
   auto srcs = std::make_shared<std::vector<std::uint32_t>>(src_idx.begin(), src_idx.end());
   auto dsts = std::make_shared<std::vector<std::uint32_t>>(dst_idx.begin(), dst_idx.end());
   return make_op(std::move(out), {a, coef}, [a, coef, srcs, dsts](Node& self) {
     const VecKernels& kern = vec_kernels();
-    const std::size_t grad_flops = sat_mul(srcs->size(), self.grad.cols());
+    util::ThreadPool* pool = pool_for(sat_mul(srcs->size(), self.grad.cols()));
     if (a.requires_grad()) {
+      // The forward's loop with src and dst swapped: rows of da group by src.
       Matrix da(a.rows(), a.cols());
-      if (util::ThreadPool* pool = pool_for(grad_flops)) {
-        // Same trick as the forward, with src/dst roles swapped: group by
-        // src so each task owns disjoint rows of da.
-        const EdgeGroups by_src = group_edges(*srcs, a.rows());
-        pool->parallel_for(0, a.rows(), [&](std::size_t r) {
-          const auto dst = da.row(r);
-          for (std::uint32_t i = by_src.offsets[r]; i < by_src.offsets[r + 1]; ++i) {
-            const std::uint32_t e = by_src.edges[i];
-            const float c = coef.defined() ? coef.value().at(e, 0) : 1.0F;
-            kern.axpy_f32(dst.data(), self.grad.row((*dsts)[e]).data(), c, dst.size());
-          }
-        });
-      } else {
-        for (std::size_t e = 0; e < srcs->size(); ++e) {
+      const EdgeGroups by_src = group_edges(*srcs, a.rows());
+      util::for_each_index(pool, a.rows(), [&](std::size_t r) {
+        const auto dst = da.row(r);
+        for (std::uint32_t i = by_src.offsets[r]; i < by_src.offsets[r + 1]; ++i) {
+          const std::uint32_t e = by_src.edges[i];
           const float c = coef.defined() ? coef.value().at(e, 0) : 1.0F;
-          const auto dst = da.row((*srcs)[e]);
           kern.axpy_f32(dst.data(), self.grad.row((*dsts)[e]).data(), c, dst.size());
         }
-      }
+      });
       a.node_ref().accumulate(da);
     }
     if (coef.defined() && coef.requires_grad()) {
@@ -445,11 +406,7 @@ Tensor spmm_edges(const Tensor& a, const Tensor& coef, std::span<const std::uint
         dc.at(e, 0) = kern.dot_f32(grad_row.data(), src.data(), src.size());
       };
       // Each edge writes its own dc element; no conflicts.
-      if (util::ThreadPool* pool = pool_for(grad_flops)) {
-        pool->parallel_for(0, srcs->size(), run_edge);
-      } else {
-        for (std::size_t e = 0; e < srcs->size(); ++e) run_edge(e);
-      }
+      util::for_each_index(pool, srcs->size(), run_edge);
       coef.node_ref().accumulate(dc);
     }
   });

@@ -22,7 +22,6 @@
 #include <vector>
 
 #include "tensor/matrix.hpp"
-#include "util/rng.hpp"
 
 namespace splpg::tensor {
 
@@ -110,9 +109,6 @@ class Tensor {
 [[nodiscard]] Tensor leaky_relu(const Tensor& a, float negative_slope = 0.2F);
 [[nodiscard]] Tensor sigmoid(const Tensor& a);
 [[nodiscard]] Tensor tanh_op(const Tensor& a);
-
-/// Inverted dropout. Identity when `training` is false or p == 0.
-[[nodiscard]] Tensor dropout(const Tensor& a, float p, util::Rng& rng, bool training);
 
 // ---- graph primitives ----
 

@@ -4,9 +4,7 @@
 #include <cmath>
 #include <vector>
 
-#include "tensor/parallel.hpp"
 #include "tensor/vec.hpp"
-#include "util/thread_pool.hpp"
 
 namespace splpg::tensor {
 
@@ -27,7 +25,7 @@ void deflate(std::span<double> v) {
 }  // namespace
 
 CgResult pcg_solve(const SparseMatrix& a, std::span<const double> b, std::span<double> x,
-                   const CgOptions& options, util::ThreadPool* pool) {
+                   const CgOptions& options) {
   assert(a.rows() == a.cols());
   const std::size_t n = a.rows();
   assert(b.size() == n && x.size() == n);
@@ -40,12 +38,6 @@ CgResult pcg_solve(const SparseMatrix& a, std::span<const double> b, std::span<d
     result.converged = true;
     return result;
   }
-
-  // Tiny systems would pay more in pool fan-out than the spmv costs; the
-  // same flop gate the dense kernels use keeps scheduling (never results)
-  // adaptive.
-  util::ThreadPool* spmv_pool =
-      (pool != nullptr && a.nnz() >= kParallelFlopThreshold) ? pool : nullptr;
 
   const std::size_t max_iterations =
       options.max_iterations > 0 ? options.max_iterations : 10 * n + 100;
@@ -64,7 +56,7 @@ CgResult pcg_solve(const SparseMatrix& a, std::span<const double> b, std::span<d
   std::vector<double> ap(n);
 
   // r = b - A x.
-  a.spmv(x, r, spmv_pool);
+  a.spmv(x, r);
   for (std::size_t i = 0; i < n; ++i) r[i] = b[i] - r[i];
   if (options.deflate_ones) deflate(r);
 
@@ -74,7 +66,7 @@ CgResult pcg_solve(const SparseMatrix& a, std::span<const double> b, std::span<d
 
   double r_norm = std::sqrt(dot(r, r));
   while (r_norm > target && result.iterations < max_iterations) {
-    a.spmv(p, ap, spmv_pool);
+    a.spmv(p, ap);
     // L maps everything orthogonal to ones; deflating A p removes the
     // rounding-induced ones component before it can feed back into p.
     if (options.deflate_ones) deflate(ap);

@@ -15,19 +15,15 @@
 // diagonally dominant Laplacians; rows with non-positive diagonal (isolated
 // nodes) fall back to the identity.
 //
-// Determinism: all vector updates and reductions run serially in index
-// order; only the spmv row-blocks across the optional pool (bit-identical
-// per sparse.hpp), so solutions are the same bytes at every pool width.
+// Determinism: every vector update, reduction and spmv row runs serially in
+// index order. Callers that need throughput solve independent systems in
+// parallel (exact_effective_resistance fans out one solve per edge).
 #pragma once
 
 #include <cstddef>
 #include <span>
 
 #include "tensor/sparse.hpp"
-
-namespace splpg::util {
-class ThreadPool;
-}  // namespace splpg::util
 
 namespace splpg::tensor {
 
@@ -57,6 +53,6 @@ struct CgResult {
 /// was hit or CG broke down (p^T A p <= 0, i.e. A was not PSD or the system
 /// was inconsistent).
 CgResult pcg_solve(const SparseMatrix& a, std::span<const double> b, std::span<double> x,
-                   const CgOptions& options = {}, util::ThreadPool* pool = nullptr);
+                   const CgOptions& options = {});
 
 }  // namespace splpg::tensor

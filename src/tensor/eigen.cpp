@@ -7,8 +7,6 @@
 #include <utility>
 #include <vector>
 
-#include "util/thread_pool.hpp"
-
 namespace splpg::tensor {
 
 EigenDecomposition symmetric_eigen(const Matrix& a, double tolerance, int max_sweeps) {
@@ -87,7 +85,7 @@ EigenDecomposition symmetric_eigen(const Matrix& a, double tolerance, int max_sw
   return out;
 }
 
-Matrix symmetric_pseudo_inverse(const Matrix& a, double rank_tolerance, util::ThreadPool* pool) {
+Matrix symmetric_pseudo_inverse(const Matrix& a, double rank_tolerance) {
   const auto decomposition = symmetric_eigen(a);
   const std::size_t n = a.rows();
   double max_abs = 0.0;
@@ -103,11 +101,10 @@ Matrix symmetric_pseudo_inverse(const Matrix& a, double rank_tolerance, util::Th
     if (std::abs(lambda) > cutoff) kept.emplace_back(k, 1.0 / lambda);
   }
 
-  // A+ = V diag(1/lambda restricted to |lambda| > cutoff) V^T. Row-blocked:
-  // each output row i accumulates over k in ascending order regardless of
-  // which thread owns it, so pooled and serial fills are bit-identical.
+  // A+ = V diag(1/lambda restricted to |lambda| > cutoff) V^T; each output
+  // row accumulates over k in ascending order.
   Matrix out(n, n);
-  auto fill_row = [&](std::size_t i) {
+  for (std::size_t i = 0; i < n; ++i) {
     for (const auto& [k, inv] : kept) {
       const double vik = decomposition.eigenvectors.at(i, k);
       if (vik == 0.0) continue;
@@ -115,11 +112,6 @@ Matrix symmetric_pseudo_inverse(const Matrix& a, double rank_tolerance, util::Th
         out.at(i, j) += static_cast<float>(inv * vik * decomposition.eigenvectors.at(j, k));
       }
     }
-  };
-  if (pool != nullptr && n > 1) {
-    pool->parallel_for(0, n, fill_row);
-  } else {
-    for (std::size_t i = 0; i < n; ++i) fill_row(i);
   }
   return out;
 }

@@ -9,10 +9,6 @@
 
 #include "tensor/matrix.hpp"
 
-namespace splpg::util {
-class ThreadPool;
-}  // namespace splpg::util
-
 namespace splpg::tensor {
 
 struct EigenDecomposition {
@@ -26,11 +22,7 @@ struct EigenDecomposition {
                                                  int max_sweeps = 100);
 
 /// Moore-Penrose pseudo-inverse of a symmetric matrix: eigenvalues below
-/// `rank_tolerance` (relative to the largest) are treated as zero. The O(n^2)
-/// Gram reconstruction A+ = V diag(1/lambda) V^T row-blocks across `pool`
-/// when one is given; output is bit-identical with and without a pool (each
-/// row is owned by one thread and accumulates in the same eigen order).
-[[nodiscard]] Matrix symmetric_pseudo_inverse(const Matrix& a, double rank_tolerance = 1e-8,
-                                              util::ThreadPool* pool = nullptr);
+/// `rank_tolerance` (relative to the largest) are treated as zero.
+[[nodiscard]] Matrix symmetric_pseudo_inverse(const Matrix& a, double rank_tolerance = 1e-8);
 
 }  // namespace splpg::tensor

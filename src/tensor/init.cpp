@@ -11,13 +11,6 @@ Matrix xavier_uniform(std::size_t fan_in, std::size_t fan_out, util::Rng& rng) {
   return out;
 }
 
-Matrix he_normal(std::size_t fan_in, std::size_t fan_out, util::Rng& rng) {
-  const double stddev = std::sqrt(2.0 / static_cast<double>(fan_in));
-  Matrix out(fan_in, fan_out);
-  for (float& x : out.data()) x = static_cast<float>(rng.normal(0.0, stddev));
-  return out;
-}
-
 Matrix gaussian(std::size_t rows, std::size_t cols, double mean, double stddev, util::Rng& rng) {
   Matrix out(rows, cols);
   for (float& x : out.data()) x = static_cast<float>(rng.normal(mean, stddev));

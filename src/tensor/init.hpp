@@ -9,9 +9,6 @@ namespace splpg::tensor {
 /// Glorot/Xavier uniform: U(-a, a) with a = sqrt(6 / (fan_in + fan_out)).
 [[nodiscard]] Matrix xavier_uniform(std::size_t fan_in, std::size_t fan_out, util::Rng& rng);
 
-/// Kaiming/He normal: N(0, sqrt(2 / fan_in)) — for ReLU networks.
-[[nodiscard]] Matrix he_normal(std::size_t fan_in, std::size_t fan_out, util::Rng& rng);
-
 /// All zeros (biases).
 [[nodiscard]] inline Matrix zeros(std::size_t rows, std::size_t cols) {
   return Matrix(rows, cols, 0.0F);

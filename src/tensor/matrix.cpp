@@ -31,13 +31,10 @@ template <typename Fn>
 void for_row_blocks(std::size_t rows, std::size_t flops, std::size_t align, const Fn& fn) {
   if (rows == 0) return;
   util::ThreadPool* pool = pool_for(flops);
-  if (pool == nullptr) {
-    fn(0, rows);
-    return;
-  }
-  const std::size_t per_thread = (rows + pool->size() - 1) / pool->size();
+  const std::size_t threads = pool == nullptr ? 1 : pool->size();
+  const std::size_t per_thread = (rows + threads - 1) / threads;
   const std::size_t block = (per_thread + align - 1) / align * align;
-  pool->parallel_for(0, (rows + block - 1) / block, [&](std::size_t index) {
+  util::for_each_index(pool, (rows + block - 1) / block, [&](std::size_t index) {
     const std::size_t begin = index * block;
     fn(begin, std::min(rows, begin + block));
   });
@@ -185,11 +182,7 @@ void matmul_nt_acc(const Matrix& a, const Matrix& b, Matrix& c) {
     }
   };
   // Each task owns disjoint rows of C; per-row work is untouched.
-  if (util::ThreadPool* pool = pool_for(sat_flops(m, k, n))) {
-    pool->parallel_for(0, m, run_row);
-  } else {
-    for (std::size_t i = 0; i < m; ++i) run_row(i);
-  }
+  util::for_each_index(pool_for(sat_flops(m, k, n)), m, run_row);
 }
 
 Matrix matmul_nt(const Matrix& a, const Matrix& b) {

@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "tensor/vec.hpp"
-#include "util/thread_pool.hpp"
 
 namespace splpg::tensor {
 
@@ -42,23 +41,16 @@ double SparseMatrix::diagonal(std::size_t r) const noexcept {
   return 0.0;
 }
 
-void SparseMatrix::spmv(std::span<const double> x, std::span<double> y,
-                        util::ThreadPool* pool) const {
+void SparseMatrix::spmv(std::span<const double> x, std::span<double> y) const {
   assert(x.size() == cols_);
   assert(y.size() == rows_);
   assert(x.data() != y.data());
   const VecKernels& kern = vec_kernels();
-  auto product_row = [&](std::size_t r) {
+  for (std::size_t r = 0; r < rows_; ++r) {
+    // Gathered dot over one CSR row.
     const std::size_t lo = row_offsets_[r];
-    // Gathered dot over one CSR row; each y[r] is produced by exactly one
-    // kernel call, so pooling still never reorders a row's accumulation.
     y[r] = kern.spmv_row_f64(values_.data() + lo, col_indices_.data() + lo, x.data(),
                              row_offsets_[r + 1] - lo);
-  };
-  if (pool != nullptr && rows_ > 1) {
-    pool->parallel_for(0, rows_, product_row);
-  } else {
-    for (std::size_t r = 0; r < rows_; ++r) product_row(r);
   }
 }
 

@@ -5,21 +5,12 @@
 // conjugate-gradient solver in cg.hpp iterates on it and accumulates
 // residuals far below float epsilon, which is why exact effective resistance
 // is solved here rather than read off a float dense pseudo-inverse.
-//
-// Threading contract (DESIGN.md §6): `spmv` row-blocks across an optional
-// ThreadPool. Every output row is owned by exactly one task and accumulates
-// its dot product serially in column order, so pooled and serial products
-// are bit-identical at every pool width.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <span>
 #include <vector>
-
-namespace splpg::util {
-class ThreadPool;
-}  // namespace splpg::util
 
 namespace splpg::tensor {
 
@@ -59,11 +50,8 @@ class SparseMatrix {
   [[nodiscard]] double diagonal(std::size_t r) const noexcept;
 
   /// y = A x. `x` must have cols() entries, `y` rows() entries; they must
-  /// not alias. Row-blocks across `pool` when given; bit-identical to the
-  /// serial product at every pool width (each row accumulates serially in
-  /// column order on exactly one thread).
-  void spmv(std::span<const double> x, std::span<double> y,
-            util::ThreadPool* pool = nullptr) const;
+  /// not alias. Each row accumulates in column order.
+  void spmv(std::span<const double> x, std::span<double> y) const;
 
  private:
   std::size_t rows_ = 0;

@@ -1,15 +1,8 @@
-// Bounded blocking queue for producer/consumer hand-off.
-//
-// Hoisted out of the trainer's intra-worker batch pipeline (PR 5) so the
-// serving request queue can reuse it. Two ways to stop:
-//  * close()  — graceful: pushes start failing, but every item already
-//               queued still pops; a blocking pop() returns nullopt once the
-//               queue is drained. The serving shutdown path ("drain
-//               in-flight requests, then stop") is exactly this.
-//  * cancel() — abort: pushes fail AND pop()/try_pop() return nullopt
-//               immediately, leaving queued items unretrieved. The trainer
-//               uses this to unblock a producer stuck in push() when the
-//               consumer dies early (ProducerGuard).
+// Bounded blocking queue for producer/consumer hand-off: the serving
+// request queue. One way to stop, close(): pushes start failing, but every
+// item already queued still pops; a blocking pop() returns nullopt once the
+// queue is drained. The serving shutdown path ("drain in-flight requests,
+// then stop") is exactly this.
 //
 // Any number of producers and consumers may call concurrently; items pushed
 // by one thread pop in that thread's push order (FIFO overall — the mutex
@@ -38,29 +31,29 @@ class BoundedQueue {
   BoundedQueue& operator=(const BoundedQueue&) = delete;
 
   /// Blocks while full. Returns false (dropping the item) once the queue is
-  /// closed or cancelled.
+  /// closed.
   bool push(T item) {
     std::unique_lock<std::mutex> lock(mutex_);
-    not_full_.wait(lock, [&] { return stopped_() || items_.size() < capacity_; });
-    if (stopped_()) return false;
+    not_full_.wait(lock, [&] { return closed_ || items_.size() < capacity_; });
+    if (closed_) return false;
     items_.push(std::move(item));
     not_empty_.notify_one();
     return true;
   }
 
-  /// Blocks while empty and open. Returns nullopt when cancelled, or when
-  /// closed and fully drained.
+  /// Blocks while empty and open. Returns nullopt once closed and fully
+  /// drained.
   std::optional<T> pop() {
     std::unique_lock<std::mutex> lock(mutex_);
-    not_empty_.wait(lock, [&] { return cancelled_ || closed_ || !items_.empty(); });
-    if (cancelled_ || items_.empty()) return std::nullopt;
+    not_empty_.wait(lock, [&] { return closed_ || !items_.empty(); });
+    if (items_.empty()) return std::nullopt;
     return pop_locked();
   }
 
   /// Non-blocking pop: nullopt when the queue holds nothing retrievable.
   std::optional<T> try_pop() {
     const std::unique_lock<std::mutex> lock(mutex_);
-    if (cancelled_ || items_.empty()) return std::nullopt;
+    if (items_.empty()) return std::nullopt;
     return pop_locked();
   }
 
@@ -74,20 +67,7 @@ class BoundedQueue {
     not_empty_.notify_all();
   }
 
-  /// Abort: pushes fail and pops return nullopt immediately (queued items
-  /// are abandoned, destroyed with the queue).
-  void cancel() {
-    {
-      const std::lock_guard<std::mutex> lock(mutex_);
-      cancelled_ = true;
-    }
-    not_full_.notify_all();
-    not_empty_.notify_all();
-  }
-
  private:
-  [[nodiscard]] bool stopped_() const noexcept { return closed_ || cancelled_; }
-
   std::optional<T> pop_locked() {
     std::optional<T> item(std::move(items_.front()));
     items_.pop();
@@ -101,7 +81,6 @@ class BoundedQueue {
   std::condition_variable not_full_;
   std::condition_variable not_empty_;
   bool closed_ = false;
-  bool cancelled_ = false;
 };
 
 }  // namespace splpg::util

@@ -1,5 +1,6 @@
 #include "util/flags.hpp"
 
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
@@ -12,6 +13,17 @@ namespace {
 const char* type_name(int type) {
   static constexpr const char* kNames[] = {"string", "int", "double", "bool"};
   return kNames[type];
+}
+
+/// `text` as a T when the whole of it parses as one, else nullopt
+/// ("12abc", "", " 3" and out-of-range values all fail).
+template <typename T>
+std::optional<T> parse_whole(const std::string& text) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [stop, error] = std::from_chars(text.data(), end, value);
+  if (error != std::errc() || stop != end) return std::nullopt;
+  return value;
 }
 
 }  // namespace
@@ -72,8 +84,9 @@ bool Flags::parse(int argc, char** argv) {
       print_usage();
       return false;
     }
+    const Type type = it->second.type;
     if (!has_value) {
-      if (it->second.type == Type::kBool) {
+      if (type == Type::kBool) {
         value = "true";
       } else if (i + 1 < argc) {
         value = argv[++i];
@@ -81,6 +94,13 @@ bool Flags::parse(int argc, char** argv) {
         std::fprintf(stderr, "error: flag --%s requires a value\n", name.c_str());
         return false;
       }
+    }
+    if ((type == Type::kInt && !parse_whole<std::int64_t>(value)) ||
+        (type == Type::kDouble && !parse_whole<double>(value))) {
+      std::fprintf(stderr, "error: flag --%s wants %s %s, got '%s'\n", name.c_str(),
+                   type == Type::kInt ? "an" : "a", type_name(static_cast<int>(type)),
+                   value.c_str());
+      return false;
     }
     it->second.value = value;
   }
@@ -104,12 +124,14 @@ std::string Flags::get_string(const std::string& name) const {
   return entry_or_die(name, Type::kString).value;
 }
 
+// parse() admits only values that parse whole, and the defaults are printed
+// from numbers, so the stored text of an int or double flag always parses.
 std::int64_t Flags::get_int(const std::string& name) const {
-  return std::stoll(entry_or_die(name, Type::kInt).value);
+  return parse_whole<std::int64_t>(entry_or_die(name, Type::kInt).value).value();
 }
 
 double Flags::get_double(const std::string& name) const {
-  return std::stod(entry_or_die(name, Type::kDouble).value);
+  return parse_whole<double>(entry_or_die(name, Type::kDouble).value).value();
 }
 
 bool Flags::get_bool(const std::string& name) const {
@@ -123,7 +145,13 @@ std::vector<std::int64_t> Flags::get_int_list(const std::string& name) const {
   std::stringstream stream(text);
   std::string token;
   while (std::getline(stream, token, ',')) {
-    if (!token.empty()) out.push_back(std::stoll(token));
+    if (token.empty()) continue;
+    const auto value = parse_whole<std::int64_t>(token);
+    if (!value) {
+      throw std::invalid_argument("flag --" + name + " wants comma-separated ints, got '" + text +
+                                  "'");
+    }
+    out.push_back(*value);
   }
   return out;
 }

@@ -1,7 +1,8 @@
 // Tiny command-line flag parser for the bench/example binaries.
 //
 // Supports `--name=value`, `--name value`, and boolean `--name`. Unknown
-// flags are an error (catches typos in sweep scripts). Every flag is
+// flags are an error (catches typos in sweep scripts), and so is an int or
+// double flag whose whole value does not parse as one. Every flag is
 // registered with a default and a help string; `--help` prints usage.
 #pragma once
 
@@ -34,6 +35,8 @@ class Flags {
   [[nodiscard]] bool get_bool(const std::string& name) const;
 
   /// Parses a comma-separated int list flag, e.g. "--partitions=4,8,16".
+  /// Throws std::invalid_argument naming the flag when an entry does not
+  /// parse whole as an int.
   [[nodiscard]] std::vector<std::int64_t> get_int_list(const std::string& name) const;
 
   void print_usage() const;

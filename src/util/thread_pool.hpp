@@ -1,12 +1,15 @@
 // Fixed-size thread pool with a parallel_for helper.
 //
 // Used for embarrassingly parallel work on both sides of the trainer: the
-// master's preprocessing hot paths (per-partition sparsification, dense ER
-// kernels, evaluation scoring) and, since the worker-parallelism PR, the
-// per-worker hot paths (chunked neighbor-fanout sampling, row-blocked
-// tensor kernels, the batch-pipeline producer's sampling work). Worker
-// *training* threads are still managed separately by dist::DistContext
+// master's preprocessing hot paths (per-partition sparsification, the
+// per-edge exact-resistance solves, evaluation scoring) and the per-worker
+// hot paths (chunked neighbor-fanout sampling, row-blocked tensor kernels).
+// Worker *training* threads are managed separately by dist::DistContext
 // because they are long-lived and barrier-synchronized.
+//
+// Kernels do not call parallel_for directly: they call for_each_index,
+// which decides only the schedule. Each kernel has one loop body, run
+// inline or on the pool.
 //
 // Exception and nesting semantics (tested in test_util.cpp):
 //  * A task that throws does not kill its pool thread: `submit`'s future
@@ -71,5 +74,17 @@ class ThreadPool {
   std::condition_variable cv_;
   bool stopping_ = false;
 };
+
+/// Runs fn(i) for i in [0, n): across `pool` when it has more than one
+/// thread, else inline in ascending i. Callers give each i state no other i
+/// touches, so both schedules produce the same bytes.
+template <typename Fn>
+void for_each_index(ThreadPool* pool, std::size_t n, const Fn& fn) {
+  if (pool != nullptr && pool->size() > 1 && n > 1) {
+    pool->parallel_for(0, n, fn);
+  } else {
+    for (std::size_t i = 0; i < n; ++i) fn(i);
+  }
+}
 
 }  // namespace splpg::util

@@ -302,45 +302,6 @@ TEST(Autograd, BackwardTwiceAccumulates) {
   EXPECT_NEAR(a.grad().at(0, 0), 2.0F * once, 1e-6);
 }
 
-TEST(Autograd, DropoutTrainingMasksAndScales) {
-  Rng rng(27);
-  Matrix ones(50, 50, 1.0F);
-  const Tensor a = Tensor::constant(std::move(ones));
-  Rng dropout_rng(5);
-  const Tensor dropped = dropout(a, 0.5F, dropout_rng, /*training=*/true);
-  std::size_t zeros = 0;
-  for (const float x : dropped.value().data()) {
-    EXPECT_TRUE(x == 0.0F || std::abs(x - 2.0F) < 1e-6);
-    if (x == 0.0F) ++zeros;
-  }
-  const double drop_rate = static_cast<double>(zeros) / 2500.0;
-  EXPECT_NEAR(drop_rate, 0.5, 0.05);
-}
-
-TEST(Autograd, DropoutEvalIsIdentity) {
-  Rng rng(28);
-  Tensor a = Tensor::parameter(random_matrix(3, 3, rng));
-  Rng dropout_rng(5);
-  const Tensor out = dropout(a, 0.5F, dropout_rng, /*training=*/false);
-  EXPECT_EQ(&out.value(), &a.value());  // same node handed back
-}
-
-TEST(Autograd, DropoutGradRoutesThroughMask) {
-  Rng rng(29);
-  Tensor a = Tensor::parameter(random_matrix(8, 8, rng));
-  Rng dropout_rng(11);
-  Tensor out = dropout(a, 0.3F, dropout_rng, true);
-  Matrix mask = out.value();  // zero where dropped
-  mean_all(out).backward();
-  for (std::size_t i = 0; i < 8; ++i) {
-    for (std::size_t j = 0; j < 8; ++j) {
-      if (mask.at(i, j) == 0.0F && a.value().at(i, j) != 0.0F) {
-        EXPECT_FLOAT_EQ(a.grad().at(i, j), 0.0F);
-      }
-    }
-  }
-}
-
 // Composite: a 2-layer MLP-ish expression exercising many ops together.
 TEST(Autograd, CompositeExpressionGradCheck) {
   Rng rng(30);

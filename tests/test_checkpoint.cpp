@@ -321,21 +321,5 @@ TEST(CostModel, SlowerLinksCostMore) {
   EXPECT_LT(medium.total_seconds(), slow.total_seconds());
 }
 
-TEST(CostModel, FaultOverheadAddsToTotal) {
-  dist::CommStats stats;
-  stats.structure_bytes = 1'000'000'000ULL;
-  dist::FaultStats faults;
-  faults.wasted_bytes = 500'000'000ULL;
-  faults.transient_failures = 100;
-  faults.injected_latency_seconds = 0.25;
-  faults.backoff_seconds = 0.5;
-  dist::LinkProfile link{"test", 1e9, 1e-3};
-  const auto base = dist::estimate_cost(stats, link);
-  const auto with_faults = dist::estimate_cost(stats, faults, link);
-  EXPECT_DOUBLE_EQ(with_faults.transfer_seconds, base.transfer_seconds);
-  EXPECT_NEAR(with_faults.fault_seconds, 0.5 + 0.1 + 0.25 + 0.5, 1e-9);
-  EXPECT_GT(with_faults.total_seconds(), base.total_seconds());
-}
-
 }  // namespace
 }  // namespace splpg

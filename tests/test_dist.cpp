@@ -293,17 +293,6 @@ TEST(MethodPolicies, MatchPaperTable) {
   EXPECT_TRUE(core::uses_global_correction(Method::kLlcg));
 }
 
-TEST(MethodNames, RoundTrip) {
-  using core::Method;
-  for (const auto method :
-       {Method::kCentralized, Method::kPsgdPa, Method::kPsgdPaPlus, Method::kRandomTma,
-        Method::kRandomTmaPlus, Method::kSuperTma, Method::kSuperTmaPlus, Method::kLlcg,
-        Method::kSplpg, Method::kSplpgPlus, Method::kSplpgMinus, Method::kSplpgMinusMinus}) {
-    EXPECT_EQ(core::method_from_string(core::to_string(method)), method);
-  }
-  EXPECT_THROW(core::method_from_string("magic"), std::invalid_argument);
-}
-
 class SyncFixture {
  public:
   explicit SyncFixture(std::uint32_t workers) : context_(workers) {

@@ -179,28 +179,6 @@ TEST(SparseLaplacian, IsolatedNodeRowIsSingleZeroDiagonal) {
 
 // ---- SparseMatrix / PCG ----
 
-TEST(SparseCg, SpmvPooledIsBitIdenticalToSerial) {
-  data::SbmParams params;
-  params.num_nodes = 400;
-  params.num_edges = 3000;
-  Rng rng(2);
-  const CsrGraph graph = data::generate_sbm(params, rng);
-  const auto lap = sparse_laplacian(graph);
-  std::vector<double> x(lap.cols());
-  Rng vec_rng(3);
-  for (double& value : x) value = vec_rng.normal();
-  std::vector<double> serial(lap.rows());
-  std::vector<double> pooled(lap.rows());
-  lap.spmv(x, serial);
-  for (const std::size_t width : {2U, 4U, 7U}) {
-    util::ThreadPool pool(width);
-    lap.spmv(x, pooled, &pool);
-    for (std::size_t i = 0; i < serial.size(); ++i) {
-      ASSERT_EQ(serial[i], pooled[i]) << "row " << i << " width " << width;
-    }
-  }
-}
-
 TEST(SparseCg, SolvesDiagonallyDominantSystem) {
   // 3x3 SPD system with known solution: A = tridiag(-1, 4, -1), b = A * [1,2,3].
   const SparseMatrix a(3, 3, {0, 2, 5, 7}, {0, 1, 0, 1, 2, 1, 2},

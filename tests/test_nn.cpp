@@ -208,17 +208,7 @@ TEST(Predictors, MlpPredictorShapeAndGradients) {
 
 TEST(Predictors, FactoryAndNames) {
   EXPECT_EQ(to_string(PredictorKind::kDot), "dot");
-  EXPECT_EQ(predictor_kind_from_string("mlp"), PredictorKind::kMlp);
-  EXPECT_THROW(predictor_kind_from_string("transformer"), std::invalid_argument);
-}
-
-TEST(GnnKindNames, RoundTrip) {
-  for (const auto kind :
-       {GnnKind::kGcn, GnnKind::kSage, GnnKind::kGat, GnnKind::kGatv2}) {
-    EXPECT_EQ(gnn_kind_from_string(to_string(kind)), kind);
-  }
-  EXPECT_EQ(gnn_kind_from_string("sage"), GnnKind::kSage);
-  EXPECT_THROW(gnn_kind_from_string("transformer"), std::invalid_argument);
+  EXPECT_EQ(to_string(PredictorKind::kMlp), "mlp");
 }
 
 TEST(Model, SameSeedGivesIdenticalReplicas) {

@@ -121,7 +121,7 @@ TEST(EmbeddingCache, RejectsMalformedRows) {
 }
 
 // ---------------------------------------------------------------------------
-// BoundedQueue (hoisted from the PR-5 trainer pipeline)
+// BoundedQueue
 
 TEST(BoundedQueue, CloseDrainsRemainingItemsThenSignalsEnd) {
   util::BoundedQueue<int> queue(4);
@@ -132,14 +132,6 @@ TEST(BoundedQueue, CloseDrainsRemainingItemsThenSignalsEnd) {
   EXPECT_EQ(queue.pop(), std::optional<int>(1));
   EXPECT_EQ(queue.pop(), std::optional<int>(2));
   EXPECT_EQ(queue.pop(), std::nullopt);  // drained
-}
-
-TEST(BoundedQueue, CancelDiscardsBufferedItems) {
-  util::BoundedQueue<int> queue(4);
-  ASSERT_TRUE(queue.push(1));
-  queue.cancel();
-  EXPECT_EQ(queue.pop(), std::nullopt);  // aborted, item dropped
-  EXPECT_FALSE(queue.push(2));
 }
 
 // ---------------------------------------------------------------------------

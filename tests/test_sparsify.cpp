@@ -362,24 +362,12 @@ TEST(EffectiveResistance, PooledKernelsMatchSerialBitwise) {
   const CsrGraph graph = data::generate_sbm(params, rng);
   util::ThreadPool pool(4);
 
-  const auto lap_serial = laplacian(graph);
-  const auto lap_pooled = laplacian(graph, &pool);
-  const auto norm_serial = normalized_laplacian(graph);
-  const auto norm_pooled = normalized_laplacian(graph, &pool);
-  for (NodeId i = 0; i < graph.num_nodes(); ++i) {
-    for (NodeId j = 0; j < graph.num_nodes(); ++j) {
-      EXPECT_EQ(lap_serial.at(i, j), lap_pooled.at(i, j));
-      EXPECT_EQ(norm_serial.at(i, j), norm_pooled.at(i, j));
-    }
-  }
-
   const auto er_serial = exact_effective_resistance(graph);
   const auto er_pooled = exact_effective_resistance(graph, &pool);
   ASSERT_EQ(er_serial.size(), er_pooled.size());
   for (std::size_t e = 0; e < er_serial.size(); ++e) {
     EXPECT_EQ(er_serial[e], er_pooled[e]);
   }
-  EXPECT_EQ(normalized_laplacian_gamma(graph), normalized_laplacian_gamma(graph, &pool));
 }
 
 TEST(EffectiveResistance, ApproxHandlesIsolatedNodes) {

@@ -680,7 +680,6 @@ TEST(TrainerGolden, SplpgFaultsAndCrashPooledPipelined) {
   config.faults.fetch_latency_seconds = 1e-5;
   config.faults.crashes = {{1, 2, 1}};
   config.worker_threads = 2;
-  config.pipeline_batches = 2;
   expect_golden(config, 0x5de25f091a631082ULL);
 }
 

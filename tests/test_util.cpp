@@ -8,6 +8,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <thread>
+#include <utility>
 
 #include "util/barrier.hpp"
 #include "util/flags.hpp"
@@ -438,6 +439,28 @@ TEST(ThreadPoolStress, SubmitFromWorkerThreadDoesNotBlock) {
   EXPECT_EQ(counter.load(), 2);
 }
 
+TEST(ThreadPool, ForEachIndexRunsInlineUnlessThePoolIsWider) {
+  const std::thread::id caller = std::this_thread::get_id();
+  ThreadPool single(1);
+  for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &single}) {
+    std::vector<std::size_t> order;
+    for_each_index(pool, 5, [&](std::size_t i) {
+      EXPECT_EQ(std::this_thread::get_id(), caller);
+      order.push_back(i);
+    });
+    EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 3, 4}));
+  }
+  ThreadPool wide(4);
+  std::vector<int> hits(100, 0);
+  std::atomic<int> off_caller{0};
+  for_each_index(&wide, hits.size(), [&](std::size_t i) {
+    ++hits[i];
+    if (std::this_thread::get_id() != caller) ++off_caller;
+  });
+  EXPECT_EQ(hits, std::vector<int>(100, 1));
+  EXPECT_EQ(off_caller.load(), 100);
+}
+
 TEST(ThreadPoolStress, ManySmallTasksUnderContention) {
   ThreadPool pool(7);
   std::atomic<long> total{0};
@@ -466,12 +489,12 @@ TEST(Flags, DashedNamesParseInBothForms) {
   // quickstart + bench); make sure dashes survive both spellings.
   Flags flags("test");
   flags.define("worker-threads", static_cast<std::int64_t>(1), "pool width");
-  flags.define("pipeline", static_cast<std::int64_t>(0), "pipeline depth");
+  flags.define("local-steps", static_cast<std::int64_t>(1), "sync period");
   {
-    const char* argv[] = {"prog", "--worker-threads=4", "--pipeline", "2"};
+    const char* argv[] = {"prog", "--worker-threads=4", "--local-steps", "2"};
     ASSERT_TRUE(flags.parse(4, const_cast<char**>(argv)));
     EXPECT_EQ(flags.get_int("worker-threads"), 4);
-    EXPECT_EQ(flags.get_int("pipeline"), 2);
+    EXPECT_EQ(flags.get_int("local-steps"), 2);
   }
   {
     Flags spaced("test");
@@ -507,6 +530,59 @@ TEST(Flags, IntListParsing) {
   EXPECT_EQ(parts[0], 4);
   EXPECT_EQ(parts[1], 8);
   EXPECT_EQ(parts[2], 16);
+}
+
+TEST(Flags, MalformedNumbersFailNamingTheFlag) {
+  // Each value fails to parse whole as its flag's type; parse() must refuse
+  // it up front (callers exit 1) instead of storing text that a later
+  // get_int/get_double would throw on or read a prefix of.
+  const std::pair<const char*, const char*> cases[] = {
+      {"--epochs=abc", "--epochs"}, {"--epochs=12abc", "--epochs"}, {"--epochs=1.5", "--epochs"},
+      {"--epochs=", "--epochs"},    {"--rate=0.5x", "--rate"},      {"--rate=abc", "--rate"},
+      {"--rate=", "--rate"}};
+  for (const auto& [arg, flag] : cases) {
+    Flags flags("test");
+    flags.define("epochs", static_cast<std::int64_t>(6), "an int");
+    flags.define("rate", 0.5, "a double");
+    const char* argv[] = {"prog", arg};
+    testing::internal::CaptureStderr();
+    const bool parsed = flags.parse(2, const_cast<char**>(argv));
+    const std::string error = testing::internal::GetCapturedStderr();
+    EXPECT_FALSE(parsed) << arg;
+    EXPECT_NE(error.find(flag), std::string::npos) << arg << ": " << error;
+  }
+  // The space-separated form is checked too.
+  Flags flags("test");
+  flags.define("epochs", static_cast<std::int64_t>(6), "an int");
+  const char* argv[] = {"prog", "--epochs", "abc"};
+  testing::internal::CaptureStderr();
+  EXPECT_FALSE(flags.parse(3, const_cast<char**>(argv)));
+  EXPECT_NE(testing::internal::GetCapturedStderr().find("--epochs"), std::string::npos);
+}
+
+TEST(Flags, WellFormedNumbersStillParse) {
+  Flags flags("test");
+  flags.define("count", static_cast<std::int64_t>(3), "an int");
+  flags.define("rate", 0.5, "a double");
+  const char* argv[] = {"prog", "--count=-7", "--rate=1e-3"};
+  ASSERT_TRUE(flags.parse(3, const_cast<char**>(argv)));
+  EXPECT_EQ(flags.get_int("count"), -7);
+  EXPECT_DOUBLE_EQ(flags.get_double("rate"), 1e-3);
+}
+
+TEST(Flags, IntListRejectsMalformedEntriesNamingTheFlag) {
+  for (const char* text : {"4,x,16", "4,8x"}) {
+    Flags flags("test");
+    flags.define("parts", text, "partition counts");
+    const char* argv[] = {"prog"};
+    ASSERT_TRUE(flags.parse(1, const_cast<char**>(argv)));
+    try {
+      (void)flags.get_int_list("parts");
+      ADD_FAILURE() << text << " parsed";
+    } catch (const std::invalid_argument& error) {
+      EXPECT_NE(std::string(error.what()).find("--parts"), std::string::npos) << error.what();
+    }
+  }
 }
 
 TEST(Flags, TypeMismatchThrows) {

@@ -2,9 +2,9 @@
 // checks, randomized scalar-vs-SIMD bound property tests (the documented
 // ULP bounds from vec.hpp), the bit-identical-on-every-backend kernels
 // (adam_step, sigmoid_grad, xpby, alpha=1 axpy), the GEMMs against the
-// row-axpy loops they replaced (bit for bit, per backend, serial and
-// pooled), and a per-backend end-to-end training determinism matrix across
-// thread widths {1,2,4,7} x pipeline depths {0,2}.
+// row-axpy loops they replaced and spmm_edges against its edge-order loops
+// (bit for bit, per backend, serial and pooled), and a per-backend
+// end-to-end training determinism matrix across thread widths {1,2,4,7}.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -20,6 +20,7 @@
 #include "core/trainer.hpp"
 #include "data/dataset.hpp"
 #include "sampling/edge_split.hpp"
+#include "tensor/autograd.hpp"
 #include "tensor/matrix.hpp"
 #include "tensor/parallel.hpp"
 #include "tensor/vec.hpp"
@@ -688,6 +689,151 @@ TEST(VecGemmBitIdentity, PooledMatchesRowAxpyLoops) {
   expect_gemms_match_row_loops(kPooledGemmShapes, kWidths);
 }
 
+// ---- spmm_edges vs the edge-order loops ----
+//
+// The reference is the three loops spmm_edges ran serially before it walked
+// edges grouped by output row: in ascending e, one axpy_f32 of a's source
+// row into the destination row (forward), one axpy_f32 of the upstream
+// gradient's destination row into da's source row (input gradient), and
+// one dot_f32 per edge (coefficient gradient). Every output element must
+// come out byte for byte the same on every backend, at every pool width.
+
+struct SpmmEdgeCase {
+  std::string name;
+  std::size_t num_src = 0;
+  std::size_t num_dst = 0;
+  std::vector<std::uint32_t> src;
+  std::vector<std::uint32_t> dst;
+
+  void add(std::uint64_t s, std::uint64_t d) {
+    src.push_back(static_cast<std::uint32_t>(s));
+    dst.push_back(static_cast<std::uint32_t>(d));
+  }
+};
+
+/// ~700 edges each, so E x width crosses the pool gate at every tested
+/// width and the pooled runs really fan out.
+std::vector<SpmmEdgeCase> spmm_edge_cases() {
+  util::Rng rng(7331);
+  std::vector<SpmmEdgeCase> cases;
+  // Endpoints drawn uniformly: destination rows interleave in edge order.
+  SpmmEdgeCase random_order{"random_order", 160, 80};
+  for (int e = 0; e < 700; ++e) random_order.add(rng.uniform_u64(160), rng.uniform_u64(80));
+  cases.push_back(random_order);
+  // A sampled block (edges grouped by destination, as the sampler emits
+  // them), then GAT's self-loops appended after it: destination d reads
+  // source d, since destinations are the prefix of the sources.
+  SpmmEdgeCase self_loops{"self_loops_appended", 160, 80};
+  for (std::uint64_t d = 0; d < 80; ++d) {
+    for (int k = 0; k < 8; ++k) self_loops.add(rng.uniform_u64(160), d);
+  }
+  for (std::uint64_t d = 0; d < 80; ++d) self_loops.add(d, d);
+  cases.push_back(self_loops);
+  // Repeated (src, dst) pairs: some back to back, and the first 200 edges
+  // again at the end.
+  SpmmEdgeCase repeated{"repeated_pairs", 160, 80};
+  for (int e = 0; e < 350; ++e) {
+    const std::uint64_t s = rng.uniform_u64(160);
+    const std::uint64_t d = rng.uniform_u64(80);
+    repeated.add(s, d);
+    if (rng.bernoulli(0.5)) repeated.add(s, d);
+  }
+  for (std::size_t e = 0; e < 200; ++e) repeated.add(repeated.src[e], repeated.dst[e]);
+  cases.push_back(repeated);
+  // Only even destinations and sources below 100 have edges: odd rows of
+  // the output and rows >= 100 of the input gradient stay zero.
+  SpmmEdgeCase sparse_rows{"empty_destinations", 160, 81};
+  for (int e = 0; e < 700; ++e) sparse_rows.add(rng.uniform_u64(100), 2 * rng.uniform_u64(41));
+  cases.push_back(sparse_rows);
+  return cases;
+}
+
+Matrix uniform_matrix(std::size_t rows, std::size_t cols, util::Rng& rng) {
+  Matrix out(rows, cols);
+  for (float& x : out.data()) x = static_cast<float>(rng.uniform(-1.0, 1.0));
+  return out;
+}
+
+/// Runs spmm_edges forward and backward on every (backend, edge case,
+/// width, coefficients present or absent) and each pool width in `widths`
+/// (0 = no pool), comparing with the edge-order loops.
+void expect_spmm_matches_edge_loops(std::span<const std::size_t> widths) {
+  BackendGuard guard;
+  util::Rng rng(6007);
+  const std::vector<SpmmEdgeCase> cases = spmm_edge_cases();
+  for (const VecBackend backend : supported_backends()) {
+    ASSERT_TRUE(set_vec_backend(backend));
+    const VecKernels& kern = vec_kernels_for(backend);
+    for (const SpmmEdgeCase& edges : cases) {
+      const std::size_t num_edges = edges.src.size();
+      for (const std::size_t width : {std::size_t{1433}, std::size_t{64}, std::size_t{61}}) {
+        for (const bool with_coef : {true, false}) {
+          const Matrix a_value = uniform_matrix(edges.num_src, width, rng);
+          const Matrix coef_value = uniform_matrix(num_edges, 1, rng);
+          const Matrix upstream = uniform_matrix(edges.num_dst, width, rng);
+          const auto coef_of = [&](std::size_t e) {
+            return with_coef ? coef_value.at(e, 0) : 1.0F;
+          };
+          Matrix want_out(edges.num_dst, width);
+          for (std::size_t e = 0; e < num_edges; ++e) {
+            kern.axpy_f32(want_out.row(edges.dst[e]).data(), a_value.row(edges.src[e]).data(),
+                          coef_of(e), width);
+          }
+          for (const std::size_t pool_width : widths) {
+            std::optional<util::ThreadPool> pool;
+            if (pool_width > 0) pool.emplace(pool_width);
+            const ComputePoolScope scope(pool ? &*pool : nullptr);
+            const Tensor a = Tensor::parameter(a_value);
+            const Tensor coef = with_coef ? Tensor::parameter(coef_value) : Tensor();
+            const Tensor out = spmm_edges(a, coef, edges.src, edges.dst, edges.num_dst);
+            // A 1x1 head that hands `upstream` to out's gradient unchanged.
+            Tensor head = make_op(Matrix(1, 1), {out}, [out, &upstream](detail::Node&) {
+              out.node_ref().accumulate(upstream);
+            });
+            head.backward();
+
+            // The backward references read the gradient spmm_edges received,
+            // and accumulate into zeros as the autograd leaves do.
+            const Matrix& grad = out.grad();
+            Matrix want_da(edges.num_src, width);
+            Matrix want_dc(num_edges, 1);
+            for (std::size_t e = 0; e < num_edges; ++e) {
+              kern.axpy_f32(want_da.row(edges.src[e]).data(), grad.row(edges.dst[e]).data(),
+                            coef_of(e), width);
+              want_dc.at(e, 0) = kern.dot_f32(grad.row(edges.dst[e]).data(),
+                                              a_value.row(edges.src[e]).data(), width);
+            }
+            Matrix want_a_grad(edges.num_src, width);
+            want_a_grad.add_inplace(want_da);
+            Matrix want_coef_grad(num_edges, 1);
+            want_coef_grad.add_inplace(want_dc);
+
+            const std::string what = std::string(kern.name) + " " + edges.name +
+                                     " width=" + std::to_string(width) +
+                                     " coef=" + std::to_string(with_coef) +
+                                     " pool=" + std::to_string(pool_width);
+            EXPECT_TRUE(same_bytes(out.value(), want_out)) << "forward " << what;
+            EXPECT_TRUE(same_bytes(a.grad(), want_a_grad)) << "input grad " << what;
+            if (with_coef) {
+              EXPECT_TRUE(same_bytes(coef.grad(), want_coef_grad)) << "coef grad " << what;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(VecSpmmEdges, SerialMatchesEdgeOrderLoops) {
+  constexpr std::size_t kWidths[] = {0};
+  expect_spmm_matches_edge_loops(kWidths);
+}
+
+TEST(VecSpmmEdges, PooledMatchesEdgeOrderLoops) {
+  constexpr std::size_t kWidths[] = {2, 4, 7};
+  expect_spmm_matches_edge_loops(kWidths);
+}
+
 // ---- end-to-end: per-backend training determinism matrix ----
 
 void expect_bitwise_same_training(const core::TrainResult& a, const core::TrainResult& b,
@@ -712,8 +858,8 @@ void expect_bitwise_same_training(const core::TrainResult& a, const core::TrainR
 }
 
 /// Same backend + same seed must give the same bytes at EVERY thread width
-/// and pipeline depth — the second tier of the determinism contract, checked
-/// end to end through sampling, GEMM, aggregation, loss, and Adam.
+/// — the second tier of the determinism contract, checked end to end
+/// through sampling, GEMM, aggregation, loss, and Adam.
 TEST(VecTrainingMatrix, EveryBackendIsDeterministicAcrossWidthsAndDepths) {
   BackendGuard guard;
   const auto dataset = data::make_dataset("cora", 0.08, 5150);
@@ -735,17 +881,12 @@ TEST(VecTrainingMatrix, EveryBackendIsDeterministicAcrossWidthsAndDepths) {
     const std::string name = vec_backend_name(backend);
     const core::TrainResult baseline =
         core::train_link_prediction(split, dataset.features, base);
-    for (const std::size_t threads : {1U, 2U, 4U, 7U}) {
-      for (const std::uint32_t depth : {0U, 2U}) {
-        if (threads == 1 && depth == 0) continue;
-        core::TrainConfig variant = base;
-        variant.worker_threads = threads;
-        variant.pipeline_batches = depth;
-        expect_bitwise_same_training(
-            baseline, core::train_link_prediction(split, dataset.features, variant),
-            name + " threads=" + std::to_string(threads) +
-                " depth=" + std::to_string(depth));
-      }
+    for (const std::size_t threads : {2U, 4U, 7U}) {
+      core::TrainConfig variant = base;
+      variant.worker_threads = threads;
+      expect_bitwise_same_training(
+          baseline, core::train_link_prediction(split, dataset.features, variant),
+          name + " threads=" + std::to_string(threads));
     }
   }
 }

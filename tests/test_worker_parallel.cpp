@@ -1,10 +1,9 @@
 // Worker-side parallelism: the DESIGN.md §6 determinism contract applied to
-// the per-worker hot paths. The tentpole guarantee under test: a full
-// training run's observable result — loss curve, metrics, communication
-// bytes, fault outcomes, and final parameters — is BIT-identical for every
-// worker pool width and pipeline depth, across sync modes and under injected
-// faults. Plus direct bit-identity of the chunked neighbor sampler and
-// in-order crash delivery through the pipeline.
+// the per-worker hot paths. The guarantee under test: a full training run's
+// observable result — loss curve, metrics, communication bytes, fault
+// outcomes, and final parameters — is BIT-identical for every worker pool
+// width, across sync modes and under injected faults. Plus direct
+// bit-identity of the chunked neighbor sampler.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -157,8 +156,7 @@ TrainConfig plan_config(const IterationPlan& plan) {
 }
 
 /// ~20 randomized configurations; each asserts the run is bit-identical
-/// between the serial baseline and (pooled, pooled+pipelined) variants. The
-/// thread width cycles through {2, 4, 7} so widths both below and above the
+/// between the serial baseline and a pooled variant. The thread width cycles through {2, 4, 7} so widths both below and above the
 /// per-partition work-chunk count get exercised.
 TEST(WorkerParallelProperty, RandomizedRunsAreBitIdenticalAcrossThreadsAndPipeline) {
   util::Rng meta_rng(20260806);
@@ -197,15 +195,10 @@ TEST(WorkerParallelProperty, RandomizedRunsAreBitIdenticalAcrossThreadsAndPipeli
     pooled.worker_threads = plan.threads;
     expect_same_result(baseline, train_link_prediction(split, dataset.features, pooled),
                        "pooled");
-
-    TrainConfig pipelined = pooled;
-    pipelined.pipeline_batches = 2;
-    expect_same_result(baseline, train_link_prediction(split, dataset.features, pipelined),
-                       "pipelined");
   }
 }
 
-/// The full width x depth matrix on one fixed configuration per sync mode.
+/// Every width on one fixed configuration per sync mode.
 TEST(WorkerParallelProperty, FullMatrixOnFixedConfig) {
   const auto dataset = data::make_dataset("cora", 0.1, 77);
   util::Rng split_rng = util::Rng(77).split("split");
@@ -219,25 +212,19 @@ TEST(WorkerParallelProperty, FullMatrixOnFixedConfig) {
     plan.sync = sync;
     const TrainConfig base = plan_config(plan);
     const TrainResult baseline = train_link_prediction(split, dataset.features, base);
-    for (const std::size_t threads : {1U, 2U, 4U, 7U}) {
-      for (const std::uint32_t depth : {0U, 2U}) {
-        if (threads == 1 && depth == 0) continue;
-        TrainConfig variant = base;
-        variant.worker_threads = threads;
-        variant.pipeline_batches = depth;
-        expect_same_result(baseline,
-                           train_link_prediction(split, dataset.features, variant),
-                           "sync=" + std::to_string(static_cast<int>(sync)) +
-                               " threads=" + std::to_string(threads) +
-                               " pipeline=" + std::to_string(depth));
-      }
+    for (const std::size_t threads : {2U, 4U, 7U}) {
+      TrainConfig variant = base;
+      variant.worker_threads = threads;
+      expect_same_result(baseline, train_link_prediction(split, dataset.features, variant),
+                         "sync=" + std::to_string(static_cast<int>(sync)) +
+                             " threads=" + std::to_string(threads));
     }
   }
 }
 
-/// The same matrix pinned to the scalar kernel backend — the in-process
-/// equivalent of a `SPLPG_VEC=scalar` run. The width/depth bit-identity
-/// contract must hold on every backend, including the legacy-exact one.
+/// The same widths pinned to the scalar kernel backend — the in-process
+/// equivalent of a `SPLPG_VEC=scalar` run. The width bit-identity contract
+/// must hold on every backend, including the legacy-exact one.
 TEST(WorkerParallelProperty, FullMatrixHoldsOnScalarBackend) {
   const tensor::VecBackend previous = tensor::vec_active_backend();
   ASSERT_TRUE(tensor::set_vec_backend(tensor::VecBackend::kScalar));
@@ -251,71 +238,14 @@ TEST(WorkerParallelProperty, FullMatrixHoldsOnScalarBackend) {
   plan.partitions = 2;
   const TrainConfig base = plan_config(plan);
   const TrainResult baseline = train_link_prediction(split, dataset.features, base);
-  for (const std::size_t threads : {1U, 2U, 4U, 7U}) {
-    for (const std::uint32_t depth : {0U, 2U}) {
-      if (threads == 1 && depth == 0) continue;
-      TrainConfig variant = base;
-      variant.worker_threads = threads;
-      variant.pipeline_batches = depth;
-      expect_same_result(baseline, train_link_prediction(split, dataset.features, variant),
-                         "scalar threads=" + std::to_string(threads) +
-                             " pipeline=" + std::to_string(depth));
-    }
+  for (const std::size_t threads : {2U, 4U, 7U}) {
+    TrainConfig variant = base;
+    variant.worker_threads = threads;
+    expect_same_result(baseline, train_link_prediction(split, dataset.features, variant),
+                       "scalar threads=" + std::to_string(threads));
   }
 
   tensor::set_vec_backend(previous);
-}
-
-// ---- pipeline crash semantics ----
-
-TEST(WorkerPipeline, CrashDuringPipelinedEpochRecoversIdentically) {
-  const auto dataset = data::make_dataset("cora", 0.1, 13);
-  util::Rng split_rng = util::Rng(13).split("split");
-  const auto split = sampling::split_edges(dataset.graph, sampling::SplitOptions{}, split_rng);
-
-  IterationPlan plan;
-  plan.seed = 13;
-  plan.partitions = 3;
-  plan.faults = true;
-  plan.crash = true;
-  TrainConfig base = plan_config(plan);
-  base.epochs = 3;
-  base.max_batches_per_epoch = 3;
-  // A crash in the middle of epoch 2's rounds: with pipeline depth > rounds
-  // the producer has prepared every remaining round before the consumer
-  // reaches the crash marker — the marker must still be delivered in order.
-  base.faults.crashes.clear();
-  base.faults.crashes.push_back(dist::CrashEvent{1, 2, 1});
-
-  const TrainResult baseline = train_link_prediction(split, dataset.features, base);
-  EXPECT_EQ(baseline.fault.crashes, 1U);
-  EXPECT_EQ(baseline.fault.recoveries, 1U);
-
-  for (const std::uint32_t depth : {1U, 2U, 8U}) {
-    TrainConfig pipelined = base;
-    pipelined.worker_threads = 2;
-    pipelined.pipeline_batches = depth;
-    expect_same_result(baseline, train_link_prediction(split, dataset.features, pipelined),
-                       "pipeline=" + std::to_string(depth));
-  }
-}
-
-TEST(WorkerPipeline, DeepPipelineOnSingleWorkerRuns) {
-  const auto dataset = data::make_dataset("citeseer", 0.08, 21);
-  util::Rng split_rng = util::Rng(21).split("split");
-  const auto split = sampling::split_edges(dataset.graph, sampling::SplitOptions{}, split_rng);
-
-  IterationPlan plan;
-  plan.seed = 21;
-  plan.partitions = 1;
-  TrainConfig base = plan_config(plan);
-  base.method = Method::kCentralized;
-  const TrainResult baseline = train_link_prediction(split, dataset.features, base);
-
-  TrainConfig pipelined = base;
-  pipelined.pipeline_batches = 16;  // far deeper than the round count
-  expect_same_result(baseline, train_link_prediction(split, dataset.features, pipelined),
-                     "deep pipeline");
 }
 
 }  // namespace
