@@ -25,6 +25,7 @@
 #include <cstring>
 #include <fstream>
 #include <functional>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -76,11 +77,10 @@ using splpg::tensor::Matrix;
 /// A^T*B split rows of C and read A's columns with a stride.
 void before_matmul_acc(const Matrix& a, const Matrix& b, Matrix& c) {
   const VecKernels& kern = splpg::tensor::vec_kernels();
-  const bool skip_zero = splpg::tensor::kernels_assume_finite();
   const auto run_row = [&](std::size_t i) {
     for (std::size_t p = 0; p < a.cols(); ++p) {
       const float alpha = a.at(i, p);
-      if (skip_zero && alpha == 0.0F) continue;
+      if (alpha == 0.0F) continue;
       kern.axpy_f32(c.row(i).data(), b.row(p).data(), alpha, b.cols());
     }
   };
@@ -94,14 +94,13 @@ void before_matmul_acc(const Matrix& a, const Matrix& b, Matrix& c) {
 
 void before_matmul_tn_acc(const Matrix& a, const Matrix& b, Matrix& c) {
   const VecKernels& kern = splpg::tensor::vec_kernels();
-  const bool skip_zero = splpg::tensor::kernels_assume_finite();
   const std::size_t n = b.cols();
   if (splpg::util::ThreadPool* pool = splpg::tensor::pool_for(
           splpg::tensor::sat_flops(a.rows(), a.cols(), n))) {
     pool->parallel_for(0, a.cols(), [&](std::size_t p) {
       for (std::size_t i = 0; i < a.rows(); ++i) {
         const float alpha = a.at(i, p);
-        if (skip_zero && alpha == 0.0F) continue;
+        if (alpha == 0.0F) continue;
         kern.axpy_f32(c.row(p).data(), b.row(i).data(), alpha, n);
       }
     });
@@ -110,7 +109,7 @@ void before_matmul_tn_acc(const Matrix& a, const Matrix& b, Matrix& c) {
   for (std::size_t i = 0; i < a.rows(); ++i) {
     for (std::size_t p = 0; p < a.cols(); ++p) {
       const float alpha = a.at(i, p);
-      if (skip_zero && alpha == 0.0F) continue;
+      if (alpha == 0.0F) continue;
       kern.axpy_f32(c.row(p).data(), b.row(i).data(), alpha, n);
     }
   }
@@ -219,18 +218,11 @@ int main(int argc, char** argv) {
     return ok ? 0 : 1;
   }
 
+  constexpr std::int64_t kAny = std::numeric_limits<std::int64_t>::max();
   for (const char* name : {"size", "total-elements", "gemm"}) {
-    if (flags.get_int(name) < 0) {
-      std::fprintf(stderr, "bench_kernels: --%s must be >= 0, got %lld\n", name,
-                   static_cast<long long>(flags.get_int(name)));
-      return 1;
-    }
+    if (!flags.int_in_range(name, 0, kAny)) return 1;
   }
-  if (flags.get_int("repeats") < 1) {
-    std::fprintf(stderr, "bench_kernels: --repeats must be >= 1, got %lld\n",
-                 static_cast<long long>(flags.get_int("repeats")));
-    return 1;
-  }
+  if (!flags.int_in_range("repeats", 1, std::numeric_limits<int>::max())) return 1;
   const auto n = static_cast<std::size_t>(flags.get_int("size"));
   const auto total = static_cast<std::uint64_t>(flags.get_int("total-elements"));
   const auto gemm_rows = static_cast<std::size_t>(flags.get_int("gemm"));

@@ -2,7 +2,9 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <limits>
 #include <stdexcept>
+#include <tuple>
 
 #include "util/logging.hpp"
 
@@ -53,14 +55,16 @@ std::optional<Env> parse_env(int argc, char** argv, const std::string& descripti
                "other value switches to model averaging every H rounds "
                "(local-SGD), 0 = once per epoch");
   if (!flags.parse(argc, argv)) return std::nullopt;
-  // A negative count would wrap to a huge unsigned size or loop bound.
-  for (const char* name : {"epochs", "hidden", "layers", "max_batches", "threads",
-                           "worker-threads", "local-steps"}) {
-    if (flags.get_int(name) < 0) {
-      std::fprintf(stderr, "error: flag --%s must be >= 0, got %lld\n", name,
-                   static_cast<long long>(flags.get_int(name)));
-      return std::nullopt;
-    }
+  // A count outside its field's range would wrap when narrowed (a negative
+  // one to a huge size, 2^32 epochs to 0), so each is checked before use.
+  constexpr std::int64_t kU32 = std::numeric_limits<std::uint32_t>::max();
+  constexpr std::int64_t kAny = std::numeric_limits<std::int64_t>::max();
+  const std::tuple<const char*, std::int64_t, std::int64_t> counts[] = {
+      {"epochs", 1, kU32},      {"hidden", 0, kU32},  {"layers", 0, kU32},
+      {"max_batches", 0, kU32}, {"threads", 0, kAny}, {"worker-threads", 0, kAny},
+      {"local-steps", 0, kU32}};
+  for (const auto& [name, min, max] : counts) {
+    if (!flags.int_in_range(name, min, max)) return std::nullopt;
   }
   std::vector<std::int64_t> partitions;
   try {
@@ -70,9 +74,9 @@ std::optional<Env> parse_env(int argc, char** argv, const std::string& descripti
     return std::nullopt;
   }
   for (const auto p : partitions) {
-    if (p < 1) {
-      std::fprintf(stderr, "error: flag --partitions entries must be >= 1, got %lld\n",
-                   static_cast<long long>(p));
+    if (p < 1 || p > kU32) {
+      std::fprintf(stderr, "error: flag --partitions entries must be in [1, %lld], got %lld\n",
+                   static_cast<long long>(kU32), static_cast<long long>(p));
       return std::nullopt;
     }
   }

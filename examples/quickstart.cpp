@@ -16,7 +16,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <limits>
 #include <stdexcept>
+#include <tuple>
 
 #include "core/trainer.hpp"
 #include "data/dataset.hpp"
@@ -74,19 +76,16 @@ int main(int argc, char** argv) {
                "serving layer and score the test edges through the batched, "
                "embedding-cached server (f32 and int8)");
   if (!flags.parse(argc, argv)) return 1;
-  // A negative count would wrap to a huge unsigned size or loop bound.
-  for (const char* name : {"epochs", "hidden", "threads", "worker-threads", "keep-checkpoints",
-                           "local-steps"}) {
-    if (flags.get_int(name) < 0) {
-      std::fprintf(stderr, "error: flag --%s must be >= 0, got %lld\n", name,
-                   static_cast<long long>(flags.get_int(name)));
-      return 1;
-    }
-  }
-  if (flags.get_int("partitions") < 1) {
-    std::fprintf(stderr, "error: flag --partitions must be >= 1, got %lld\n",
-                 static_cast<long long>(flags.get_int("partitions")));
-    return 1;
+  // A count outside its field's range would wrap when narrowed (a negative
+  // one to a huge size, 2^32 epochs to 0), so each is checked before use.
+  constexpr std::int64_t kU32 = std::numeric_limits<std::uint32_t>::max();
+  constexpr std::int64_t kAny = std::numeric_limits<std::int64_t>::max();
+  const std::tuple<const char*, std::int64_t, std::int64_t> counts[] = {
+      {"epochs", 1, kU32},  {"partitions", 1, kU32},     {"hidden", 0, kAny},
+      {"threads", 0, kAny}, {"worker-threads", 0, kAny}, {"keep-checkpoints", 0, kU32},
+      {"local-steps", 0, kU32}};
+  for (const auto& [name, min, max] : counts) {
+    if (!flags.int_in_range(name, min, max)) return 1;
   }
 
   const std::uint64_t seed = static_cast<std::uint64_t>(flags.get_int("seed"));

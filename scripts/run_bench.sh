@@ -49,7 +49,14 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-cmake -B build -S . -G Ninja >/dev/null
+# Ninja only for a fresh build tree: one configured earlier (the tier-1
+# command leaves the default generator) keeps the generator it has, since
+# cmake refuses to switch generators in place.
+generator=()
+if [[ ! -f build/CMakeCache.txt ]] && command -v ninja >/dev/null; then
+  generator=(-G Ninja)
+fi
+cmake -B build -S . ${generator[@]+"${generator[@]}"} >/dev/null
 cmake --build build -j --target bench_parallel_preprocessing bench_worker_parallel \
   bench_kernels bench_comm_regimes bench_serving
 

@@ -181,7 +181,6 @@ dist::MasterStore partition_and_sparsify(const sampling::LinkSplit& split,
   partition::PartitionResult parts =
       partitioner->partition(split.train_graph, num_workers, master_rng);
   result.partition_edge_cut = partition::edge_cut(split.train_graph, parts);
-  result.partition_balance = partition::balance(split.train_graph, parts);
   dist::MasterStore store(split.train_graph, &features, std::move(parts));
   if (!uses_sparsification(config.method)) return store;
 
@@ -189,15 +188,13 @@ dist::MasterStore partition_and_sparsify(const sampling::LinkSplit& split,
   sparsify_config.alpha = config.alpha;
   sparsify_config.num_threads = config.num_threads;
   const auto sparsifier = sparsify::make_sparsifier(config.sparsifier, sparsify_config);
-  std::vector<sparsify::SparsifyStats> stats;
   util::Rng sparsify_rng = util::Rng(config.seed).split("sparsify");
   std::vector<std::uint32_t> assignment(store.graph().num_nodes());
   for (NodeId v = 0; v < store.graph().num_nodes(); ++v) assignment[v] = store.part_of(v);
   const util::Stopwatch sparsify_watch;
-  store.set_sparsified(sparsifier->sparsify_partitions(store.graph(), assignment, num_workers,
-                                                       sparsify_rng, &stats));
+  store.set_sparsified(
+      sparsifier->sparsify_partitions(store.graph(), assignment, num_workers, sparsify_rng));
   result.sparsify_seconds = sparsify_watch.seconds();
-  for (const auto& s : stats) result.sparsify_cpu_seconds += s.cpu_seconds;
   return store;
 }
 
@@ -664,12 +661,19 @@ TrainResult train_link_prediction(const sampling::LinkSplit& split,
                                   const graph::FeatureStore& features,
                                   const TrainConfig& config) {
   const util::Stopwatch total_watch;
+  // batch_size divides the round count, and zero epochs would report the
+  // untrained model's AUC as a result.
+  if (config.epochs == 0) {
+    throw std::invalid_argument("train_link_prediction: epochs must be >= 1");
+  }
+  if (config.batch_size == 0) {
+    throw std::invalid_argument("train_link_prediction: batch_size must be >= 1");
+  }
   if (config.patience > 0 && config.eval_every == 0) {
     throw std::invalid_argument(
         "train_link_prediction: patience > 0 requires eval_every > 0");
   }
   TrainResult result;
-  result.method = config.method;
   const std::uint32_t num_workers =
       config.method == Method::kCentralized ? 1 : std::max(1U, config.num_partitions);
   const dist::MasterStore store =

@@ -33,8 +33,8 @@ struct TrainConfig {
   Method method = Method::kSplpg;
   nn::ModelConfig model;                     // model.in_dim set from features if 0
   std::uint32_t num_partitions = 4;          // ignored for kCentralized
-  std::uint32_t epochs = 10;
-  std::uint32_t batch_size = 256;
+  std::uint32_t epochs = 10;                 // >= 1, else std::invalid_argument
+  std::uint32_t batch_size = 256;            // >= 1, else std::invalid_argument
   float learning_rate = 1e-3F;
   dist::SyncMode sync = dist::SyncMode::kModelAveraging;  // baselines' setting
 
@@ -151,7 +151,6 @@ struct EpochRecord {
 };
 
 struct TrainResult {
-  Method method = Method::kCentralized;
   std::vector<EpochRecord> history;
 
   /// The trained (synchronized) model — the replica the final evaluation
@@ -191,14 +190,10 @@ struct TrainResult {
   /// fresh (or resumed from the epoch-0 initial-state checkpoint).
   std::uint32_t resumed_from_epoch = 0;
 
-  // Preprocessing. `sparsify_seconds` is the master's wall-clock spent in
-  // sparsify_partitions; `sparsify_cpu_seconds` sums the per-partition thread
-  // CPU time, so cpu/wall > 1 indicates pool speedup (cpu ~ wall when
-  // num_threads == 1).
+  // Preprocessing: the master's wall-clock time in sparsify_partitions, and
+  // the edge cut of the partition the workers train on.
   double sparsify_seconds = 0.0;
-  double sparsify_cpu_seconds = 0.0;
   graph::EdgeId partition_edge_cut = 0;
-  double partition_balance = 1.0;
 
   double train_seconds = 0.0;
   std::uint64_t total_batches = 0;

@@ -5,11 +5,10 @@
 // is re-tried up to `max_attempts` times with exponential backoff and
 // deterministic jitter (drawn from the worker's private fault stream), all
 // in *simulated* time — nothing sleeps, the seconds are accumulated in
-// FaultStats and priced by dist/cost_model. A fetch that exhausts its
-// attempts, or whose batch blows through `batch_deadline_seconds` of
-// simulated fault time, fails permanently: WorkerView throws
-// RemoteFetchError and the trainer degrades that batch gracefully (local
-// negative candidates, no remote reads) instead of aborting.
+// FaultStats (reported in TrainResult::fault). A fetch that exhausts its
+// attempts fails permanently: WorkerView throws RemoteFetchError and the
+// trainer degrades that batch gracefully (local negative candidates, no
+// remote reads) instead of aborting.
 #pragma once
 
 #include <cstdint>
@@ -24,28 +23,20 @@ namespace splpg::dist {
 struct RetryPolicy {
   /// Total tries per fetch (first attempt included). Must be >= 1.
   std::uint32_t max_attempts = 4;
-  /// Backoff before retry k (1-based) is
-  ///   min(base * multiplier^(k-1), max_backoff) * (1 + jitter * u),
-  /// with u drawn uniformly from [0, 1) on the worker's fault stream.
-  double base_backoff_seconds = 1e-3;
-  double backoff_multiplier = 2.0;
-  double max_backoff_seconds = 0.1;
-  double jitter = 0.1;
-  /// Simulated fault-time budget (latency + backoff) per mini-batch; once
-  /// exceeded, further failures in the batch are permanent. 0 = no deadline.
-  double batch_deadline_seconds = 0.0;
 
-  [[nodiscard]] double backoff_seconds(std::uint32_t retry_index, util::Rng& rng) const {
-    double backoff = base_backoff_seconds;
-    for (std::uint32_t k = 1; k < retry_index; ++k) backoff *= backoff_multiplier;
-    if (backoff > max_backoff_seconds) backoff = max_backoff_seconds;
-    return backoff * (1.0 + jitter * rng.uniform());
+  /// Backoff before retry k (1-based):
+  ///   min(1 ms * 2^(k-1), 100 ms) * (1 + 0.1 * u),
+  /// with u drawn uniformly from [0, 1) on the worker's fault stream.
+  [[nodiscard]] static double backoff_seconds(std::uint32_t retry_index, util::Rng& rng) {
+    double backoff = 1e-3;
+    for (std::uint32_t k = 1; k < retry_index; ++k) backoff *= 2.0;
+    if (backoff > 0.1) backoff = 0.1;
+    return backoff * (1.0 + 0.1 * rng.uniform());
   }
 };
 
-/// A remote fetch that failed permanently (retries exhausted or batch
-/// deadline exceeded). Carries the requesting partition and node so the
-/// degradation path is debuggable.
+/// A remote fetch that failed permanently (retries exhausted). Carries the
+/// requesting partition and node so the degradation path is debuggable.
 class RemoteFetchError : public std::runtime_error {
  public:
   RemoteFetchError(std::uint32_t part, graph::NodeId node, const std::string& what_kind)

@@ -43,22 +43,16 @@ bool WorkerView::remote_fetch_succeeds(std::uint64_t bytes) {
   if (injector_ == nullptr) return true;
   FaultStats& faults = meter_.faults();
   for (std::uint32_t attempt = 1;; ++attempt) {
-    const double latency = injector_->fetch_latency_seconds(part_);
-    faults.injected_latency_seconds += latency;
-    batch_fault_seconds_ += latency;
+    faults.injected_latency_seconds += injector_->fetch_latency_seconds(part_);
     if (!injector_->fetch_attempt_fails(part_)) return true;
     ++faults.transient_failures;
     faults.wasted_bytes += bytes;
-    const bool deadline_blown = retry_.batch_deadline_seconds > 0.0 &&
-                                batch_fault_seconds_ >= retry_.batch_deadline_seconds;
-    if (attempt >= retry_.max_attempts || deadline_blown) {
+    if (attempt >= retry_.max_attempts) {
       ++faults.permanent_failures;
       return false;
     }
     ++faults.retries;
-    const double backoff = retry_.backoff_seconds(attempt, injector_->rng(part_));
-    faults.backoff_seconds += backoff;
-    batch_fault_seconds_ += backoff;
+    faults.backoff_seconds += RetryPolicy::backoff_seconds(attempt, injector_->rng(part_));
   }
 }
 

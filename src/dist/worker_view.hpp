@@ -81,12 +81,8 @@ class WorkerView final : public sampling::AdjacencyProvider {
   void set_degraded(bool degraded) noexcept { degraded_ = degraded; }
   [[nodiscard]] bool degraded() const noexcept { return degraded_; }
 
-  /// Must be called at every mini-batch boundary (resets fetch dedup and the
-  /// per-batch simulated fault-time budget).
-  void begin_batch() {
-    meter_.begin_batch(!degraded_);
-    if (!degraded_) batch_fault_seconds_ = 0.0;
-  }
+  /// Must be called at every mini-batch boundary (resets fetch dedup).
+  void begin_batch() { meter_.begin_batch(!degraded_); }
 
   /// AdjacencyProvider: serves local reads for free and remote reads
   /// according to the policy, charging the meter.
@@ -136,7 +132,6 @@ class WorkerView final : public sampling::AdjacencyProvider {
   util::ThreadPool* pool_ = nullptr;
   RetryPolicy retry_;
   bool degraded_ = false;
-  double batch_fault_seconds_ = 0.0;
 };
 
 }  // namespace splpg::dist

@@ -13,6 +13,9 @@ using tensor::Tensor;
 
 namespace {
 
+/// LeakyReLU slope of the GAT/GATv2 attention scores (the GAT paper's 0.2).
+constexpr float kNegativeSlope = 0.2F;
+
 /// Indices [0, dst_count) — the dst prefix of src_nodes.
 std::vector<std::uint32_t> dst_prefix_indices(const Block& block) {
   std::vector<std::uint32_t> idx(block.dst_count);
@@ -95,57 +98,31 @@ Tensor SageConv::forward(const Block& block, const Tensor& src_feats) const {
 
 // ---------------------------------------------------------------- GatConv --
 
-GatConv::GatConv(std::size_t in_dim, std::size_t out_dim, util::Rng& rng, float negative_slope,
-                 std::uint32_t num_heads)
-    : negative_slope_(negative_slope), num_heads_(std::max(1U, num_heads)) {
-  if (out_dim % num_heads_ != 0) {
-    throw std::invalid_argument("GatConv: num_heads must divide out_dim");
-  }
-  const std::size_t head_dim = out_dim / num_heads_;
+GatConv::GatConv(std::size_t in_dim, std::size_t out_dim, util::Rng& rng) {
   weight_ = register_parameter(tensor::xavier_uniform(in_dim, out_dim, rng));
-  for (std::uint32_t h = 0; h < num_heads_; ++h) {
-    attn_src_.push_back(register_parameter(tensor::xavier_uniform(head_dim, 1, rng)));
-  }
-  for (std::uint32_t h = 0; h < num_heads_; ++h) {
-    attn_dst_.push_back(register_parameter(tensor::xavier_uniform(head_dim, 1, rng)));
-  }
+  attn_src_ = register_parameter(tensor::xavier_uniform(out_dim, 1, rng));
+  attn_dst_ = register_parameter(tensor::xavier_uniform(out_dim, 1, rng));
   bias_ = register_parameter(tensor::zeros(1, out_dim));
 }
 
 Tensor GatConv::forward(const Block& block, const Tensor& src_feats) const {
   const Tensor z = matmul(src_feats, weight_);  // S x out
   const SelfLoopEdges edges = with_self_loops(block);
-  const std::size_t head_dim = weight_.cols() / num_heads_;
-
-  Tensor out;  // concatenated head outputs
-  for (std::uint32_t h = 0; h < num_heads_; ++h) {
-    const Tensor z_h = num_heads_ == 1 ? z : slice_cols(z, h * head_dim, head_dim);
-    const Tensor score_src = matmul(z_h, attn_src_[h]);  // S x 1
-    const Tensor score_dst = matmul(z_h, attn_dst_[h]);  // S x 1 (dst prefix used)
-    const Tensor e_scores = leaky_relu(
-        add(gather_rows(score_src, edges.src), gather_rows(score_dst, edges.dst)),
-        negative_slope_);
-    const Tensor att = segment_softmax(e_scores, edges.dst, block.dst_count);
-    const Tensor out_h = spmm_edges(z_h, att, edges.src, edges.dst, block.dst_count);
-    out = out.defined() ? concat_cols(out, out_h) : out_h;
-  }
-  return add(out, bias_);
+  const Tensor score_src = matmul(z, attn_src_);  // S x 1
+  const Tensor score_dst = matmul(z, attn_dst_);  // S x 1 (dst prefix used)
+  const Tensor e_scores = leaky_relu(
+      add(gather_rows(score_src, edges.src), gather_rows(score_dst, edges.dst)),
+      kNegativeSlope);
+  const Tensor att = segment_softmax(e_scores, edges.dst, block.dst_count);
+  return add(spmm_edges(z, att, edges.src, edges.dst, block.dst_count), bias_);
 }
 
 // -------------------------------------------------------------- Gatv2Conv --
 
-Gatv2Conv::Gatv2Conv(std::size_t in_dim, std::size_t out_dim, util::Rng& rng,
-                     float negative_slope, std::uint32_t num_heads)
-    : negative_slope_(negative_slope), num_heads_(std::max(1U, num_heads)) {
-  if (out_dim % num_heads_ != 0) {
-    throw std::invalid_argument("Gatv2Conv: num_heads must divide out_dim");
-  }
-  const std::size_t head_dim = out_dim / num_heads_;
+Gatv2Conv::Gatv2Conv(std::size_t in_dim, std::size_t out_dim, util::Rng& rng) {
   weight_src_ = register_parameter(tensor::xavier_uniform(in_dim, out_dim, rng));
   weight_dst_ = register_parameter(tensor::xavier_uniform(in_dim, out_dim, rng));
-  for (std::uint32_t h = 0; h < num_heads_; ++h) {
-    attn_.push_back(register_parameter(tensor::xavier_uniform(head_dim, 1, rng)));
-  }
+  attn_ = register_parameter(tensor::xavier_uniform(out_dim, 1, rng));
   bias_ = register_parameter(tensor::zeros(1, out_dim));
 }
 
@@ -154,21 +131,12 @@ Tensor Gatv2Conv::forward(const Block& block, const Tensor& src_feats) const {
   const Tensor z_dst = matmul(src_feats, weight_dst_);  // S x out
 
   const SelfLoopEdges edges = with_self_loops(block);
-  // Per edge and head: e = a_h^T LeakyReLU(W_src h_u + W_dst h_v).
+  // Per edge: e = a^T LeakyReLU(W_src h_u + W_dst h_v).
   const Tensor pre = leaky_relu(
-      add(gather_rows(z_src, edges.src), gather_rows(z_dst, edges.dst)), negative_slope_);
-  const std::size_t head_dim = weight_src_.cols() / num_heads_;
-
-  Tensor out;
-  for (std::uint32_t h = 0; h < num_heads_; ++h) {
-    const Tensor pre_h = num_heads_ == 1 ? pre : slice_cols(pre, h * head_dim, head_dim);
-    const Tensor e_scores = matmul(pre_h, attn_[h]);
-    const Tensor att = segment_softmax(e_scores, edges.dst, block.dst_count);
-    const Tensor z_h = num_heads_ == 1 ? z_src : slice_cols(z_src, h * head_dim, head_dim);
-    const Tensor out_h = spmm_edges(z_h, att, edges.src, edges.dst, block.dst_count);
-    out = out.defined() ? concat_cols(out, out_h) : out_h;
-  }
-  return add(out, bias_);
+      add(gather_rows(z_src, edges.src), gather_rows(z_dst, edges.dst)), kNegativeSlope);
+  const Tensor e_scores = matmul(pre, attn_);
+  const Tensor att = segment_softmax(e_scores, edges.dst, block.dst_count);
+  return add(spmm_edges(z_src, att, edges.src, edges.dst, block.dst_count), bias_);
 }
 
 // ---------------------------------------------------------------- factory --
@@ -184,14 +152,12 @@ std::string to_string(GnnKind kind) {
 }
 
 std::unique_ptr<GnnLayer> make_gnn_layer(GnnKind kind, std::size_t in_dim, std::size_t out_dim,
-                                         util::Rng& rng, std::uint32_t num_heads) {
+                                         util::Rng& rng) {
   switch (kind) {
     case GnnKind::kGcn: return std::make_unique<GcnConv>(in_dim, out_dim, rng);
     case GnnKind::kSage: return std::make_unique<SageConv>(in_dim, out_dim, rng);
-    case GnnKind::kGat:
-      return std::make_unique<GatConv>(in_dim, out_dim, rng, 0.2F, num_heads);
-    case GnnKind::kGatv2:
-      return std::make_unique<Gatv2Conv>(in_dim, out_dim, rng, 0.2F, num_heads);
+    case GnnKind::kGat: return std::make_unique<GatConv>(in_dim, out_dim, rng);
+    case GnnKind::kGatv2: return std::make_unique<Gatv2Conv>(in_dim, out_dim, rng);
   }
   throw std::invalid_argument("unknown GNN kind");
 }

@@ -12,9 +12,9 @@
 //    blocks and respects the sparsifier's edge weights on weighted ones.
 //  * SageConv is the mean-aggregator GraphSAGE:
 //      h_v = W_self^T h_v + W_neigh^T mean_e(h_src(e)) + b.
-//  * GatConv / Gatv2Conv are single-head; an implicit self-edge per
-//    destination joins the attention softmax (equivalent to DGL's add-self-
-//    loop convention).
+//  * GatConv / Gatv2Conv are single-head with GAT's LeakyReLU slope 0.2; an
+//    implicit self-edge per destination joins the attention softmax
+//    (equivalent to DGL's add-self-loop convention).
 #pragma once
 
 #include <memory>
@@ -65,56 +65,42 @@ class SageConv final : public GnnLayer {
 
 class GatConv final : public GnnLayer {
  public:
-  /// Multi-head attention with concatenated heads: `num_heads` must divide
-  /// `out_dim` (head width = out_dim / num_heads). num_heads = 1 recovers
-  /// single-head GAT.
-  GatConv(std::size_t in_dim, std::size_t out_dim, util::Rng& rng,
-          float negative_slope = 0.2F, std::uint32_t num_heads = 1);
+  GatConv(std::size_t in_dim, std::size_t out_dim, util::Rng& rng);
 
   [[nodiscard]] tensor::Tensor forward(const sampling::Block& block,
                                        const tensor::Tensor& src_feats) const override;
   [[nodiscard]] std::size_t out_dim() const noexcept override { return weight_.cols(); }
-  [[nodiscard]] std::uint32_t num_heads() const noexcept { return num_heads_; }
 
  private:
   tensor::Tensor weight_;
-  std::vector<tensor::Tensor> attn_src_;  // per head: head_dim x 1
-  std::vector<tensor::Tensor> attn_dst_;  // per head: head_dim x 1
+  tensor::Tensor attn_src_;  // out_dim x 1
+  tensor::Tensor attn_dst_;  // out_dim x 1
   tensor::Tensor bias_;
-  float negative_slope_;
-  std::uint32_t num_heads_;
 };
 
 /// GATv2 [Brody et al.]: the attention MLP applies the nonlinearity *before*
 /// the attention vector, fixing GAT's static-attention limitation.
 class Gatv2Conv final : public GnnLayer {
  public:
-  /// Multi-head with concatenated heads; see GatConv.
-  Gatv2Conv(std::size_t in_dim, std::size_t out_dim, util::Rng& rng,
-            float negative_slope = 0.2F, std::uint32_t num_heads = 1);
+  Gatv2Conv(std::size_t in_dim, std::size_t out_dim, util::Rng& rng);
 
   [[nodiscard]] tensor::Tensor forward(const sampling::Block& block,
                                        const tensor::Tensor& src_feats) const override;
   [[nodiscard]] std::size_t out_dim() const noexcept override { return weight_src_.cols(); }
-  [[nodiscard]] std::uint32_t num_heads() const noexcept { return num_heads_; }
 
  private:
   tensor::Tensor weight_src_;
   tensor::Tensor weight_dst_;
-  std::vector<tensor::Tensor> attn_;  // per head: head_dim x 1
+  tensor::Tensor attn_;  // out_dim x 1
   tensor::Tensor bias_;
-  float negative_slope_;
-  std::uint32_t num_heads_;
 };
 
 enum class GnnKind { kGcn, kSage, kGat, kGatv2 };
 
 [[nodiscard]] std::string to_string(GnnKind kind);
 
-/// Factory for a single layer. `num_heads` applies to the attention kinds
-/// only (must divide out_dim).
+/// Factory for a single layer.
 [[nodiscard]] std::unique_ptr<GnnLayer> make_gnn_layer(GnnKind kind, std::size_t in_dim,
-                                                       std::size_t out_dim, util::Rng& rng,
-                                                       std::uint32_t num_heads = 1);
+                                                       std::size_t out_dim, util::Rng& rng);
 
 }  // namespace splpg::nn

@@ -17,8 +17,7 @@ LinkPredictionModel::LinkPredictionModel(const ModelConfig& config, std::uint64_
   layers_.reserve(config.num_layers);
   std::size_t in_dim = config.in_dim;
   for (std::uint32_t k = 0; k < config.num_layers; ++k) {
-    layers_.push_back(
-        make_gnn_layer(config.gnn, in_dim, config.hidden_dim, rng, config.num_heads));
+    layers_.push_back(make_gnn_layer(config.gnn, in_dim, config.hidden_dim, rng));
     in_dim = config.hidden_dim;
     register_module(*layers_.back());
   }

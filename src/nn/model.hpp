@@ -25,7 +25,6 @@ struct ModelConfig {
   std::size_t hidden_dim = 256;        // paper default
   std::uint32_t num_layers = 3;        // paper default (3-layer GNN)
   std::uint32_t predictor_layers = 3;  // paper default (3-layer MLP)
-  std::uint32_t num_heads = 1;         // attention heads (GAT/GATv2 only)
 };
 
 class LinkPredictionModel : public Module {

@@ -7,6 +7,14 @@
 
 namespace splpg::nn {
 
+namespace {
+
+constexpr float kBeta1 = 0.9F;
+constexpr float kBeta2 = 0.999F;
+constexpr float kEpsilon = 1e-8F;
+
+}  // namespace
+
 void Optimizer::save_state(std::ostream& out) const { (void)out; }
 
 void Optimizer::load_state(std::istream& in) { (void)in; }
@@ -14,15 +22,12 @@ void Optimizer::load_state(std::istream& in) { (void)in; }
 void Sgd::step() {
   for (auto& p : *parameters_) {
     if (p.grad().empty()) continue;
-    auto& value = p.mutable_value();
-    if (weight_decay_ > 0.0F) value.scale_inplace(1.0F - learning_rate_ * weight_decay_);
-    value.axpy_inplace(-learning_rate_, p.grad());
+    p.mutable_value().axpy_inplace(-learning_rate_, p.grad());
   }
 }
 
-Adam::Adam(Module& module, float learning_rate, float beta1, float beta2, float epsilon)
-    : Optimizer(module), learning_rate_(learning_rate), beta1_(beta1), beta2_(beta2),
-      epsilon_(epsilon) {
+Adam::Adam(Module& module, float learning_rate)
+    : Optimizer(module), learning_rate_(learning_rate) {
   m_.reserve(parameters_->size());
   v_.reserve(parameters_->size());
   for (const auto& p : *parameters_) {
@@ -33,8 +38,8 @@ Adam::Adam(Module& module, float learning_rate, float beta1, float beta2, float 
 
 void Adam::step() {
   ++t_;
-  const float bias1 = 1.0F - std::pow(beta1_, static_cast<float>(t_));
-  const float bias2 = 1.0F - std::pow(beta2_, static_cast<float>(t_));
+  const float bias1 = 1.0F - std::pow(kBeta1, static_cast<float>(t_));
+  const float bias2 = 1.0F - std::pow(kBeta2, static_cast<float>(t_));
   // adam_step is one of the bit-identical-on-every-backend kernels (see
   // vec.hpp), so checkpoints and resumed runs never depend on SPLPG_VEC.
   const tensor::VecKernels& kern = tensor::vec_kernels();
@@ -43,8 +48,8 @@ void Adam::step() {
     if (p.grad().empty()) continue;
     const auto grad = p.grad().data();
     kern.adam_step_f32(p.mutable_value().data().data(), m_[i].data().data(),
-                       v_[i].data().data(), grad.data(), grad.size(), beta1_, beta2_,
-                       learning_rate_, bias1, bias2, epsilon_);
+                       v_[i].data().data(), grad.data(), grad.size(), kBeta1, kBeta2,
+                       learning_rate_, bias1, bias2, kEpsilon);
   }
 }
 

@@ -41,20 +41,18 @@ class Optimizer {
 
 class Sgd final : public Optimizer {
  public:
-  Sgd(Module& module, float learning_rate, float weight_decay = 0.0F)
-      : Optimizer(module), learning_rate_(learning_rate), weight_decay_(weight_decay) {}
+  Sgd(Module& module, float learning_rate) : Optimizer(module), learning_rate_(learning_rate) {}
 
   void step() override;
 
  private:
   float learning_rate_;
-  float weight_decay_;
 };
 
+/// Adam with the standard beta1 = 0.9, beta2 = 0.999, epsilon = 1e-8.
 class Adam final : public Optimizer {
  public:
-  Adam(Module& module, float learning_rate = 1e-3F, float beta1 = 0.9F, float beta2 = 0.999F,
-       float epsilon = 1e-8F);
+  explicit Adam(Module& module, float learning_rate = 1e-3F);
 
   void step() override;
 
@@ -63,9 +61,6 @@ class Adam final : public Optimizer {
 
  private:
   float learning_rate_;
-  float beta1_;
-  float beta2_;
-  float epsilon_;
   std::uint64_t t_ = 0;
   std::vector<tensor::Matrix> m_;
   std::vector<tensor::Matrix> v_;

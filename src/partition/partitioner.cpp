@@ -29,6 +29,13 @@ std::vector<NodeId> PartitionResult::part_sizes() const {
 
 namespace {
 
+/// Coarsening stops at max(kCoarsenTargetPerPart * p, 64) nodes.
+constexpr std::uint32_t kCoarsenTargetPerPart = 30;
+/// Maximum part weight as a multiple of the average (1.05 = 5%).
+constexpr double kBalanceFactor = 1.05;
+/// Boundary-refinement passes per uncoarsening level.
+constexpr std::uint32_t kRefinePasses = 4;
+
 /// Weighted working graph used across coarsening levels.
 struct WorkGraph {
   // adj[v] = (neighbor, edge weight); deduplicated, no self-loops.
@@ -165,13 +172,13 @@ std::vector<std::uint32_t> initial_partition(const WorkGraph& work, std::uint32_
 }
 
 /// Boundary FM-style refinement: greedy positive-gain moves under balance.
-void refine(const WorkGraph& work, std::uint32_t p, double balance_factor,
-            std::uint32_t passes, std::vector<std::uint32_t>& part, Rng& rng) {
+void refine(const WorkGraph& work, std::uint32_t p, std::uint32_t passes,
+            std::vector<std::uint32_t>& part, Rng& rng) {
   const NodeId n = work.size();
   std::vector<std::int64_t> part_weight(p, 0);
   for (NodeId v = 0; v < n; ++v) part_weight[part[v]] += work.node_weight[v];
   const std::int64_t max_weight = static_cast<std::int64_t>(
-      std::ceil(balance_factor * static_cast<double>(work.total_weight()) / p));
+      std::ceil(kBalanceFactor * static_cast<double>(work.total_weight()) / p));
 
   std::vector<NodeId> order(n);
   std::iota(order.begin(), order.end(), NodeId{0});
@@ -240,8 +247,7 @@ PartitionResult MetisLikePartitioner::partition(const CsrGraph& graph, std::uint
   std::vector<WorkGraph> levels;
   std::vector<std::vector<NodeId>> maps;  // maps[i]: level i -> level i+1
   levels.push_back(from_csr(graph));
-  const NodeId target =
-      std::max<NodeId>(64, options_.coarsen_target_per_part * num_parts);
+  const NodeId target = std::max<NodeId>(64, kCoarsenTargetPerPart * num_parts);
   while (levels.back().size() > target) {
     auto [coarse_of, coarse_count] = heavy_edge_matching(levels.back(), rng);
     if (coarse_count >= levels.back().size() * 95 / 100) break;  // stalled
@@ -252,8 +258,7 @@ PartitionResult MetisLikePartitioner::partition(const CsrGraph& graph, std::uint
 
   // ---- initial partition on the coarsest level ----
   std::vector<std::uint32_t> part = initial_partition(levels.back(), num_parts, rng);
-  refine(levels.back(), num_parts, options_.balance_factor, options_.refine_passes * 2, part,
-         rng);
+  refine(levels.back(), num_parts, kRefinePasses * 2, part, rng);
 
   // ---- uncoarsen + refine ----
   for (std::size_t level = levels.size() - 1; level-- > 0;) {
@@ -261,8 +266,7 @@ PartitionResult MetisLikePartitioner::partition(const CsrGraph& graph, std::uint
     std::vector<std::uint32_t> fine_part(levels[level].size());
     for (NodeId v = 0; v < fine_part.size(); ++v) fine_part[v] = part[coarse_of[v]];
     part = std::move(fine_part);
-    refine(levels[level], num_parts, options_.balance_factor, options_.refine_passes, part,
-           rng);
+    refine(levels[level], num_parts, kRefinePasses, part, rng);
   }
 
   result.assignment = std::move(part);

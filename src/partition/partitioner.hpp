@@ -42,27 +42,14 @@ class Partitioner {
   [[nodiscard]] virtual std::string name() const = 0;
 };
 
+/// Coarsens to max(30 * p, 64) nodes, keeps every part within 5% of the
+/// average weight, and runs 4 boundary-refinement passes per uncoarsening
+/// level (8 on the coarsest).
 class MetisLikePartitioner final : public Partitioner {
  public:
-  struct Options {
-    /// Stop coarsening when the graph has at most max(coarsen_target_per_part
-    /// * p, 64) nodes.
-    std::uint32_t coarsen_target_per_part = 30;
-    /// Maximum allowed part weight as a multiple of the average (1.05 = 5%).
-    double balance_factor = 1.05;
-    /// Boundary-refinement passes per uncoarsening level.
-    std::uint32_t refine_passes = 4;
-  };
-
-  MetisLikePartitioner() = default;
-  explicit MetisLikePartitioner(Options options) : options_(options) {}
-
   [[nodiscard]] PartitionResult partition(const graph::CsrGraph& graph, std::uint32_t num_parts,
                                           util::Rng& rng) const override;
   [[nodiscard]] std::string name() const override { return "metis_like"; }
-
- private:
-  Options options_;
 };
 
 class RandomPartitioner final : public Partitioner {

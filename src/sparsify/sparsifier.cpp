@@ -8,7 +8,6 @@
 #include <unordered_map>
 
 #include "util/thread_pool.hpp"
-#include "util/timer.hpp"
 
 namespace splpg::sparsify {
 
@@ -60,8 +59,6 @@ std::pair<std::vector<Edge>, std::vector<float>> Sparsifier::sparsify_edges(
     out.second.push_back(static_cast<float>(weight));
   }
   if (stats != nullptr) {
-    stats->original_edges = edges.size();
-    stats->sampled_draws = draws;
     stats->kept_edges = out.first.size();
     stats->removal_ratio =
         1.0 - static_cast<double>(out.first.size()) / static_cast<double>(edges.size());
@@ -70,13 +67,10 @@ std::pair<std::vector<Edge>, std::vector<float>> Sparsifier::sparsify_edges(
 }
 
 CsrGraph Sparsifier::sparsify(const CsrGraph& graph, Rng& rng, SparsifyStats* stats) const {
-  const util::Stopwatch watch;
   auto [edges, weights] = sparsify_edges(
       graph.edges(), [&graph](NodeId v) { return static_cast<double>(graph.degree(v)); }, rng,
       stats);
-  CsrGraph out(graph.num_nodes(), std::move(edges), std::move(weights));
-  if (stats != nullptr) stats->elapsed_seconds = watch.seconds();
-  return out;
+  return CsrGraph(graph.num_nodes(), std::move(edges), std::move(weights));
 }
 
 std::vector<CsrGraph> Sparsifier::sparsify_partitions(
@@ -93,8 +87,6 @@ std::vector<CsrGraph> Sparsifier::sparsify_partitions(
   std::vector<CsrGraph> out(num_parts);
   auto process_part = [&](std::size_t part_index) {
     const auto part = static_cast<std::uint32_t>(part_index);
-    const util::Stopwatch watch;
-    const util::ThreadCpuStopwatch cpu_watch;
     Rng part_rng = rng.split("part", part);
 
     // Partition subgraph G^i: every edge with at least one endpoint in part i
@@ -113,14 +105,10 @@ std::vector<CsrGraph> Sparsifier::sparsify_partitions(
       degree[v] += 1.0;
     }
 
-    SparsifyStats part_stats;
-    auto [edges, weights] =
-        sparsify_edges(std::span<const Edge>(part_edges),
-                       [&degree](NodeId v) { return degree.at(v); }, part_rng, &part_stats);
+    auto [edges, weights] = sparsify_edges(
+        std::span<const Edge>(part_edges), [&degree](NodeId v) { return degree.at(v); },
+        part_rng, stats != nullptr ? &(*stats)[part] : nullptr);
     out[part] = CsrGraph(graph.num_nodes(), std::move(edges), std::move(weights));
-    part_stats.elapsed_seconds = watch.seconds();
-    part_stats.cpu_seconds = cpu_watch.seconds();
-    if (stats != nullptr) (*stats)[part] = part_stats;
   };
 
   std::optional<util::ThreadPool> pool;
@@ -139,12 +127,6 @@ double UniformSparsifier::edge_importance(const Edge& edge,
   (void)edge;
   (void)degree_of;
   return 1.0;
-}
-
-std::unique_ptr<Sparsifier> make_sparsifier(SparsifierKind kind, double alpha) {
-  SparsifyConfig config;
-  config.alpha = alpha;
-  return make_sparsifier(kind, config);
 }
 
 std::unique_ptr<Sparsifier> make_sparsifier(SparsifierKind kind, const SparsifyConfig& config) {

@@ -25,12 +25,8 @@
 namespace splpg::sparsify {
 
 struct SparsifyStats {
-  graph::EdgeId original_edges = 0;
-  graph::EdgeId sampled_draws = 0;   // L
-  graph::EdgeId kept_edges = 0;      // distinct edges in the output
-  double removal_ratio = 0.0;        // 1 - kept/original
-  double elapsed_seconds = 0.0;      // wall time of this partition's processing
-  double cpu_seconds = 0.0;          // thread-CPU time of the same work
+  graph::EdgeId kept_edges = 0;  // distinct edges in the output
+  double removal_ratio = 0.0;    // 1 - kept/original
 };
 
 /// Knobs shared by every sparsifier implementation.
@@ -51,12 +47,11 @@ class Sparsifier {
   virtual ~Sparsifier() = default;
 
   [[nodiscard]] double alpha() const noexcept { return alpha_; }
-  [[nodiscard]] std::size_t num_threads() const noexcept { return num_threads_; }
   [[nodiscard]] virtual std::string name() const = 0;
 
   /// Returns the sparsified, weighted graph over the same node set.
-  /// Deterministic given `rng` state. `stats`, if non-null, receives
-  /// bookkeeping (including wall time, for the Table II benchmark).
+  /// Deterministic given `rng` state. `stats`, if non-null, receives the
+  /// kept-edge count and removal ratio.
   [[nodiscard]] graph::CsrGraph sparsify(const graph::CsrGraph& graph, util::Rng& rng,
                                          SparsifyStats* stats = nullptr) const;
 
@@ -118,7 +113,6 @@ class UniformSparsifier final : public Sparsifier {
 
 enum class SparsifierKind { kEffectiveResistance, kUniform };
 
-[[nodiscard]] std::unique_ptr<Sparsifier> make_sparsifier(SparsifierKind kind, double alpha);
 [[nodiscard]] std::unique_ptr<Sparsifier> make_sparsifier(SparsifierKind kind,
                                                           const SparsifyConfig& config);
 

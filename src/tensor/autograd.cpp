@@ -339,26 +339,6 @@ Tensor gather_rows(const Tensor& a, std::span<const std::uint32_t> indices) {
   });
 }
 
-Tensor slice_cols(const Tensor& a, std::size_t start, std::size_t count) {
-  assert(start + count <= a.cols());
-  Matrix out(a.rows(), count);
-  for (std::size_t r = 0; r < a.rows(); ++r) {
-    const auto src = a.value().row(r);
-    std::copy(src.begin() + static_cast<std::ptrdiff_t>(start),
-              src.begin() + static_cast<std::ptrdiff_t>(start + count), out.row(r).begin());
-  }
-  return make_op(std::move(out), {a}, [a, start, count](Node& self) {
-    if (!a.requires_grad()) return;
-    Matrix da(a.rows(), a.cols());
-    for (std::size_t r = 0; r < da.rows(); ++r) {
-      const auto grad_row = self.grad.row(r);
-      const auto dst = da.row(r);
-      for (std::size_t c = 0; c < count; ++c) dst[start + c] = grad_row[c];
-    }
-    a.node_ref().accumulate(da);
-  });
-}
-
 Tensor spmm_edges(const Tensor& a, const Tensor& coef, std::span<const std::uint32_t> src_idx,
                   std::span<const std::uint32_t> dst_idx, std::size_t num_dst) {
   assert(src_idx.size() == dst_idx.size());

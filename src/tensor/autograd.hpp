@@ -115,11 +115,6 @@ class Tensor {
 /// out[i] = a[indices[i]] (row gather). Backward scatter-adds.
 [[nodiscard]] Tensor gather_rows(const Tensor& a, std::span<const std::uint32_t> indices);
 
-/// Contiguous column slice: out = a[:, start : start + count]. Backward
-/// scatters the gradient into the sliced columns. Used by multi-head
-/// attention to address one head's feature block.
-[[nodiscard]] Tensor slice_cols(const Tensor& a, std::size_t start, std::size_t count);
-
 /// Generalized sparse aggregation over an edge list:
 ///   out[dst_idx[e]] += coef[e] * a[src_idx[e]]    for e in [0, E)
 /// `coef` may be undefined (all-ones), a constant, or a trainable E x 1

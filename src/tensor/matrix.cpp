@@ -113,13 +113,12 @@ void matmul_acc(const Matrix& a, const Matrix& b, Matrix& c) {
   const std::size_t k = a.cols();
   const std::size_t n = b.cols();
   const VecKernels& kern = vec_kernels();
-  // Skipping alpha == 0 exploits activation sparsity but masks NaN/Inf in
-  // the skipped B row (IEEE says 0 * NaN = NaN); see vec.hpp for the flag.
-  const bool skip_zero = kernels_assume_finite();
+  // gemm_f32 skips alpha == 0, which exploits activation sparsity but masks
+  // NaN/Inf in the skipped B row (IEEE says 0 * NaN = NaN); see vec.hpp.
   for_row_blocks(m, sat_flops(m, k, n), kern.gemm_rows, [&](std::size_t begin, std::size_t end) {
     for (std::size_t r0 = begin; r0 < end; r0 += kCallRows) {
       kern.gemm_f32(c.row(r0).data(), n, a.row(r0).data(), k, 1, b.data().data(), n,
-                    std::min(kCallRows, end - r0), k, n, skip_zero);
+                    std::min(kCallRows, end - r0), k, n);
     }
   });
 }
@@ -142,7 +141,6 @@ void matmul_tn_acc(const Matrix& a, const Matrix& b, Matrix& c) {
   const std::size_t k = a.cols();
   const std::size_t n = b.cols();
   const VecKernels& kern = vec_kernels();
-  const bool skip_zero = kernels_assume_finite();
   for_row_blocks(k, sat_flops(m, k, n), kern.gemm_rows, [&](std::size_t begin, std::size_t end) {
     std::vector<float> panel(std::min(end - begin, kCallRows) * std::min(m, kPanelDepth));
     for (std::size_t r0 = begin; r0 < end; r0 += kCallRows) {
@@ -154,7 +152,7 @@ void matmul_tn_acc(const Matrix& a, const Matrix& b, Matrix& c) {
           std::copy(a_row, a_row + rows, panel.begin() + static_cast<std::ptrdiff_t>(q * rows));
         }
         kern.gemm_f32(c.row(r0).data(), n, panel.data(), 1, rows, b.row(i0).data(), n, rows,
-                      depth, n, skip_zero);
+                      depth, n);
       }
     }
   });

@@ -48,7 +48,6 @@
 //    bit-identical on EVERY backend.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <string_view>
@@ -79,16 +78,21 @@ struct VecKernels {
   /// Every element of C takes exactly the operations of the row loop
   /// `for p < k: axpy_f32(C row i, B row p, A(i, p), n)`: one fma per term
   /// on full-vector columns, a mul then an add on the n % width_f32 tail, p
-  /// ascending. With `skip_zero` the terms with A(i, p) == 0 are left out,
-  /// as the loop's skip does; the update is masked, never fma(0, b, c). So
-  /// it equals those loops bit for bit on the same backend. Scalar runs the
-  /// row loop itself. SSE2 and AVX2 run C's rows one at a time, each in a
-  /// register tile over its listed terms (the nonzero ones with skip_zero).
-  /// AVX-512 holds a 6-row register tile of C across the reduction, and runs
-  /// rows one at a time instead when more than 3/4 of A is zero.
+  /// ascending. The terms with A(i, p) == 0 are left out, as the loop's
+  /// skip does; the update is masked, never fma(0, b, c). So it equals
+  /// those loops bit for bit on the same backend. Scalar runs the row loop
+  /// itself. SSE2 and AVX2 run C's rows one at a time, each in a register
+  /// tile over its nonzero terms. AVX-512 holds a 6-row register tile of C
+  /// across the reduction, and runs rows one at a time instead when more
+  /// than 3/4 of A is zero.
+  ///
+  /// The skip is exact for finite B (c + 0 * b == c, and it avoids the
+  /// signed-zero flip fma(0, b, -0) would make), but it masks NaN/Inf in a
+  /// skipped B row, where IEEE gives 0 * NaN = NaN: a NaN behind a zero
+  /// coefficient never reaches C.
   void (*gemm_f32)(float* c, std::size_t ldc, const float* a, std::size_t a_row_stride,
                    std::size_t a_col_stride, const float* b, std::size_t ldb, std::size_t m,
-                   std::size_t k, std::size_t n, bool skip_zero);
+                   std::size_t k, std::size_t n);
 
   // ---- linear double kernels (sparse CSR solvers) ----
   /// dst[i] += alpha * src[i]
@@ -154,45 +158,6 @@ bool set_vec_backend(VecBackend backend) noexcept;
 
 /// "scalar|sse2|avx2|avx512" -> backend. Returns false on anything else.
 [[nodiscard]] bool parse_vec_backend(std::string_view text, VecBackend& out) noexcept;
-
-// ---------------------------------------------------------------------------
-// IEEE strictness of the GEMM zero-skip.
-//
-// matmul_acc / matmul_tn_acc (gemm_f32) skip an A entry when alpha == 0:
-// for finite B this is exact (c + 0*b == c except for signed-zero flips the
-// skip also avoids), but it masks NaN/Inf in the skipped B row — the IEEE
-// result of 0 * NaN is NaN and would propagate into C. The skip is ON by default
-// (bit-compatible with the historical kernels and with the sparsity the
-// skip exists to exploit); flip it off when NaN poisoning must surface.
-// Process-wide, read with relaxed ordering at kernel entry.
-// ---------------------------------------------------------------------------
-
-namespace detail {
-inline std::atomic<bool> g_kernels_assume_finite{true};
-}  // namespace detail
-
-[[nodiscard]] inline bool kernels_assume_finite() noexcept {
-  return detail::g_kernels_assume_finite.load(std::memory_order_relaxed);
-}
-
-inline void set_kernels_assume_finite(bool value) noexcept {
-  detail::g_kernels_assume_finite.store(value, std::memory_order_relaxed);
-}
-
-/// RAII toggle for kernels_assume_finite (tests, strict-IEEE sections).
-class AssumeFiniteScope {
- public:
-  explicit AssumeFiniteScope(bool value) noexcept : previous_(kernels_assume_finite()) {
-    set_kernels_assume_finite(value);
-  }
-  ~AssumeFiniteScope() { set_kernels_assume_finite(previous_); }
-
-  AssumeFiniteScope(const AssumeFiniteScope&) = delete;
-  AssumeFiniteScope& operator=(const AssumeFiniteScope&) = delete;
-
- private:
-  bool previous_;
-};
 
 namespace detail {
 // Per-backend table accessors, defined one per TU (vec_<backend>.cpp);

@@ -43,11 +43,11 @@ void xpby_f64(double* dst, const double* src, double beta, std::size_t n) {
 
 void gemm_f32(float* c, std::size_t ldc, const float* a, std::size_t a_row_stride,
               std::size_t a_col_stride, const float* b, std::size_t ldb, std::size_t m,
-              std::size_t k, std::size_t n, bool skip_zero) {
+              std::size_t k, std::size_t n) {
   for (std::size_t i = 0; i < m; ++i) {
     for (std::size_t p = 0; p < k; ++p) {
       const float alpha = a[i * a_row_stride + p * a_col_stride];
-      if (skip_zero && alpha == 0.0F) continue;
+      if (alpha == 0.0F) continue;
       axpy_f32(c + i * ldc, b + p * ldb, alpha, n);
     }
   }

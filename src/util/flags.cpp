@@ -156,6 +156,15 @@ std::vector<std::int64_t> Flags::get_int_list(const std::string& name) const {
   return out;
 }
 
+bool Flags::int_in_range(const std::string& name, std::int64_t min, std::int64_t max) const {
+  const std::int64_t value = get_int(name);
+  if (value >= min && value <= max) return true;
+  std::fprintf(stderr, "error: flag --%s must be in [%lld, %lld], got %lld\n", name.c_str(),
+               static_cast<long long>(min), static_cast<long long>(max),
+               static_cast<long long>(value));
+  return false;
+}
+
 void Flags::print_usage() const {
   std::fprintf(stderr, "%s\n\nflags:\n", description_.c_str());
   for (const auto& [name, entry] : entries_) {

@@ -39,6 +39,13 @@ class Flags {
   /// parse whole as an int.
   [[nodiscard]] std::vector<std::int64_t> get_int_list(const std::string& name) const;
 
+  /// True iff int flag `name` lies in [min, max]; otherwise prints "error:
+  /// flag --<name> must be in [min, max], got <value>" and returns false.
+  /// Check a count this way before narrowing it to its field, where a
+  /// negative value or 2^32 would wrap.
+  [[nodiscard]] bool int_in_range(const std::string& name, std::int64_t min,
+                                  std::int64_t max) const;
+
   void print_usage() const;
 
  private:

@@ -1,6 +1,6 @@
 // Wall-clock stopwatch used by the sparsification-time benchmark (Table II)
-// and progress reporting, plus a thread-CPU stopwatch for separating
-// preprocessing wall time from CPU time when work fans out on the pool.
+// and progress reporting, plus a process-CPU stopwatch for separating wall
+// time from CPU time when work fans out on a pool.
 #pragma once
 
 #include <chrono>
@@ -22,33 +22,6 @@ class Stopwatch {
  private:
   using Clock = std::chrono::steady_clock;
   Clock::time_point start_;
-};
-
-/// CPU-time stopwatch scoped to the *calling thread*. Summed across the
-/// ThreadPool tasks of a parallel region it yields the region's total CPU
-/// cost, which the wall-clock Stopwatch divides into to report parallel
-/// efficiency (SparsifyStats, TrainResult).
-class ThreadCpuStopwatch {
- public:
-  ThreadCpuStopwatch() : start_(now()) {}
-
-  void reset() noexcept { start_ = now(); }
-
-  /// Thread-CPU seconds consumed since construction or the last reset().
-  [[nodiscard]] double seconds() const noexcept { return now() - start_; }
-
- private:
-  [[nodiscard]] static double now() noexcept {
-#if defined(CLOCK_THREAD_CPUTIME_ID)
-    std::timespec ts{};
-    clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
-    return static_cast<double>(ts.tv_sec) + static_cast<double>(ts.tv_nsec) * 1e-9;
-#else
-    return static_cast<double>(std::clock()) / CLOCKS_PER_SEC;
-#endif
-  }
-
-  double start_;
 };
 
 /// CPU-time stopwatch scoped to the *whole process* — every thread,

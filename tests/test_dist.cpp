@@ -485,20 +485,15 @@ TEST(FaultInjector, CrashDueMatchesSchedule) {
 }
 
 TEST(RetryPolicy, BackoffGrowsAndCaps) {
-  RetryPolicy policy;
-  policy.base_backoff_seconds = 1e-3;
-  policy.backoff_multiplier = 2.0;
-  policy.max_backoff_seconds = 3e-3;
-  policy.jitter = 0.0;
+  // 1 ms doubling per retry, capped at 100 ms, times a jitter in [1, 1.1).
+  const std::pair<std::uint32_t, double> cases[] = {
+      {1, 1e-3}, {2, 2e-3}, {3, 4e-3}, {7, 64e-3}, {8, 0.1}, {20, 0.1}};
   util::Rng rng(1);
-  EXPECT_DOUBLE_EQ(policy.backoff_seconds(1, rng), 1e-3);
-  EXPECT_DOUBLE_EQ(policy.backoff_seconds(2, rng), 2e-3);
-  EXPECT_DOUBLE_EQ(policy.backoff_seconds(3, rng), 3e-3);  // capped
-  EXPECT_DOUBLE_EQ(policy.backoff_seconds(9, rng), 3e-3);
-  policy.jitter = 0.5;
-  const double jittered = policy.backoff_seconds(1, rng);
-  EXPECT_GE(jittered, 1e-3);
-  EXPECT_LE(jittered, 1.5e-3);
+  for (const auto& [retry, base] : cases) {
+    const double backoff = RetryPolicy::backoff_seconds(retry, rng);
+    EXPECT_GE(backoff, base) << "retry " << retry;
+    EXPECT_LT(backoff, 1.1 * base) << "retry " << retry;
+  }
 }
 
 TEST(WorkerViewFaults, RetriesAreMeteredAndDeterministic) {

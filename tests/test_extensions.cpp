@@ -36,9 +36,19 @@ TEST(UniformSparsifier, SameBudgetAsEffectiveResistance) {
   Rng rng2(2);
   sparsify::SparsifyStats uniform_stats;
   sparsify::SparsifyStats resistance_stats;
-  (void)sparsify::UniformSparsifier(0.15).sparsify(graph, rng1, &uniform_stats);
+  const CsrGraph uniform = sparsify::UniformSparsifier(0.15).sparsify(graph, rng1, &uniform_stats);
   (void)sparsify::EffectiveResistanceSparsifier(0.15).sparsify(graph, rng2, &resistance_stats);
-  EXPECT_EQ(uniform_stats.sampled_draws, resistance_stats.sampled_draws);
+  // Both draw L = ceil(0.15 |E|) edges. A uniform draw weighs |E| / L, so
+  // the uniform weights count the draws: sum of w_e * L / |E| is L.
+  const auto draws =
+      static_cast<std::uint64_t>(std::ceil(0.15 * static_cast<double>(graph.num_edges())));
+  std::uint64_t counted = 0;
+  for (const float w : uniform.edge_weights()) {
+    counted += static_cast<std::uint64_t>(std::llround(
+        static_cast<double>(w) * static_cast<double>(draws) / graph.num_edges()));
+  }
+  EXPECT_EQ(counted, draws);
+  EXPECT_LE(resistance_stats.kept_edges, draws);
   // With-replacement collisions are rarer under the uniform distribution, so
   // it keeps at least as many distinct edges.
   EXPECT_GE(uniform_stats.kept_edges, resistance_stats.kept_edges);
@@ -79,9 +89,11 @@ TEST(UniformSparsifier, KeepsHubEdgesMoreOftenThanResistance) {
 }
 
 TEST(SparsifierFactory, KindsAndNames) {
-  const auto er = sparsify::make_sparsifier(sparsify::SparsifierKind::kEffectiveResistance, 0.1);
+  sparsify::SparsifyConfig config;
+  config.alpha = 0.1;
+  const auto er = sparsify::make_sparsifier(sparsify::SparsifierKind::kEffectiveResistance, config);
   EXPECT_EQ(er->name(), "effective_resistance");
-  const auto uniform = sparsify::make_sparsifier(sparsify::SparsifierKind::kUniform, 0.1);
+  const auto uniform = sparsify::make_sparsifier(sparsify::SparsifierKind::kUniform, config);
   EXPECT_EQ(uniform->name(), "uniform");
   EXPECT_DOUBLE_EQ(uniform->alpha(), 0.1);
 }

@@ -177,6 +177,28 @@ TEST_P(AttentionLayerTest, GradientsReachAllParameters) {
 INSTANTIATE_TEST_SUITE_P(GatKinds, AttentionLayerTest,
                          ::testing::Values(GnnKind::kGat, GnnKind::kGatv2));
 
+// The attention layers' parameter order is the checkpoint layout.
+void expect_shapes(const GnnLayer& layer,
+                   const std::vector<std::pair<std::size_t, std::size_t>>& shapes) {
+  ASSERT_EQ(layer.parameters().size(), shapes.size());
+  for (std::size_t i = 0; i < shapes.size(); ++i) {
+    EXPECT_EQ(layer.parameters()[i].value().rows(), shapes[i].first) << "parameter " << i;
+    EXPECT_EQ(layer.parameters()[i].value().cols(), shapes[i].second) << "parameter " << i;
+  }
+}
+
+TEST(AttentionLayout, GatRegistersWeightAttentionAndBias) {
+  Rng rng(13);
+  const auto layer = make_gnn_layer(GnnKind::kGat, 4, 8, rng);
+  expect_shapes(*layer, {{4, 8}, {8, 1}, {8, 1}, {1, 8}});  // W, a_src, a_dst, bias
+}
+
+TEST(AttentionLayout, Gatv2RegistersBothWeightsAttentionAndBias) {
+  Rng rng(13);
+  const auto layer = make_gnn_layer(GnnKind::kGatv2, 4, 8, rng);
+  expect_shapes(*layer, {{4, 8}, {4, 8}, {8, 1}, {1, 8}});  // W_src, W_dst, a, bias
+}
+
 TEST(Predictors, DotPredictorHandComputed) {
   const DotPredictor predictor;
   Matrix emb(3, 2);
@@ -349,20 +371,6 @@ TEST(Optimizers, AdamDescendsQuadraticFasterThanSgdOnIllScaled) {
   Adam adam(adam_model, 0.05F);
   const float adam_w0 = run(adam, adam_model);
   EXPECT_LT(adam_w0, 0.05F);
-}
-
-TEST(Optimizers, SgdWeightDecayShrinksWeights) {
-  class P : public Module {
-   public:
-    P() { w_ = register_parameter(Matrix(1, 1, 1.0F)); }
-    Tensor w_;
-  };
-  P model;
-  Sgd sgd(model, 0.1F, /*weight_decay=*/0.5F);
-  // No gradient accumulated -> grad empty -> step skips. Give a zero grad.
-  model.w_.mutable_grad().resize(1, 1);
-  sgd.step();
-  EXPECT_NEAR(model.w_.value().at(0, 0), 1.0F - 0.1F * 0.5F, 1e-6);
 }
 
 TEST(Optimizers, ZeroGradClearsAll) {

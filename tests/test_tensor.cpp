@@ -131,19 +131,18 @@ TEST(Matrix, BlockedTransposeMatchesNaiveBytes) {
 }
 
 TEST(Matrix, ZeroSkipMasksNanByDefault) {
-  // Historical (and default) behavior: an exact 0 in A skips the whole B
-  // row, so NaN/Inf hiding behind a zero coefficient never reaches C.
+  // An exact 0 in A skips the whole B row, so NaN/Inf hiding behind a zero
+  // coefficient never reaches C.
   const float nan = std::numeric_limits<float>::quiet_NaN();
   Matrix a(1, 2, {0.0F, 1.0F});
   Matrix b(2, 2, {nan, std::numeric_limits<float>::infinity(), 2.0F, 3.0F});
-  ASSERT_TRUE(kernels_assume_finite());
   Matrix c(1, 2);
   matmul_acc(a, b, c);
   EXPECT_FLOAT_EQ(c.at(0, 0), 2.0F);
   EXPECT_FLOAT_EQ(c.at(0, 1), 3.0F);
 
   // A^T(2x1) * B(1x2): the a(0,0) = 0 coefficient would multiply B's NaN
-  // row into C row 0 — skipped by default.
+  // row into C row 0 — skipped.
   Matrix bt(1, 2, {nan, 3.0F});
   Matrix ct(2, 2);
   matmul_tn_acc(a, bt, ct);
@@ -151,38 +150,6 @@ TEST(Matrix, ZeroSkipMasksNanByDefault) {
   EXPECT_FLOAT_EQ(ct.at(0, 1), 0.0F);
   EXPECT_TRUE(std::isnan(ct.at(1, 0)));
   EXPECT_FLOAT_EQ(ct.at(1, 1), 3.0F);
-}
-
-TEST(Matrix, ZeroSkipDisabledPropagatesNan) {
-  // Strict IEEE mode: 0 * NaN = NaN must poison the accumulator.
-  const float nan = std::numeric_limits<float>::quiet_NaN();
-  Matrix a(1, 2, {0.0F, 1.0F});
-  Matrix b(2, 2, {nan, std::numeric_limits<float>::infinity(), 2.0F, 3.0F});
-  AssumeFiniteScope strict(false);
-  Matrix c(1, 2);
-  matmul_acc(a, b, c);
-  EXPECT_TRUE(std::isnan(c.at(0, 0)));  // 0 * NaN + 1 * 2
-  EXPECT_TRUE(std::isnan(c.at(0, 1)));  // 0 * Inf + 1 * 3 = NaN + 3
-
-  Matrix bt(1, 2, {nan, 3.0F});
-  Matrix ct(2, 2);
-  matmul_tn_acc(a, bt, ct);
-  EXPECT_TRUE(std::isnan(ct.at(0, 0)));  // 0 * NaN
-  EXPECT_FLOAT_EQ(ct.at(0, 1), 0.0F);    // 0 * 3
-}
-
-TEST(Matrix, AssumeFiniteScopeRestoresPreviousValue) {
-  ASSERT_TRUE(kernels_assume_finite());
-  {
-    AssumeFiniteScope strict(false);
-    EXPECT_FALSE(kernels_assume_finite());
-    {
-      AssumeFiniteScope inner(true);
-      EXPECT_TRUE(kernels_assume_finite());
-    }
-    EXPECT_FALSE(kernels_assume_finite());
-  }
-  EXPECT_TRUE(kernels_assume_finite());
 }
 
 // Shapes are checked in every build type (the GEMM block kernel trusts

@@ -538,15 +538,14 @@ TEST(VecBitIdentity, ElementwiseTranscendentalsIgnorePosition) {
 //
 // The reference is the pair of loops the GEMMs ran before the block kernel:
 // one axpy_f32 per (output row, reduction index), reduction ascending, and
-// alpha == 0 skipped when kernels_assume_finite(). Every output element must
+// alpha == 0 skipped. Every output element must
 // come out byte for byte the same on every backend, at every pool width.
 
 void row_loop_matmul_acc(const VecKernels& kern, const Matrix& a, const Matrix& b, Matrix& c) {
-  const bool skip_zero = kernels_assume_finite();
   for (std::size_t i = 0; i < a.rows(); ++i) {
     for (std::size_t p = 0; p < a.cols(); ++p) {
       const float alpha = a.at(i, p);
-      if (skip_zero && alpha == 0.0F) continue;
+      if (alpha == 0.0F) continue;
       kern.axpy_f32(c.row(i).data(), b.row(p).data(), alpha, b.cols());
     }
   }
@@ -554,11 +553,10 @@ void row_loop_matmul_acc(const VecKernels& kern, const Matrix& a, const Matrix& 
 
 void row_loop_matmul_tn_acc(const VecKernels& kern, const Matrix& a, const Matrix& b,
                             Matrix& c) {
-  const bool skip_zero = kernels_assume_finite();
   for (std::size_t i = 0; i < a.rows(); ++i) {
     for (std::size_t p = 0; p < a.cols(); ++p) {
       const float alpha = a.at(i, p);
-      if (skip_zero && alpha == 0.0F) continue;
+      if (alpha == 0.0F) continue;
       kern.axpy_f32(c.row(p).data(), b.row(i).data(), alpha, b.cols());
     }
   }
@@ -633,7 +631,7 @@ bool same_bytes(const Matrix& x, const Matrix& y) {
           std::memcmp(x.data().data(), y.data().data(), x.size() * sizeof(float)) == 0);
 }
 
-/// Runs both GEMMs under every (backend, zero share, skip, poison) case and
+/// Runs both GEMMs under every (backend, zero share, poison) case and
 /// each pool width in `widths` (0 = no pool), comparing with the row loops.
 void expect_gemms_match_row_loops(std::span<const GemmShape> shapes,
                                   std::span<const std::size_t> widths) {
@@ -646,32 +644,28 @@ void expect_gemms_match_row_loops(std::span<const GemmShape> shapes,
     // outright; 0.75: calls fall on both sides of AVX-512's tile threshold;
     // 0.9: rows run one at a time.
     for (const double zero_share : {0.0, 0.05, 0.5, 0.75, 0.9}) {
-      for (const bool assume_finite : {true, false}) {
-        const AssumeFiniteScope finite(assume_finite);
-        for (const bool poisoned : {false, true}) {
-          for (const GemmShape& shape : shapes) {
-            const GemmInputs in = make_gemm_inputs(shape, zero_share, poisoned, rng);
-            Matrix want_ab = in.c_ab;
-            Matrix want_tn = in.c_tn;
-            row_loop_matmul_acc(kern, in.a, in.b_ab, want_ab);
-            row_loop_matmul_tn_acc(kern, in.a, in.b_tn, want_tn);
-            for (const std::size_t width : widths) {
-              std::optional<util::ThreadPool> pool;
-              if (width > 0) pool.emplace(width);
-              const ComputePoolScope scope(pool ? &*pool : nullptr);
-              Matrix got_ab = in.c_ab;
-              Matrix got_tn = in.c_tn;
-              matmul_acc(in.a, in.b_ab, got_ab);
-              matmul_tn_acc(in.a, in.b_tn, got_tn);
-              const std::string what =
-                  std::string(kern.name) + " m=" + std::to_string(shape.m) +
-                  " k=" + std::to_string(shape.k) + " n=" + std::to_string(shape.n) +
-                  " zeros=" + std::to_string(zero_share) +
-                  " assume_finite=" + std::to_string(assume_finite) +
-                  " poisoned=" + std::to_string(poisoned) + " pool=" + std::to_string(width);
-              EXPECT_TRUE(same_bytes(got_ab, want_ab)) << "A*B " << what;
-              EXPECT_TRUE(same_bytes(got_tn, want_tn)) << "A^T*B " << what;
-            }
+      for (const bool poisoned : {false, true}) {
+        for (const GemmShape& shape : shapes) {
+          const GemmInputs in = make_gemm_inputs(shape, zero_share, poisoned, rng);
+          Matrix want_ab = in.c_ab;
+          Matrix want_tn = in.c_tn;
+          row_loop_matmul_acc(kern, in.a, in.b_ab, want_ab);
+          row_loop_matmul_tn_acc(kern, in.a, in.b_tn, want_tn);
+          for (const std::size_t width : widths) {
+            std::optional<util::ThreadPool> pool;
+            if (width > 0) pool.emplace(width);
+            const ComputePoolScope scope(pool ? &*pool : nullptr);
+            Matrix got_ab = in.c_ab;
+            Matrix got_tn = in.c_tn;
+            matmul_acc(in.a, in.b_ab, got_ab);
+            matmul_tn_acc(in.a, in.b_tn, got_tn);
+            const std::string what =
+                std::string(kern.name) + " m=" + std::to_string(shape.m) +
+                " k=" + std::to_string(shape.k) + " n=" + std::to_string(shape.n) +
+                " zeros=" + std::to_string(zero_share) +
+                " poisoned=" + std::to_string(poisoned) + " pool=" + std::to_string(width);
+            EXPECT_TRUE(same_bytes(got_ab, want_ab)) << "A*B " << what;
+            EXPECT_TRUE(same_bytes(got_tn, want_tn)) << "A^T*B " << what;
           }
         }
       }
