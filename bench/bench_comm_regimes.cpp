@@ -12,7 +12,9 @@
 // machine-readable results to --json (BENCH_comm.json).
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "common.hpp"
@@ -70,6 +72,15 @@ int main(int argc, char** argv) {
                "transient fetch-failure rate of the faulty profile");
   flags.define("json", "BENCH_comm.json", "output path for machine-readable results");
   if (!flags.parse(argc, argv)) return 1;
+  // A count outside its field's range would wrap when narrowed (a negative
+  // one to a huge size, 2^32 epochs to 0), so each is checked before use.
+  constexpr std::int64_t kU32 = std::numeric_limits<std::uint32_t>::max();
+  const std::tuple<const char*, std::int64_t, std::int64_t> counts[] = {
+      {"partitions", 1, kU32}, {"epochs", 1, kU32}, {"max_batches", 0, kU32},
+      {"hidden", 1, kU32},     {"layers", 1, kU32}};
+  for (const auto& [name, min, max] : counts) {
+    if (!flags.int_in_range(name, min, max)) return 1;
+  }
 
   const std::string dataset_name = flags.get_string("dataset");
   const double scale = flags.get_double("scale");

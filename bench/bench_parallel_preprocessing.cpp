@@ -12,8 +12,10 @@
 #include <cstdio>
 #include <fstream>
 #include <functional>
+#include <limits>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "common.hpp"
@@ -71,6 +73,17 @@ int main(int argc, char** argv) {
                "node count of the synthetic graph for the exact ER section");
   flags.define("json", "BENCH_parallel.json", "output path for machine-readable results");
   if (!flags.parse(argc, argv)) return 1;
+  // A count outside its field's range would wrap when narrowed (a negative
+  // one to a huge size, 2^32 to 0), so each is checked before use.
+  constexpr std::int64_t kU32 = std::numeric_limits<std::uint32_t>::max();
+  constexpr std::int64_t kAny = std::numeric_limits<std::int64_t>::max();
+  constexpr std::int64_t kInt = std::numeric_limits<int>::max();
+  const std::tuple<const char*, std::int64_t, std::int64_t> counts[] = {
+      {"partitions", 1, kU32}, {"threads", 0, kAny}, {"repeats", 1, kInt},
+      {"er_nodes", 2, kU32}};
+  for (const auto& [name, min, max] : counts) {
+    if (!flags.int_in_range(name, min, max)) return 1;
+  }
 
   const std::string dataset_name = flags.get_string("dataset");
   const double scale = flags.get_double("scale");

@@ -1,22 +1,28 @@
 // Online serving benchmark: end-to-end request latency (p50/p99) and
-// throughput (QPS) of the batched link-prediction server at client counts
-// {1, 4, 16}, with the embedding cache disabled (capacity 0: every endpoint
-// recomputes its full-neighborhood embedding) and enabled (unbounded).
+// throughput (QPS) of the batched link-prediction server over a pubmed-like
+// graph (11,830 nodes at the default scale, as perfbench's serve_zipf) at
+// client counts {1, 4, 16}, with the embedding cache disabled (capacity 0:
+// every endpoint is a miss, one ServingModel::compute_row each) and enabled
+// (unbounded). Each run freezes its own ServingModel, so every run starts
+// with an empty first-layer table.
 //
 // Each client thread replays a seeded trace of score requests through
 // ServingServer::submit and times submit -> future.get per request, so the
 // numbers include queueing, batch coalescing, cache/recompute, and scoring.
 //
-// Results land in --json (BENCH_serving.json). The exit code enforces the
-// cache regression gate: at the LARGEST client count, cache-enabled p99
-// must not exceed 2x cache-disabled p99 — the cache has to pay for itself
-// under the heaviest contention or CI fails.
+// Results land in --json (BENCH_serving.json), with the host's
+// hardware_concurrency and the active SPLPG_VEC backend. The exit code
+// enforces the cache regression gate: at the LARGEST client count,
+// cache-enabled p99 must not exceed 2x cache-disabled p99 — the cache has
+// to pay for itself under the heaviest contention or CI fails.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "core/trainer.hpp"
@@ -24,6 +30,7 @@
 #include "nn/serving_model.hpp"
 #include "sampling/edge_split.hpp"
 #include "serving/server.hpp"
+#include "tensor/vec.hpp"
 #include "util/flags.hpp"
 #include "util/rng.hpp"
 
@@ -56,19 +63,29 @@ int main(int argc, char** argv) {
 
   util::Flags flags(
       "Serving-layer benchmark: p50/p99 request latency and QPS of the "
-      "batched link-prediction server at client counts 1/4/16, cache "
-      "disabled vs enabled. Emits BENCH_serving.json; exits nonzero when "
-      "cache-enabled p99 exceeds 2x cache-disabled p99 at the largest "
-      "client count.");
-  flags.define("scale", 0.05, "dataset scale (fraction of paper-size cora)");
-  flags.define("hidden", static_cast<std::int64_t>(32), "embedding width");
-  flags.define("layers", static_cast<std::int64_t>(2), "GNN layers");
+      "batched link-prediction server over a pubmed-like graph at client "
+      "counts 1/4/16, cache disabled vs enabled. Emits BENCH_serving.json; "
+      "exits nonzero when cache-enabled p99 exceeds 2x cache-disabled p99 "
+      "at the largest client count.");
+  flags.define("scale", 0.6, "dataset scale (fraction of paper-size pubmed)");
+  flags.define("hidden", static_cast<std::int64_t>(64), "embedding width");
+  flags.define("layers", static_cast<std::int64_t>(3), "GNN layers");
   flags.define("requests", static_cast<std::int64_t>(64), "requests per client");
   flags.define("pairs", static_cast<std::int64_t>(8), "node pairs per request");
   flags.define("batch", static_cast<std::int64_t>(64), "server scoring batch size");
   flags.define("seed", static_cast<std::int64_t>(7), "trace + model seed");
   flags.define("json", "BENCH_serving.json", "output path for machine-readable results");
   if (!flags.parse(argc, argv)) return 1;
+  // A count outside its field's range would wrap when narrowed (a negative
+  // one to a huge size, 2^32 to 0), so each is checked before use.
+  constexpr std::int64_t kU32 = std::numeric_limits<std::uint32_t>::max();
+  constexpr std::int64_t kAny = std::numeric_limits<std::int64_t>::max();
+  const std::tuple<const char*, std::int64_t, std::int64_t> counts[] = {
+      {"hidden", 1, kAny}, {"layers", 1, kU32}, {"requests", 0, kAny},
+      {"pairs", 0, kAny},  {"batch", 1, kAny}};
+  for (const auto& [name, min, max] : counts) {
+    if (!flags.int_in_range(name, min, max)) return 1;
+  }
 
   const double scale = flags.get_double("scale");
   const auto hidden = static_cast<std::size_t>(flags.get_int("hidden"));
@@ -78,7 +95,7 @@ int main(int argc, char** argv) {
   const auto batch_size = static_cast<std::size_t>(flags.get_int("batch"));
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed"));
 
-  auto dataset = data::make_dataset("cora", scale, seed);
+  auto dataset = data::make_dataset("pubmed", scale, seed);
   util::Rng split_rng = util::Rng(seed).split("split");
   const auto split = sampling::split_edges(dataset.graph, {}, split_rng);
 
@@ -90,13 +107,14 @@ int main(int argc, char** argv) {
   config.num_layers = layers;
   config.predictor_layers = 2;
   const nn::LinkPredictionModel model(config, seed);
-  const nn::ServingModel serving(model, split.train_graph, dataset.features);
 
   const auto num_nodes = split.train_graph.num_nodes();
+  const unsigned hardware = std::thread::hardware_concurrency();
+  const char* backend = tensor::vec_backend_name(tensor::vec_active_backend());
   std::printf("serving bench: %u nodes, hidden %zu, %u layers, batch %zu, "
-              "%zu requests/client x %zu pairs\n",
+              "%zu requests/client x %zu pairs, %u CPUs, %s\n",
               num_nodes, hidden, layers, batch_size, requests_per_client,
-              pairs_per_request);
+              pairs_per_request, hardware, backend);
 
   const std::size_t client_counts[] = {1, 4, 16};
   const bool cache_modes[] = {false, true};
@@ -107,6 +125,7 @@ int main(int argc, char** argv) {
       server_config.batch_size = batch_size;
       server_config.cache_capacity =
           cache ? std::numeric_limits<std::size_t>::max() : 0;
+      const nn::ServingModel serving(model, split.train_graph, dataset.features);
       serving::ServingServer server(serving, server_config);
 
       // Pre-generate every client's trace so the timed region is pure
@@ -176,7 +195,12 @@ int main(int argc, char** argv) {
   {
     std::ofstream out(json_path);
     out << "{\n  \"bench\": \"serving\",\n";
+    out << "  \"hardware_concurrency\": " << hardware << ",\n";
+    out << "  \"vec_backend\": \"" << backend << "\",\n";
+    out << "  \"dataset\": \"pubmed\",\n";
+    out << "  \"scale\": " << scale << ",\n";
     out << "  \"nodes\": " << num_nodes << ",\n";
+    out << "  \"layers\": " << layers << ",\n";
     out << "  \"hidden_dim\": " << hidden << ",\n";
     out << "  \"batch_size\": " << batch_size << ",\n";
     out << "  \"requests_per_client\": " << requests_per_client << ",\n";

@@ -14,8 +14,10 @@
 #include <cstdio>
 #include <fstream>
 #include <functional>
+#include <limits>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <unordered_map>
 #include <vector>
 
@@ -123,6 +125,18 @@ int main(int argc, char** argv) {
   flags.define("repeats", static_cast<std::int64_t>(3), "timing repetitions (best-of)");
   flags.define("json", "BENCH_worker.json", "output path for machine-readable results");
   if (!flags.parse(argc, argv)) return 1;
+  // A count outside its field's range would wrap when narrowed (a negative
+  // one to a huge size, 2^32 epochs to 0), so each is checked before use.
+  constexpr std::int64_t kU32 = std::numeric_limits<std::uint32_t>::max();
+  constexpr std::int64_t kAny = std::numeric_limits<std::int64_t>::max();
+  constexpr std::int64_t kInt = std::numeric_limits<int>::max();
+  const std::tuple<const char*, std::int64_t, std::int64_t> counts[] = {
+      {"partitions", 1, kU32}, {"epochs", 1, kU32},        {"max_batches", 0, kU32},
+      {"hidden", 1, kAny},     {"layers", 1, kU32},        {"worker-threads", 0, kAny},
+      {"repeats", 1, kInt}};
+  for (const auto& [name, min, max] : counts) {
+    if (!flags.int_in_range(name, min, max)) return 1;
+  }
 
   const std::string dataset_name = flags.get_string("dataset");
   const double scale = flags.get_double("scale");

@@ -6,6 +6,8 @@
 //
 //   ./example_custom_dataset [--edges=my_graph.txt] [--feature_dim=64]
 #include <cstdio>
+#include <limits>
+#include <tuple>
 
 #include "core/trainer.hpp"
 #include "data/generators.hpp"
@@ -28,6 +30,14 @@ int main(int argc, char** argv) {
                "output prefix for the dataset directory and .model file");
   flags.define("seed", static_cast<std::int64_t>(9), "seed");
   if (!flags.parse(argc, argv)) return 1;
+  // A count outside its field's range would wrap when narrowed (a negative
+  // one to a huge size, 2^32 epochs to 0), so each is checked before use.
+  constexpr std::int64_t kU32 = std::numeric_limits<std::uint32_t>::max();
+  const std::tuple<const char*, std::int64_t, std::int64_t> counts[] = {
+      {"feature_dim", 1, kU32}, {"epochs", 1, kU32}, {"partitions", 1, kU32}};
+  for (const auto& [name, min, max] : counts) {
+    if (!flags.int_in_range(name, min, max)) return 1;
+  }
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed"));
 
   // 1. Obtain an edge list.

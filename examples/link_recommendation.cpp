@@ -6,6 +6,8 @@
 //   ./example_link_recommendation [--users=2000] [--topk=5]
 #include <algorithm>
 #include <cstdio>
+#include <limits>
+#include <tuple>
 #include <vector>
 
 #include "core/evaluator.hpp"
@@ -23,6 +25,17 @@ int main(int argc, char** argv) {
   flags.define("epochs", static_cast<std::int64_t>(6), "training epochs");
   flags.define("seed", static_cast<std::int64_t>(21), "seed");
   if (!flags.parse(argc, argv)) return 1;
+  // A count outside its field's range would wrap when narrowed (a negative
+  // one to a huge size, 2^32 epochs to 0), so each is checked before use.
+  constexpr std::int64_t kU32 = std::numeric_limits<std::uint32_t>::max();
+  constexpr std::int64_t kAny = std::numeric_limits<std::int64_t>::max();
+  // Below 7 users the 4-links-per-user graph has fewer than the 10 edges
+  // split_edges needs.
+  const std::tuple<const char*, std::int64_t, std::int64_t> counts[] = {
+      {"users", 7, kU32}, {"topk", 0, kAny}, {"epochs", 1, kU32}};
+  for (const auto& [name, min, max] : counts) {
+    if (!flags.int_in_range(name, min, max)) return 1;
+  }
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed"));
 
   // Social-network-like graph: preferential attachment + community features.
@@ -63,10 +76,12 @@ int main(int argc, char** argv) {
   const auto topk = static_cast<std::size_t>(flags.get_int("topk"));
   for (int i = 0; i < 3; ++i) {
     const auto user = static_cast<graph::NodeId>(pick_rng.uniform_u64(users));
-    // Candidates: 100 distinct random non-neighbors.
+    // Candidates: 100 distinct random non-neighbors, or all of them when
+    // the graph has fewer.
+    const std::size_t wanted = std::min<std::size_t>(100, users - 1 - graph.degree(user));
     std::vector<sampling::NodePair> candidates;
     std::vector<bool> tried(users, false);
-    while (candidates.size() < 100) {
+    while (candidates.size() < wanted) {
       const auto other = static_cast<graph::NodeId>(pick_rng.uniform_u64(users));
       if (other != user && !tried[other] && !graph.has_edge(user, other)) {
         tried[other] = true;

@@ -4,6 +4,8 @@
 //
 //   ./example_method_comparison [--dataset=cora] [--scale=0.15] [--partitions=4]
 #include <cstdio>
+#include <limits>
+#include <tuple>
 
 #include "core/trainer.hpp"
 #include "data/dataset.hpp"
@@ -20,6 +22,14 @@ int main(int argc, char** argv) {
   flags.define("epochs", static_cast<std::int64_t>(6), "training epochs");
   flags.define("seed", static_cast<std::int64_t>(1), "run seed");
   if (!flags.parse(argc, argv)) return 1;
+  // A count outside its field's range would wrap when narrowed (a negative
+  // one to a huge size, 2^32 epochs to 0), so each is checked before use.
+  constexpr std::int64_t kU32 = std::numeric_limits<std::uint32_t>::max();
+  const std::tuple<const char*, std::int64_t, std::int64_t> counts[] = {
+      {"partitions", 1, kU32}, {"epochs", 1, kU32}};
+  for (const auto& [name, min, max] : counts) {
+    if (!flags.int_in_range(name, min, max)) return 1;
+  }
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed"));
 
   const auto dataset = data::make_dataset(flags.get_string("dataset"),

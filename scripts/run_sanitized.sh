@@ -45,7 +45,9 @@
 # scorer thread drains batches and a chaos thread clears the shared
 # EmbeddingCache mid-flight — the cache's single-mutex protocol, the
 # promise/future handoff, and the drain-shutdown close (BoundedQueue's one
-# stop mode) are exactly where a lost wakeup or data race would live.
+# stop mode) are exactly where a lost wakeup or data race would live. So does
+# ServingModel.ConcurrentComputeRowMatchesColdEncodes: four threads fill and
+# read one ServingModel's first-layer table, which its mutex guards.
 #
 # Each sanitizer gets its own build tree (build-asan/, build-ubsan/,
 # build-tsan/) so they never poison the main build/ directory.
@@ -74,7 +76,7 @@ for sanitizer in "${sanitizers[@]}"; do
     # race report from being buried.
     TSAN_OPTIONS="halt_on_error=1" \
       ctest --test-dir "$dir" --output-on-failure \
-        -R 'Barrier|Sync|Trainer|Integration|WorkerView|ThreadPool|Sparsifier|Evaluator|PooledKernels|IoDifferentialTraining|ResumeTest|WorkerParallel|PooledGradient|ErSolver|SparseCg|SparseLaplacian|TrainerDurability|VecTrainingMatrix|VecGemmBitIdentity.Pooled|VecSpmmEdges.Pooled|Comm|EmbeddingCache|ServingServer|ServingOracle|ServingSoak|BoundedQueue' -j
+        -R 'Barrier|Sync|Trainer|Integration|WorkerView|ThreadPool|Sparsifier|Evaluator|PooledKernels|IoDifferentialTraining|ResumeTest|WorkerParallel|PooledGradient|ErSolver|SparseCg|SparseLaplacian|TrainerDurability|VecTrainingMatrix|VecGemmBitIdentity.Pooled|VecSpmmEdges.Pooled|Comm|EmbeddingCache|ServingServer|ServingOracle|ServingSoak|ServingModel.Concurrent|BoundedQueue' -j
   else
     ASAN_OPTIONS="detect_leaks=1" UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
       ctest --test-dir "$dir" --output-on-failure -j

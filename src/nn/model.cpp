@@ -34,11 +34,14 @@ Tensor LinkPredictionModel::encode(const ComputationGraph& cg, Matrix input_feat
     throw std::invalid_argument("encode: input feature rows != input nodes");
   }
   Tensor h = Tensor::constant(std::move(input_features));
-  for (std::size_t k = 0; k < layers_.size(); ++k) {
-    h = layers_[k]->forward(cg.blocks[k], h);
-    if (k + 1 < layers_.size()) h = relu(h);
-  }
+  for (std::size_t k = 0; k < layers_.size(); ++k) h = forward_layer(k, cg.blocks[k], h);
   return h;
+}
+
+Tensor LinkPredictionModel::forward_layer(std::size_t k, const sampling::Block& block,
+                                          const Tensor& h) const {
+  const Tensor out = layers_.at(k)->forward(block, h);
+  return k + 1 < layers_.size() ? relu(out) : out;
 }
 
 Tensor LinkPredictionModel::encode(const ComputationGraph& cg,

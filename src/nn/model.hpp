@@ -44,6 +44,13 @@ class LinkPredictionModel : public Module {
   [[nodiscard]] tensor::Tensor encode(const sampling::ComputationGraph& cg,
                                       const graph::FeatureStore& features) const;
 
+  /// Runs GNN layer `k` (0 = input-most) over `block`, followed by the ReLU
+  /// when k is not the last layer. `h` rows align with block.src_nodes; the
+  /// result's rows align with block.dst_nodes(). encode() is this call for
+  /// k = 0..L-1; the serving model also starts the loop at k = 1.
+  [[nodiscard]] tensor::Tensor forward_layer(std::size_t k, const sampling::Block& block,
+                                             const tensor::Tensor& h) const;
+
   /// Edge logits for index pairs into the seed-embedding rows.
   [[nodiscard]] tensor::Tensor score(const tensor::Tensor& seed_embeddings,
                                      std::span<const PairIndex> pairs) const;

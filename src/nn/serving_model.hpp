@@ -19,6 +19,17 @@
 //     request traces against (bit-identity across every cache size x batch
 //     size x client count x SPLPG_VEC pin).
 //
+// Because a first-layer row is itself a pure function of the node, the miss
+// path (compute_row) keeps a table of them: num_nodes x hidden_dim floats
+// plus one flag per node, allocated on the first miss and filled on first
+// use. A miss expands only the node's (L-1)-hop graph, runs layer 1 for the
+// nodes of that graph the table lacks, and runs layers 2..L from table
+// rows. The rows are bit-identical to the ones a full L-hop encode computes
+// under the same SPLPG_VEC backend, so the table is reset whenever the
+// active backend changes. score_pairs keeps the full per-node encode and
+// is the table-free reference. With one layer the first layer is the
+// output, so compute_row encodes in full (the LRU is the only row cache).
+//
 // Int8 inference (per-tensor symmetric quantization, tensor/int8 — the same
 // arithmetic as the PR-9 CommHook) is opt-in per tensor class:
 //   * int8_weights: every frozen weight matrix round-trips through int8 at
@@ -35,6 +46,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <span>
 #include <vector>
 
@@ -42,7 +54,7 @@
 #include "graph/features.hpp"
 #include "nn/model.hpp"
 #include "sampling/edge_split.hpp"
-#include "sampling/neighbor_sampler.hpp"
+#include "tensor/vec.hpp"
 
 namespace splpg::nn {
 
@@ -79,8 +91,9 @@ class ServingModel {
   [[nodiscard]] float weight_error_bound() const noexcept { return weight_error_bound_; }
 
   /// Computes node `v`'s embedding by exact L-hop full-neighborhood message
-  /// passing and encodes it into the cache-row format. Pure function of
-  /// (frozen state, v); thread-safe const. Throws std::out_of_range for a
+  /// passing and encodes it into the cache-row format, taking first-layer
+  /// rows from the table where an earlier call computed them. Pure function
+  /// of (frozen state, v); thread-safe const. Throws std::out_of_range for a
   /// node id outside the graph.
   void compute_row(graph::NodeId v, std::span<std::byte> out) const;
 
@@ -96,18 +109,34 @@ class ServingModel {
   [[nodiscard]] std::vector<float> score_rows(std::span<const std::byte* const> u_rows,
                                               std::span<const std::byte* const> v_rows) const;
 
-  /// Compute + score in one call, no cache (bench baselines, tests, the
-  /// sync convenience path).
+  /// Compute + score in one call with a full L-hop encode per endpoint: no
+  /// cache, no first-layer table (bench baselines, tests, perfbench's
+  /// served-versus-uncached check).
   [[nodiscard]] std::vector<float> score_pairs(
       std::span<const sampling::NodePair> pairs) const;
 
  private:
+  /// First-layer rows (after the ReLU) of every node the table has seen.
+  struct FirstLayerTable {
+    tensor::VecBackend backend = tensor::VecBackend::kScalar;  // that filled it
+    std::vector<float> rows;           // num_nodes x hidden_dim; empty until first use
+    std::vector<std::uint8_t> filled;  // one flag per node
+  };
+
+  /// The full L-hop encode of `v`, as a cache row.
+  void encode_row(graph::NodeId v, std::span<std::byte> out) const;
+  /// Rows of `nodes` from the first-layer table, computing the missing ones.
+  [[nodiscard]] tensor::Matrix first_layer_rows(std::span<const graph::NodeId> nodes) const;
+  /// Writes embedding `row` in the cache-row format.
+  void write_row(std::span<const float> row, std::span<std::byte> out) const;
+
   std::unique_ptr<LinkPredictionModel> model_;  // frozen weight snapshot
   const graph::CsrGraph* graph_;
   const graph::FeatureStore* features_;
-  sampling::NeighborSampler sampler_;  // all-zero fanouts: full neighborhoods
   ServingOptions options_;
   float weight_error_bound_ = 0.0F;
+  mutable std::mutex table_mutex_;
+  mutable FirstLayerTable table_;  // guarded by table_mutex_
 };
 
 }  // namespace splpg::nn

@@ -1,9 +1,11 @@
 // LRU cache of per-node serving rows (precomputed embeddings).
 //
 // The serving hot path is dominated by embedding access (a cache miss costs
-// a full L-hop full-neighborhood encode over the — possibly mmap-backed —
-// FeatureStore; a hit is one row copy), so the cache is the layer that
-// makes "millions of users" latency possible. Content-agnostic: rows are
+// one ServingModel::compute_row: layers 2..L over the node's full (L-1)-hop
+// neighborhood, plus layer 1 for those of its nodes whose first-layer row
+// the model has not computed yet; a hit is one row copy), so the cache is
+// the layer that makes "millions of users" latency possible.
+// Content-agnostic: rows are
 // fixed-size byte blobs in whatever format the ServingModel emits (f32 or
 // int8 + scale), and because serving rows are pure functions of the node
 // id, an entry that is evicted and later recomputed holds identical bytes —

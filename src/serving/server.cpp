@@ -1,6 +1,8 @@
 #include "serving/server.hpp"
 
+#include <algorithm>
 #include <deque>
+#include <exception>
 #include <stdexcept>
 #include <unordered_map>
 #include <utility>
@@ -125,33 +127,52 @@ void ServingServer::scorer_loop_() {
       if (slots.size() == config_.batch_size) break;
     }
 
-    if (config_.batch_hook) config_.batch_hook(batch_index);
-    ++batch_index;
+    const std::uint64_t this_batch = batch_index++;
+    std::vector<float> scores;
+    try {
+      if (config_.batch_hook) config_.batch_hook(this_batch);
 
-    // Resolve each distinct endpoint's row once per batch: cache hit = row
-    // copy, miss = exact recompute + insert. Map nodes are stable, so the
-    // row pointers below survive later insertions.
-    std::unordered_map<NodeId, std::vector<std::byte>> rows;
-    const auto resolve = [&](NodeId node) -> const std::byte* {
-      auto it = rows.find(node);
-      if (it == rows.end()) {
-        std::vector<std::byte> row(model_->row_bytes());
-        if (!cache_.lookup(node, row)) {
-          model_->compute_row(node, row);
-          cache_.insert(node, row);
+      // Resolve each distinct endpoint's row once per batch: cache hit = row
+      // copy, miss = exact recompute + insert. Map nodes are stable, so the
+      // row pointers below survive later insertions.
+      std::unordered_map<NodeId, std::vector<std::byte>> rows;
+      const auto resolve = [&](NodeId node) -> const std::byte* {
+        auto it = rows.find(node);
+        if (it == rows.end()) {
+          std::vector<std::byte> row(model_->row_bytes());
+          if (!cache_.lookup(node, row)) {
+            model_->compute_row(node, row);
+            cache_.insert(node, row);
+          }
+          it = rows.emplace(node, std::move(row)).first;
         }
-        it = rows.emplace(node, std::move(row)).first;
+        return it->second.data();
+      };
+      std::vector<const std::byte*> u_rows(slots.size());
+      std::vector<const std::byte*> v_rows(slots.size());
+      for (std::size_t i = 0; i < slots.size(); ++i) {
+        const NodePair& pair = slots[i].in_flight->request.pairs[slots[i].pair];
+        u_rows[i] = resolve(pair.u);
+        v_rows[i] = resolve(pair.v);
       }
-      return it->second.data();
-    };
-    std::vector<const std::byte*> u_rows(slots.size());
-    std::vector<const std::byte*> v_rows(slots.size());
-    for (std::size_t i = 0; i < slots.size(); ++i) {
-      const NodePair& pair = slots[i].in_flight->request.pairs[slots[i].pair];
-      u_rows[i] = resolve(pair.u);
-      v_rows[i] = resolve(pair.v);
+      scores = model_->score_rows(u_rows, v_rows);
+    } catch (...) {
+      // None of the batch's pairs is scored yet. Every request with a pair
+      // in it gets the exception through its future (slots list each
+      // request's pairs together), and the scorer goes on with the rest.
+      std::vector<InFlight*> failed;
+      for (const Slot& slot : slots) {
+        if (failed.empty() || failed.back() != slot.in_flight) failed.push_back(slot.in_flight);
+      }
+      for (InFlight* in_flight : failed) {
+        unscored -= in_flight->request.pairs.size() - in_flight->scored;
+        in_flight->request.promise.set_exception(std::current_exception());
+      }
+      std::erase_if(pending, [&](const InFlight& in_flight) {
+        return std::find(failed.begin(), failed.end(), &in_flight) != failed.end();
+      });
+      continue;  // the loop's head completes zero-pair requests left at the front
     }
-    const std::vector<float> scores = model_->score_rows(u_rows, v_rows);
     for (std::size_t i = 0; i < slots.size(); ++i) {
       slots[i].in_flight->scores[slots[i].pair] = scores[i];
       ++slots[i].in_flight->scored;

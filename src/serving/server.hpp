@@ -4,13 +4,16 @@
 // requests flow through one util::BoundedQueue into a single scorer thread
 // that coalesces pairs FIFO across concurrent requests into fixed-size
 // scoring batches: per batch it resolves each distinct node's embedding row
-// through the EmbeddingCache (miss = exact full-neighborhood encode on the
-// SIMD kernel engine, then insert) and scores all pairs in one
-// ServingModel::score_rows call.
+// through the EmbeddingCache (miss = ServingModel::compute_row, which runs
+// the exact full-neighborhood encode from the model's first-layer table,
+// then insert) and scores all pairs in one ServingModel::score_rows call.
 //
 // Delivery contract (the serving soak test's assertions):
 //   * no response is lost or duplicated — every accepted submit()'s future
 //     is fulfilled exactly once;
+//   * an exception while scoring a batch (std::bad_alloc, a throwing
+//     batch_hook) is set on the future of every request with a pair in that
+//     batch; the scorer keeps serving the requests behind them;
 //   * per-client in-order delivery — pairs enter batches in request FIFO
 //     order and batches complete in order, so one client's requests finish
 //     in its submission order (ScoredReply::sequence is the server-wide
@@ -54,7 +57,8 @@ struct ServingConfig {
   std::size_t cache_capacity = std::numeric_limits<std::size_t>::max();
   /// Test instrumentation: called on the scorer thread with the running
   /// batch index just before each batch is scored (latency/straggler
-  /// injection in the soak test). Must not throw.
+  /// injection in the soak test). An exception it throws fails that batch's
+  /// requests, like any other error while scoring a batch.
   std::function<void(std::uint64_t batch_index)> batch_hook;
 };
 

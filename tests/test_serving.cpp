@@ -5,6 +5,9 @@
 //     capacity-0 passthrough, byte-identical reuse after eviction.
 //   * tensor/int8 kernel suite — documented round-trip bound amax/254,
 //     integer-grid exactness (mirrors test_comm's CommHook tests), int8 dot.
+//   * First-layer table — compute_row's rows, cold and warm, bit-identical
+//     to table-free L-hop encodes for GCN/SAGE/GAT/GATv2 x 1-3 layers x
+//     f32/int8 options in two visiting orders, and from four threads at once.
 //   * Seeded oracle property test — 20 randomized request traces replayed
 //     through the full serving stack across cache size x batch size x client
 //     thread count, each reply bit-identical to core::Evaluator::score_pairs
@@ -12,7 +15,8 @@
 //     supported SPLPG_VEC backends in-process.
 //   * Concurrency soak — concurrent clients under injected scorer latency,
 //     stragglers and mid-flight cache eviction: no lost or duplicated
-//     responses, per-client in-order delivery, clean drain shutdown.
+//     responses, per-client in-order delivery, clean drain shutdown; a batch
+//     that throws fails its own requests' futures and serving goes on.
 //   * Int8 accuracy gate — AUC of the quantized model within 0.01 of f32,
 //     per-pair dot error within the analytic bound, and bit-exactness for
 //     weights already on their quantization grid.
@@ -26,6 +30,9 @@
 #include <cstdint>
 #include <cstring>
 #include <future>
+#include <numeric>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -35,6 +42,7 @@
 #include "eval/metrics.hpp"
 #include "nn/serving_model.hpp"
 #include "sampling/edge_split.hpp"
+#include "sampling/neighbor_sampler.hpp"
 #include "serving/embedding_cache.hpp"
 #include "serving/server.hpp"
 #include "tensor/int8.hpp"
@@ -254,6 +262,134 @@ TEST(ServingModel, ComputeRowIsAPureFunctionOfTheNode) {
                std::out_of_range);
 }
 
+// ---------------------------------------------------------------------------
+// First-layer table: compute_row's warm rows against full L-hop encodes.
+
+/// A randomly initialized model of the given architecture over `f`'s data.
+nn::LinkPredictionModel make_model(const Fixture& f, nn::GnnKind gnn, std::uint32_t layers) {
+  nn::ModelConfig config;
+  config.gnn = gnn;
+  config.predictor = nn::PredictorKind::kMlp;
+  config.in_dim = f.dataset.features.dim();
+  config.hidden_dim = 16;
+  config.num_layers = layers;
+  config.predictor_layers = 2;
+  return nn::LinkPredictionModel(config, 5 + layers);
+}
+
+/// Every node's cache row as a full L-hop zero-fanout encode computes it,
+/// with no first-layer table: the Evaluator's encode, run per node with the
+/// weights frozen as `options` freezes them.
+std::vector<std::vector<std::byte>> cold_rows(const Fixture& f,
+                                              const nn::LinkPredictionModel& source,
+                                              nn::ServingOptions options) {
+  nn::LinkPredictionModel frozen(source.config(), 0);
+  nn::copy_parameters(source, frozen);
+  if (options.int8_weights) {
+    for (auto& parameter : frozen.parameters()) {
+      static_cast<void>(tensor::quantize_dequantize_inplace(parameter.mutable_value()));
+    }
+  }
+  const sampling::NeighborSampler sampler(
+      std::vector<std::uint32_t>(source.config().num_layers, 0U));
+  sampling::GraphProvider provider(f.split.train_graph);
+  const std::size_t dim = source.config().hidden_dim;
+  std::vector<std::vector<std::byte>> rows(f.split.train_graph.num_nodes());
+  for (NodeId v = 0; v < rows.size(); ++v) {
+    util::Rng rng(1);
+    const NodeId seeds[1] = {v};
+    const auto embedding = frozen.encode(sampler.sample(provider, seeds, rng), f.dataset.features);
+    const auto row = embedding.value().row(0);
+    if (options.int8_embeddings) {
+      rows[v].resize(dim + sizeof(float));
+      const float scale = tensor::quantize_span(
+          row, {reinterpret_cast<std::int8_t*>(rows[v].data()), dim});
+      std::memcpy(rows[v].data() + dim, &scale, sizeof(float));
+    } else {
+      rows[v].resize(dim * sizeof(float));
+      std::memcpy(rows[v].data(), row.data(), rows[v].size());
+    }
+  }
+  return rows;
+}
+
+TEST(ServingModel, WarmFirstLayerRowsMatchColdEncodesBitwise) {
+  const Fixture f = make_fixture(nn::PredictorKind::kMlp);
+  const NodeId num_nodes = f.split.train_graph.num_nodes();
+  std::vector<NodeId> ascending(num_nodes);
+  std::iota(ascending.begin(), ascending.end(), 0U);
+  std::vector<NodeId> shuffled = ascending;
+  util::Rng(19).shuffle(std::span<NodeId>(shuffled));
+  std::vector<NodePair> pairs(num_nodes);
+  for (NodeId i = 0; i < num_nodes; ++i) pairs[i] = {shuffled[i], ascending[i]};
+
+  nn::ServingOptions variants[3];
+  variants[1].int8_weights = true;
+  variants[2].int8_embeddings = true;
+  for (const auto gnn :
+       {nn::GnnKind::kGcn, nn::GnnKind::kSage, nn::GnnKind::kGat, nn::GnnKind::kGatv2}) {
+    for (const std::uint32_t layers : {1U, 2U, 3U}) {
+      const nn::LinkPredictionModel model = make_model(f, gnn, layers);
+      for (std::size_t variant = 0; variant < 3; ++variant) {
+        const nn::ServingOptions options = variants[variant];
+        const std::string where = nn::to_string(gnn) + " layers " + std::to_string(layers) +
+                                  " variant " + std::to_string(variant);
+        const auto expected = cold_rows(f, model, options);
+        for (const auto* order : {&ascending, &shuffled}) {
+          // A fresh table per order; the second pass reads every row from it.
+          const nn::ServingModel serving(model, f.split.train_graph, f.dataset.features,
+                                         options);
+          std::vector<std::vector<std::byte>> rows(num_nodes,
+                                                   std::vector<std::byte>(serving.row_bytes()));
+          for (int pass = 0; pass < 2; ++pass) {
+            for (const NodeId v : *order) {
+              serving.compute_row(v, rows[v]);
+              ASSERT_EQ(rows[v], expected[v]) << where << " node " << v << " pass " << pass;
+            }
+          }
+          // Scores from the warm rows equal the table-free score_pairs.
+          std::vector<const std::byte*> u_rows(pairs.size());
+          std::vector<const std::byte*> v_rows(pairs.size());
+          for (std::size_t i = 0; i < pairs.size(); ++i) {
+            u_rows[i] = rows[pairs[i].u].data();
+            v_rows[i] = rows[pairs[i].v].data();
+          }
+          EXPECT_EQ(serving.score_rows(u_rows, v_rows), serving.score_pairs(pairs)) << where;
+        }
+      }
+    }
+  }
+}
+
+TEST(ServingModel, ConcurrentComputeRowMatchesColdEncodes) {
+  // Four threads fill one table over overlapping node sets, each starting at
+  // a different node; every row equals the table-free encode.
+  const Fixture f = make_fixture(nn::PredictorKind::kMlp);
+  const NodeId num_nodes = f.split.train_graph.num_nodes();
+  for (const auto gnn : {nn::GnnKind::kSage, nn::GnnKind::kGat}) {
+    const nn::LinkPredictionModel model = make_model(f, gnn, 3);
+    const auto expected = cold_rows(f, model, {});
+    const nn::ServingModel serving(model, f.split.train_graph, f.dataset.features);
+    constexpr std::size_t kThreads = 4;
+    std::atomic<int> mismatches{0};
+    std::vector<std::thread> threads;
+    threads.reserve(kThreads);
+    for (std::size_t t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        std::vector<std::byte> row(serving.row_bytes());
+        const auto start = static_cast<NodeId>(t * num_nodes / kThreads);
+        for (NodeId i = 0; i < num_nodes; ++i) {
+          const NodeId v = (start + i) % num_nodes;
+          serving.compute_row(v, row);
+          if (row != expected[v]) mismatches.fetch_add(1);
+        }
+      });
+    }
+    for (auto& thread : threads) thread.join();
+    EXPECT_EQ(mismatches.load(), 0) << nn::to_string(gnn);
+  }
+}
+
 TEST(ServingServer, ValidatesRequestsAndRejectsAfterShutdown) {
   const Fixture f = make_fixture(nn::PredictorKind::kDot);
   const nn::ServingModel serving(*f.model, f.split.train_graph, f.dataset.features);
@@ -282,6 +418,51 @@ TEST(ServingServer, CacheHitsAccumulateAcrossRepeatedRequests) {
   const auto totals = server.stats();
   EXPECT_EQ(totals.requests, 2U);
   EXPECT_EQ(totals.pairs, 20U);
+}
+
+TEST(ServingServer, ThrowingBatchFailsItsRequestsAndServingContinues) {
+  const Fixture f = make_fixture(nn::PredictorKind::kDot);
+  const nn::ServingModel serving(*f.model, f.split.train_graph, f.dataset.features);
+  ServingConfig config;
+  config.batch_size = 4;
+  config.batch_hook = [](std::uint64_t batch_index) {
+    if (batch_index == 1 || batch_index == 6) throw std::runtime_error("injected");
+  };
+  ServingServer server(serving, config);
+  util::Rng rng(37);
+
+  // One 3-pair request at a time: request i is batch i, and only batch 1 fails.
+  for (int i = 0; i < 4; ++i) {
+    const auto pairs = random_pairs(rng, f.split.train_graph.num_nodes(), 3);
+    auto future = server.submit(pairs);
+    if (i == 1) {
+      EXPECT_THROW(static_cast<void>(future.get()), std::runtime_error);
+    } else {
+      EXPECT_EQ(future.get().scores, f.oracle_scores(pairs)) << "request " << i;
+    }
+  }
+
+  // Queued requests spread over batches 4.., of which batch 6 fails: each
+  // future holds either the oracle's scores or the hook's exception, once.
+  std::vector<std::vector<NodePair>> requests;
+  std::vector<std::future<serving::ScoredReply>> futures;
+  for (int i = 0; i < 12; ++i) {
+    requests.push_back(random_pairs(rng, f.split.train_graph.num_nodes(), 3));
+    futures.push_back(server.submit(requests.back()));
+  }
+  server.shutdown();
+  std::size_t failed = 0;
+  for (std::size_t i = 0; i < futures.size(); ++i) {
+    try {
+      EXPECT_EQ(futures[i].get().scores, f.oracle_scores(requests[i])) << "request " << i;
+    } catch (const std::runtime_error& error) {
+      EXPECT_STREQ(error.what(), "injected");
+      ++failed;
+    }
+  }
+  EXPECT_GE(failed, 1U);
+  EXPECT_LE(failed, 2U);  // a 4-pair batch holds pairs of at most two 3-pair requests
+  EXPECT_EQ(server.stats().requests, 16U - 1U - failed);
 }
 
 // ---------------------------------------------------------------------------
