@@ -16,6 +16,15 @@
 // the bench exits 1 if any differs. The scalar backend's block kernel is
 // the row loop itself, so it has no rows.
 //
+// The SAGE self-term table times, on the active backend, SageConv's self
+// product at perfbench's first-layer shape (2,670 destination rows of a
+// 2,690 x 1,433 input, times a 1,433 x 64 weight) two ways: gather_rows of
+// the destination prefix followed by matmul ("before"), and matmul_prefix
+// reading the prefix in place ("after"). Forward and backward are timed
+// apart, with the input a constant (layer 1) and a requires-grad tensor
+// (the hidden layers), serially and on a 4-thread pool. The value and both
+// gradients must match bit for bit, else the bench exits 1.
+//
 // `--probe=<backend>` is a shell-support check: exits 0 when the named
 // backend is compiled in AND runnable on this CPU, 1 when it is not, 2 on an
 // unknown name. scripts/run_all.sh uses it to size the SPLPG_VEC sweep.
@@ -26,11 +35,13 @@
 #include <fstream>
 #include <functional>
 #include <limits>
+#include <numeric>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common.hpp"
+#include "tensor/autograd.hpp"
 #include "tensor/matrix.hpp"
 #include "tensor/parallel.hpp"
 #include "tensor/vec.hpp"
@@ -137,6 +148,13 @@ struct GemmRow {
   }
 };
 
+/// Same shape and the same bytes.
+bool same_bytes(const Matrix& x, const Matrix& y) {
+  return x.same_shape(y) &&
+         (x.size() == 0 ||
+          std::memcmp(x.data().data(), y.data().data(), x.size() * sizeof(float)) == 0);
+}
+
 /// A (m x k) with `zero_share` of its entries zero; B with no zeros.
 Matrix random_matrix(std::size_t rows, std::size_t cols, double zero_share,
                      splpg::util::Rng& rng) {
@@ -173,13 +191,99 @@ GemmRow time_gemm(const GemmShape& shape, double zero_share, splpg::util::Thread
   row.threads = pool != nullptr ? pool->size() : 1;
   if (shape.transposed) {
     row.before_seconds = sample(before, before_matmul_tn_acc);
-    row.after_seconds = sample(after, splpg::tensor::matmul_tn_acc);
+    row.after_seconds = sample(after, [](const Matrix& a, const Matrix& b, Matrix& c) {
+      splpg::tensor::matmul_tn_acc(a, b, c);
+    });
   } else {
     row.before_seconds = sample(before, before_matmul_acc);
-    row.after_seconds = sample(after, splpg::tensor::matmul_acc);
+    row.after_seconds = sample(after, [](const Matrix& a, const Matrix& b, Matrix& c) {
+      splpg::tensor::matmul_acc(a, b, c);
+    });
   }
-  row.bit_identical =
-      std::memcmp(before.data().data(), after.data().data(), before.size() * sizeof(float)) == 0;
+  row.bit_identical = same_bytes(before, after);
+  return row;
+}
+
+// ---- SAGE self term: gather + matmul vs matmul_prefix ----
+
+/// perfbench's first SAGE layer on centralized cora: input rows S,
+/// destination rows, feature width, hidden width.
+constexpr std::size_t kSageSrcRows = 2690;
+constexpr std::size_t kSageDstRows = 2670;
+constexpr std::size_t kSageInDim = 1433;
+constexpr std::size_t kSageOutDim = 64;
+
+struct SageSelfRow {
+  bool input_grad = false;  // the input is a requires-grad tensor (hidden layers)
+  std::size_t threads = 1;
+  double before_forward = 0.0;  // best-of seconds
+  double after_forward = 0.0;
+  double before_backward = 0.0;
+  double after_backward = 0.0;
+  bool bit_identical = false;
+};
+
+/// The self term's value and gradients from one forward + backward.
+struct SageSelfRun {
+  double forward_seconds = 0.0;
+  double backward_seconds = 0.0;
+  Matrix value, input_grad, weight_grad;
+};
+
+/// One forward + backward of the self term, `gather` choosing the "before"
+/// composition; `upstream` is the gradient handed to the product's output.
+SageSelfRun run_sage_self(bool gather, const Matrix& input, const Matrix& weight,
+                          const Matrix& upstream, bool input_grad) {
+  using splpg::tensor::Tensor;
+  const Tensor a = input_grad ? Tensor::parameter(input) : Tensor::constant(input);
+  const Tensor w = Tensor::parameter(weight);
+  std::vector<std::uint32_t> prefix(kSageDstRows);
+  std::iota(prefix.begin(), prefix.end(), 0U);
+  SageSelfRun run;
+  const splpg::util::Stopwatch forward_watch;
+  const Tensor out = gather ? matmul(gather_rows(a, prefix), w)
+                            : matmul_prefix(a, kSageDstRows, w);
+  run.forward_seconds = forward_watch.seconds();
+  // A 1x1 head that hands `upstream` to out's gradient unchanged.
+  Tensor head = splpg::tensor::make_op(
+      Matrix(1, 1), {out},
+      [out, &upstream](splpg::tensor::detail::Node&) { out.node_ref().accumulate(upstream); });
+  const splpg::util::Stopwatch backward_watch;
+  head.backward();
+  run.backward_seconds = backward_watch.seconds();
+  run.value = out.value();
+  run.input_grad = a.grad();
+  run.weight_grad = w.grad();
+  return run;
+}
+
+/// Times one SAGE self-term row: best of `repeats` forward and backward
+/// samples per composition; the first samples are compared bytewise.
+SageSelfRow time_sage_self(bool input_grad, splpg::util::ThreadPool* pool, int repeats,
+                           splpg::util::Rng& rng) {
+  const Matrix input = random_matrix(kSageSrcRows, kSageInDim, 0.0, rng);
+  const Matrix weight = random_matrix(kSageInDim, kSageOutDim, 0.0, rng);
+  const Matrix upstream = random_matrix(kSageDstRows, kSageOutDim, 0.0, rng);
+  const splpg::tensor::ComputePoolScope scope(pool);
+  SageSelfRow row;
+  row.input_grad = input_grad;
+  row.threads = pool != nullptr ? pool->size() : 1;
+  for (int r = 0; r < repeats; ++r) {
+    const SageSelfRun before = run_sage_self(true, input, weight, upstream, input_grad);
+    const SageSelfRun after = run_sage_self(false, input, weight, upstream, input_grad);
+    const auto keep_best = [r](double& best, double seconds) {
+      best = r == 0 ? seconds : std::min(best, seconds);
+    };
+    keep_best(row.before_forward, before.forward_seconds);
+    keep_best(row.before_backward, before.backward_seconds);
+    keep_best(row.after_forward, after.forward_seconds);
+    keep_best(row.after_backward, after.backward_seconds);
+    if (r == 0) {
+      row.bit_identical = same_bytes(before.value, after.value) &&
+                          same_bytes(before.input_grad, after.input_grad) &&
+                          same_bytes(before.weight_grad, after.weight_grad);
+    }
+  }
   return row;
 }
 
@@ -344,6 +448,18 @@ int main(int argc, char** argv) {
     tensor::set_vec_backend(previous);
   }
 
+  // SAGE self term on the active backend, which is what the workloads run.
+  std::vector<SageSelfRow> sage_results;
+  {
+    util::ThreadPool pool(kGemmThreads);
+    util::Rng sage_rng(seed + 2);
+    for (const bool input_grad : {false, true}) {
+      for (util::ThreadPool* p : {static_cast<util::ThreadPool*>(nullptr), &pool}) {
+        sage_results.push_back(time_sage_self(input_grad, p, repeats, sage_rng));
+      }
+    }
+  }
+
   // Table: one row per kernel, one column pair per backend.
   std::printf("%-18s", "kernel");
   for (const VecBackend backend : backends) {
@@ -386,6 +502,24 @@ int main(int argc, char** argv) {
     std::printf("all bit-identical: %s; slowest row %.2fx\n", all_identical ? "yes" : "NO",
                 min_speedup);
   }
+
+  bool sage_identical = true;
+  std::printf("\nSAGE self term %zux%zu[0:%zu) * %zux%zu on %s: gather + matmul vs "
+              "matmul_prefix (ms, best of %d)\n",
+              kSageSrcRows, kSageInDim, kSageDstRows, kSageInDim, kSageOutDim,
+              tensor::vec_backend_name(tensor::vec_active_backend()), repeats);
+  std::printf("%-10s %3s %10s %10s %8s %10s %10s %8s %s\n", "input", "thr", "fwd_before",
+              "fwd_after", "speedup", "bwd_before", "bwd_after", "speedup", "bits");
+  bench::print_rule();
+  for (const SageSelfRow& row : sage_results) {
+    std::printf("%-10s %3zu %10.3f %10.3f %7.2fx %10.3f %10.3f %7.2fx %s\n",
+                row.input_grad ? "grad" : "constant", row.threads, 1e3 * row.before_forward,
+                1e3 * row.after_forward, row.before_forward / row.after_forward,
+                1e3 * row.before_backward, 1e3 * row.after_backward,
+                row.before_backward / row.after_backward, row.bit_identical ? "same" : "DIFFER");
+    sage_identical = sage_identical && row.bit_identical;
+  }
+  std::printf("all bit-identical: %s\n", sage_identical ? "yes" : "NO");
 
   const std::string json_path = flags.get_string("json");
   if (!json_path.empty()) {
@@ -434,8 +568,31 @@ int main(int argc, char** argv) {
           << ", \"bit_identical\": " << (row.bit_identical ? "true" : "false") << "}"
           << (r + 1 < gemm_results.size() ? "," : "") << "\n";
     }
+    out << "    ]\n  },\n"
+        << "  \"sage_self\": {\n"
+        << "    \"before\": \"gather_rows(A, 0..rows) then matmul\",\n"
+        << "    \"after\": \"matmul_prefix(A, rows, W)\",\n"
+        << "    \"backend\": \"" << tensor::vec_backend_name(tensor::vec_active_backend())
+        << "\",\n"
+        << "    \"src_rows\": " << kSageSrcRows << ", \"dst_rows\": " << kSageDstRows
+        << ", \"k\": " << kSageInDim << ", \"n\": " << kSageOutDim << ",\n"
+        << "    \"all_bit_identical\": " << (sage_identical ? "true" : "false") << ",\n"
+        << "    \"runs\": [\n";
+    for (std::size_t r = 0; r < sage_results.size(); ++r) {
+      const SageSelfRow& row = sage_results[r];
+      out << "      {\"input_grad\": " << (row.input_grad ? "true" : "false")
+          << ", \"threads\": " << row.threads
+          << ", \"before_forward_seconds\": " << row.before_forward
+          << ", \"after_forward_seconds\": " << row.after_forward
+          << ", \"forward_speedup\": " << row.before_forward / row.after_forward
+          << ", \"before_backward_seconds\": " << row.before_backward
+          << ", \"after_backward_seconds\": " << row.after_backward
+          << ", \"backward_speedup\": " << row.before_backward / row.after_backward
+          << ", \"bit_identical\": " << (row.bit_identical ? "true" : "false") << "}"
+          << (r + 1 < sage_results.size() ? "," : "") << "\n";
+    }
     out << "    ]\n  }\n}\n";
     std::printf("\nwrote %s\n", json_path.c_str());
   }
-  return all_identical ? 0 : 1;
+  return all_identical && sage_identical ? 0 : 1;
 }

@@ -22,8 +22,10 @@
 #                        CPU) throughput of every tensor hot-path kernel, with
 #                        speedup-vs-scalar per kernel, plus the GEMMs on the
 #                        workloads' shapes against the row-axpy loop they
-#                        replaced (exit 1 if any result differs bitwise).
-#                        Override its flags via BENCH_KERNELS_FLAGS.
+#                        replaced, and SAGE's self term at perfbench's
+#                        first-layer shape, gather + matmul against
+#                        matmul_prefix (exit 1 if any result differs
+#                        bitwise). Override its flags via BENCH_KERNELS_FLAGS.
 #   BENCH_comm.json      bench_comm_regimes — communication-efficient
 #                        training regimes: sync-payload bytes/epoch, accuracy
 #                        and wall for exact sync vs top-k / int8 gradient
@@ -36,7 +38,9 @@
 #   BENCH_serving.json   bench_serving — the online serving layer: p50/p99
 #                        request latency and QPS of the batched
 #                        link-prediction server at 1/4/16 concurrent
-#                        clients, embedding cache disabled vs enabled. The
+#                        clients, embedding cache disabled vs enabled, with
+#                        the first-layer table filled before the timed
+#                        replay (the cold replay's p99 is its own field). The
 #                        exit code enforces the cache regression gate:
 #                        cache-enabled p99 must stay within 2x of the
 #                        uncached p99 at the largest client count. Override

@@ -26,10 +26,12 @@
 # arithmetic (exactly where a lane of out-of-bounds would live), and the
 # Vec* training-matrix suites run under TSan because backend dispatch is a
 # process-global atomic read on every pooled kernel call. So do the pooled
-# halves of the GEMM and spmm_edges bit-identity suites
-# (VecGemmBitIdentity.Pooled*, VecSpmmEdges.Pooled*): pool threads write
-# disjoint row blocks of one C (each packing its own A^T panel) and disjoint
-# output rows, input-gradient rows and coefficient slots of spmm_edges.
+# halves of the GEMM, spmm_edges and prefix-product bit-identity suites
+# (VecGemmBitIdentity.Pooled*, VecSpmmEdges.Pooled*,
+# VecMatmulPrefix.Pooled*): pool threads write disjoint row blocks of one C
+# (each packing its own A^T panel), disjoint output rows, input-gradient
+# rows and coefficient slots of spmm_edges, and disjoint rows of the
+# prefix product's value and of the input gradient's prefix.
 #
 # The communication-regime suites (`ctest -L comm`, test_comm: CommHook*,
 # CommSync*, CommRegime*) run under TSan too: compression executes in the
@@ -76,7 +78,7 @@ for sanitizer in "${sanitizers[@]}"; do
     # race report from being buried.
     TSAN_OPTIONS="halt_on_error=1" \
       ctest --test-dir "$dir" --output-on-failure \
-        -R 'Barrier|Sync|Trainer|Integration|WorkerView|ThreadPool|Sparsifier|Evaluator|PooledKernels|IoDifferentialTraining|ResumeTest|WorkerParallel|PooledGradient|ErSolver|SparseCg|SparseLaplacian|TrainerDurability|VecTrainingMatrix|VecGemmBitIdentity.Pooled|VecSpmmEdges.Pooled|Comm|EmbeddingCache|ServingServer|ServingOracle|ServingSoak|ServingModel.Concurrent|BoundedQueue' -j
+        -R 'Barrier|Sync|Trainer|Integration|WorkerView|ThreadPool|Sparsifier|Evaluator|PooledKernels|IoDifferentialTraining|ResumeTest|WorkerParallel|PooledGradient|ErSolver|SparseCg|SparseLaplacian|TrainerDurability|VecTrainingMatrix|VecGemmBitIdentity.Pooled|VecSpmmEdges.Pooled|VecMatmulPrefix.Pooled|Comm|EmbeddingCache|ServingServer|ServingOracle|ServingSoak|ServingModel.Concurrent|BoundedQueue' -j
   else
     ASAN_OPTIONS="detect_leaks=1" UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
       ctest --test-dir "$dir" --output-on-failure -j

@@ -8,6 +8,7 @@
 #include <mutex>
 #include <optional>
 #include <sstream>
+#include <string>
 #include <thread>
 #include <unordered_map>
 #include <utility>
@@ -672,6 +673,12 @@ TrainResult train_link_prediction(const sampling::LinkSplit& split,
   if (config.patience > 0 && config.eval_every == 0) {
     throw std::invalid_argument(
         "train_link_prediction: patience > 0 requires eval_every > 0");
+  }
+  // Layer 1's weights have in_dim rows; its GEMMs read features.dim() of them.
+  if (config.model.in_dim != 0 && config.model.in_dim != features.dim()) {
+    throw std::invalid_argument("train_link_prediction: model.in_dim (" +
+                                std::to_string(config.model.in_dim) +
+                                ") != features.dim() (" + std::to_string(features.dim()) + ")");
   }
   TrainResult result;
   const std::uint32_t num_workers =

@@ -31,7 +31,7 @@ namespace splpg::core {
 
 struct TrainConfig {
   Method method = Method::kSplpg;
-  nn::ModelConfig model;                     // model.in_dim set from features if 0
+  nn::ModelConfig model;                     // in_dim: 0 = features.dim(), else must equal it
   std::uint32_t num_partitions = 4;          // ignored for kCentralized
   std::uint32_t epochs = 10;                 // >= 1, else std::invalid_argument
   std::uint32_t batch_size = 256;            // >= 1, else std::invalid_argument

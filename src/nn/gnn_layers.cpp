@@ -16,7 +16,7 @@ namespace {
 /// LeakyReLU slope of the GAT/GATv2 attention scores (the GAT paper's 0.2).
 constexpr float kNegativeSlope = 0.2F;
 
-/// Indices [0, dst_count) — the dst prefix of src_nodes.
+/// Indices [0, dst_count) — the dst prefix of src_nodes (GCN's self rows).
 std::vector<std::uint32_t> dst_prefix_indices(const Block& block) {
   std::vector<std::uint32_t> idx(block.dst_count);
   std::iota(idx.begin(), idx.end(), 0U);
@@ -92,8 +92,10 @@ Tensor SageConv::forward(const Block& block, const Tensor& src_feats) const {
   }
   const Tensor mean = spmm_edges(src_feats, Tensor::constant(std::move(coef_values)),
                                  block.edge_src, block.edge_dst, block.dst_count);
-  const Tensor self = gather_rows(src_feats, dst_prefix_indices(block));
-  return add(add(matmul(self, weight_self_), matmul(mean, weight_neigh_)), bias_);
+  // The destinations are the first dst_count rows of src_feats, so the self
+  // term multiplies them in place.
+  const Tensor self = matmul_prefix(src_feats, block.dst_count, weight_self_);
+  return add(add(self, matmul(mean, weight_neigh_)), bias_);
 }
 
 // ---------------------------------------------------------------- GatConv --

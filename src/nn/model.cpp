@@ -1,6 +1,7 @@
 #include "nn/model.hpp"
 
 #include <stdexcept>
+#include <string>
 
 namespace splpg::nn {
 
@@ -32,6 +33,11 @@ Tensor LinkPredictionModel::encode(const ComputationGraph& cg, Matrix input_feat
   }
   if (input_features.rows() != cg.input_nodes().size()) {
     throw std::invalid_argument("encode: input feature rows != input nodes");
+  }
+  if (input_features.cols() != config_.in_dim) {
+    throw std::invalid_argument("encode: input feature columns (" +
+                                std::to_string(input_features.cols()) + ") != model in_dim (" +
+                                std::to_string(config_.in_dim) + ")");
   }
   Tensor h = Tensor::constant(std::move(input_features));
   for (std::size_t k = 0; k < layers_.size(); ++k) h = forward_layer(k, cg.blocks[k], h);

@@ -34,7 +34,8 @@ class LinkPredictionModel : public Module {
   [[nodiscard]] const ModelConfig& config() const noexcept { return config_; }
 
   /// Runs the encoder over the computational graph. `input_features` rows
-  /// must align with cg.input_nodes(); returns embeddings whose rows align
+  /// must align with cg.input_nodes() and it must have in_dim columns
+  /// (std::invalid_argument otherwise); returns embeddings whose rows align
   /// with cg.seed_nodes().
   [[nodiscard]] tensor::Tensor encode(const sampling::ComputationGraph& cg,
                                       tensor::Matrix input_features) const;

@@ -115,18 +115,23 @@ void Tensor::backward() {
 
 // ---------------------------------------------------------------------------
 
-Tensor matmul(const Tensor& a, const Tensor& b) {
-  Matrix out = matmul(a.value(), b.value());
-  return make_op(std::move(out), {a, b}, [a, b](Node& self) {
-    // dA += dC * B^T ; dB += A^T * dC
+Tensor matmul(const Tensor& a, const Tensor& b) { return matmul_prefix(a, a.rows(), b); }
+
+Tensor matmul_prefix(const Tensor& a, std::size_t rows, const Tensor& b) {
+  assert(rows <= a.rows() && a.cols() == b.rows());
+  Matrix out(rows, b.cols());
+  matmul_acc(a.value(), b.value(), out, rows);
+  return make_op(std::move(out), {a, b}, [a, b, rows](Node& self) {
+    // dA[0:rows) += dC * B^T (rows past the prefix get zeros);
+    // dB += A[0:rows)^T * dC
     if (a.requires_grad()) {
       Matrix da(a.rows(), a.cols());
-      matmul_nt_acc(self.grad, b.value(), da);
+      matmul_nt_acc(self.grad, b.value(), da, rows);
       a.node_ref().accumulate(da);
     }
     if (b.requires_grad()) {
       Matrix db(b.rows(), b.cols());
-      matmul_tn_acc(a.value(), self.grad, db);
+      matmul_tn_acc(a.value(), self.grad, db, rows);
       b.node_ref().accumulate(db);
     }
   });
@@ -268,16 +273,24 @@ namespace {
 
 /// Shared unary-activation implementation; `dfn` maps output value -> local
 /// derivative (activations chosen so the derivative is a function of y).
-Tensor unary_from_output(const Tensor& a, const std::function<float(float)>& fn,
-                         std::function<float(float)> dfn) {
+/// Both are template parameters, so the elementwise loops inline each
+/// activation's scalar expressions instead of calling them per element.
+template <typename Fn, typename Dfn>
+Tensor unary_from_output(const Tensor& a, Fn fn, Dfn dfn) {
   Matrix out = a.value().map(fn);
-  return make_op(std::move(out), {a}, [a, dfn = std::move(dfn)](Node& self) {
+  return make_op(std::move(out), {a}, [a, dfn](Node& self) {
     if (!a.requires_grad()) return;
     Matrix da(self.value.rows(), self.value.cols());
     const auto grad = self.grad.data();
     const auto value = self.value.data();
     const auto dst = da.data();
-    for (std::size_t i = 0; i < dst.size(); ++i) dst[i] = grad[i] * dfn(value[i]);
+    for (std::size_t i = 0; i < dst.size(); ++i) {
+      // Named apart from the product: written as grad * dfn(y), GCC 12 folds
+      // relu's grad * (y > 0 ? 1 : 0) into a branch per element (unvectorized,
+      // and mispredicted on mixed signs) instead of a mask.
+      const float derivative = dfn(value[i]);
+      dst[i] = grad[i] * derivative;
+    }
     a.node_ref().accumulate(da);
   });
 }
@@ -299,10 +312,10 @@ Tensor leaky_relu(const Tensor& a, float negative_slope) {
 }
 
 Tensor sigmoid(const Tensor& a) {
-  // Vectorized epilogue instead of unary_from_output's per-element
-  // std::function calls; the scalar backend evaluates the exact historical
-  // stable two-branch formula, and the y*(1-y) backward is bit-identical on
-  // every backend.
+  // A Vec-engine epilogue rather than unary_from_output: its polynomial exp
+  // vectorizes where libm's does not. The scalar backend evaluates the exact
+  // historical stable two-branch formula, and the y*(1-y) backward is
+  // bit-identical on every backend.
   Matrix out(a.rows(), a.cols());
   vec_kernels().sigmoid_f32(out.data().data(), a.value().data().data(), out.size());
   return make_op(std::move(out), {a}, [a](Node& self) {

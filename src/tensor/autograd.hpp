@@ -87,6 +87,13 @@ class Tensor {
 /// C = A * B.
 [[nodiscard]] Tensor matmul(const Tensor& a, const Tensor& b);
 
+/// C = A[0:rows) * B: the product of A's first `rows` rows, read in place
+/// (matmul is the case rows = A.rows()). Backward writes dC * B^T into rows
+/// [0, rows) of a zero buffer shaped like A, which is exactly what
+/// gather_rows(a, 0..rows) would scatter, so the bytes of every gradient
+/// equal those of the gather followed by matmul.
+[[nodiscard]] Tensor matmul_prefix(const Tensor& a, std::size_t rows, const Tensor& b);
+
 /// Elementwise A + B. B may also be a 1 x cols row vector, broadcast over
 /// rows (bias add).
 [[nodiscard]] Tensor add(const Tensor& a, const Tensor& b);

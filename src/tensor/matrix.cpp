@@ -81,12 +81,6 @@ double Matrix::squared_norm() const noexcept {
   return total;
 }
 
-Matrix Matrix::map(const std::function<float(float)>& fn) const {
-  Matrix out(rows_, cols_);
-  for (std::size_t i = 0; i < data_.size(); ++i) out.data_[i] = fn(data_[i]);
-  return out;
-}
-
 Matrix Matrix::transposed() const {
   // Blocked to keep both the reads and the writes inside a cache-resident
   // tile: the naive loop strides one of the two matrices by `cols_` floats
@@ -106,10 +100,9 @@ Matrix Matrix::transposed() const {
   return out;
 }
 
-void matmul_acc(const Matrix& a, const Matrix& b, Matrix& c) {
+void matmul_acc(const Matrix& a, const Matrix& b, Matrix& c, std::size_t m) {
   assert(a.cols() == b.rows());
-  assert(c.rows() == a.rows() && c.cols() == b.cols());
-  const std::size_t m = a.rows();
+  assert(m <= a.rows() && m <= c.rows() && c.cols() == b.cols());
   const std::size_t k = a.cols();
   const std::size_t n = b.cols();
   const VecKernels& kern = vec_kernels();
@@ -129,15 +122,15 @@ Matrix matmul(const Matrix& a, const Matrix& b) {
   return c;
 }
 
-void matmul_tn_acc(const Matrix& a, const Matrix& b, Matrix& c) {
-  // C(k x n) += A^T(k x m) * B(m x n). Rows [r0, r0 + rows) of C are A's
-  // columns [r0, r0 + rows). A panel copies them out of kPanelDepth rows of
-  // A at a time (panel row q = A's row i0 + q), which the block kernel reads
-  // transposed, and the panels walk the reduction in ascending i: every
-  // element still gets its terms in the serial order, one per row of A and B.
-  assert(a.rows() == b.rows());
+void matmul_tn_acc(const Matrix& a, const Matrix& b, Matrix& c, std::size_t m) {
+  // C(k x n) += A^T(k x m) * B(m x n) over the first m rows of A and B.
+  // Rows [r0, r0 + rows) of C are A's columns [r0, r0 + rows). A panel
+  // copies them out of kPanelDepth rows of A at a time (panel row q = A's
+  // row i0 + q), which the block kernel reads transposed, and the panels
+  // walk the reduction in ascending i: every element still gets its terms
+  // in the serial order, one per row of A and B.
+  assert(m <= a.rows() && m <= b.rows());
   assert(c.rows() == a.cols() && c.cols() == b.cols());
-  const std::size_t m = a.rows();
   const std::size_t k = a.cols();
   const std::size_t n = b.cols();
   const VecKernels& kern = vec_kernels();
@@ -164,11 +157,11 @@ Matrix matmul_tn(const Matrix& a, const Matrix& b) {
   return c;
 }
 
-void matmul_nt_acc(const Matrix& a, const Matrix& b, Matrix& c) {
-  // C(m x n) += A(m x k) * B^T(k x n) where B is n x k: dot products of rows.
+void matmul_nt_acc(const Matrix& a, const Matrix& b, Matrix& c, std::size_t m) {
+  // C(m x n) += A(m x k) * B^T(k x n) where B is n x k: dot products of rows,
+  // over the first m rows of A and C.
   assert(a.cols() == b.cols());
-  assert(c.rows() == a.rows() && c.cols() == b.rows());
-  const std::size_t m = a.rows();
+  assert(m <= a.rows() && m <= c.rows() && c.cols() == b.rows());
   const std::size_t k = a.cols();
   const std::size_t n = b.rows();
   const VecKernels& kern = vec_kernels();

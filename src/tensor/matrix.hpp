@@ -5,7 +5,9 @@
 // kernels, and a self-contained implementation keeps the library dependency-
 // free. A*B and A^T*B run the Vec engine's register-tiled block kernel
 // (VecKernels::gemm_f32) over blocks of C rows; A^T*B first packs a bounded
-// panel of A^T per block. A*B^T is a dot product per element of C.
+// panel of A^T per block. A*B^T is a dot product per element of C. The
+// accumulating GEMMs take the number of A's leading rows they read, so a
+// product over a row prefix of A runs in place, without a copy.
 //
 // Every shape is checked in every build type: a rows x cols product that
 // overflows size_t throws std::length_error, and a data vector of the wrong
@@ -13,9 +15,9 @@
 // holds for the kernels that trust it.
 #pragma once
 
+#include <algorithm>
 #include <cassert>
 #include <cstddef>
-#include <functional>
 #include <span>
 #include <vector>
 
@@ -82,8 +84,14 @@ class Matrix {
   /// Frobenius-norm squared.
   [[nodiscard]] double squared_norm() const noexcept;
 
-  /// Applies `fn` to every element, returning a new matrix.
-  [[nodiscard]] Matrix map(const std::function<float(float)>& fn) const;
+  /// Applies `fn` to every element, returning a new matrix. A template, so
+  /// an elementwise lambda inlines into the loop.
+  template <typename Fn>
+  [[nodiscard]] Matrix map(Fn fn) const {
+    Matrix out(rows_, cols_);
+    for (std::size_t i = 0; i < data_.size(); ++i) out.data_[i] = fn(data_[i]);
+    return out;
+  }
 
   [[nodiscard]] Matrix transposed() const;
 
@@ -105,12 +113,23 @@ class Matrix {
 /// C = A * B^T (without materializing B^T).
 [[nodiscard]] Matrix matmul_nt(const Matrix& a, const Matrix& b);
 
-/// C += A * B (accumulating GEMM; C must be m x n already).
-void matmul_acc(const Matrix& a, const Matrix& b, Matrix& c);
-/// C += A^T * B.
-void matmul_tn_acc(const Matrix& a, const Matrix& b, Matrix& c);
-/// C += A * B^T.
-void matmul_nt_acc(const Matrix& a, const Matrix& b, Matrix& c);
+/// C[0:rows) += A[0:rows) * B: the first `rows` rows of A and of C.
+void matmul_acc(const Matrix& a, const Matrix& b, Matrix& c, std::size_t rows);
+/// C += A[0:rows)^T * B[0:rows): the first `rows` rows of A and of B.
+void matmul_tn_acc(const Matrix& a, const Matrix& b, Matrix& c, std::size_t rows);
+/// C[0:rows) += A[0:rows) * B^T: the first `rows` rows of A and of C.
+void matmul_nt_acc(const Matrix& a, const Matrix& b, Matrix& c, std::size_t rows);
+
+/// The same three over every row of A (C must be shaped already).
+inline void matmul_acc(const Matrix& a, const Matrix& b, Matrix& c) {
+  matmul_acc(a, b, c, a.rows());
+}
+inline void matmul_tn_acc(const Matrix& a, const Matrix& b, Matrix& c) {
+  matmul_tn_acc(a, b, c, a.rows());
+}
+inline void matmul_nt_acc(const Matrix& a, const Matrix& b, Matrix& c) {
+  matmul_nt_acc(a, b, c, a.rows());
+}
 
 /// Elementwise sum / difference / product.
 [[nodiscard]] Matrix add(const Matrix& a, const Matrix& b);

@@ -1,9 +1,15 @@
 // Numerical gradient verification for every autograd op, plus DAG mechanics
-// (gradient accumulation through shared subexpressions, topological order).
+// (gradient accumulation through shared subexpressions, topological order),
+// and the activations against their per-element expressions, bit for bit.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <functional>
+#include <limits>
+#include <string>
+#include <vector>
 
 #include "tensor/autograd.hpp"
 #include "tensor/init.hpp"
@@ -312,6 +318,97 @@ TEST(Autograd, CompositeExpressionGradCheck) {
   auto loss_fn = [&] { return bce_with_logits(matmul(relu(matmul(x, w1)), w2), labels); };
   check_gradient(w1, loss_fn);
   check_gradient(w2, loss_fn);
+}
+
+TEST(Autograd, MatmulPrefixGradBoth) {
+  Rng rng(31);
+  Tensor a = Tensor::parameter(random_matrix(5, 4, rng));
+  Tensor b = Tensor::parameter(random_matrix(4, 3, rng));
+  // Rows 3 and 4 of `a` lie past the prefix, so their gradient is zero.
+  check_gradient(a, [&] { return mean_all(matmul_prefix(a, 3, b)); });
+  check_gradient(b, [&] { return mean_all(matmul_prefix(a, 3, b)); });
+  EXPECT_EQ(matmul_prefix(a, 3, b).rows(), 3U);
+}
+
+// ---- activations vs their per-element expressions ----
+//
+// relu, leaky_relu and tanh_op inline their scalar expressions into the
+// elementwise loops. Forward and backward must equal those expressions
+// evaluated one element at a time, bit for bit, on the IEEE edge cases.
+
+/// +-0, +-denormals, +-Inf, NaN, large and ordinary magnitudes, cycled over
+/// a 5 x 23 matrix: 115 elements, a multiple of no vector width, so the
+/// loops run both their vector bodies and a tail.
+Matrix activation_edge_inputs() {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float denorm = std::numeric_limits<float>::denorm_min();
+  const float big = std::numeric_limits<float>::max();
+  const float cases[] = {0.0F,   -0.0F,  denorm, -denorm, 1e-39F, -1e-39F, inf,
+                         -inf,   std::numeric_limits<float>::quiet_NaN(), big, -big,
+                         1e30F,  -1e30F, 9.0F,   -9.0F,   0.5F,   -0.5F,   1e-20F,
+                         -1e-20F};
+  Matrix out(5, 23);
+  std::size_t i = 0;
+  for (float& x : out.data()) x = cases[i++ % std::size(cases)];
+  return out;
+}
+
+bool same_bits(float x, float y) {
+  return std::bit_cast<std::uint32_t>(x) == std::bit_cast<std::uint32_t>(y);
+}
+
+/// Runs `op` forward and backward over the edge inputs and compares every
+/// element with `fn(x)` and with the accumulated `0 + g * dfn(y)`.
+template <typename Op, typename Fn, typename Dfn>
+void expect_activation_matches(const std::string& name, Op op, Fn fn, Dfn dfn) {
+  Rng rng(37);
+  const Tensor a = Tensor::parameter(activation_edge_inputs());
+  Matrix upstream(a.rows(), a.cols());
+  for (float& g : upstream.data()) {
+    g = rng.bernoulli(0.2) ? (rng.bernoulli(0.5) ? -0.0F : 0.0F)
+                           : static_cast<float>(rng.uniform(-2.0, 2.0));
+  }
+  const Tensor out = op(a);
+  // A 1x1 head that hands `upstream` to out's gradient unchanged.
+  Tensor head = make_op(Matrix(1, 1), {out}, [out, &upstream](detail::Node&) {
+    out.node_ref().accumulate(upstream);
+  });
+  head.backward();
+  const auto x = a.value().data();
+  const auto y = out.value().data();
+  const auto g = out.grad().data();  // what the activation's backward received
+  const auto dx = a.grad().data();
+  ASSERT_EQ(y.size(), x.size());
+  ASSERT_EQ(dx.size(), x.size());
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    EXPECT_TRUE(same_bits(y[i], fn(x[i]))) << name << " forward x=" << x[i] << " i=" << i;
+    float want = 0.0F;
+    want += g[i] * dfn(y[i]);
+    EXPECT_TRUE(same_bits(dx[i], want)) << name << " backward x=" << x[i] << " i=" << i;
+  }
+}
+
+TEST(Activations, ReluMatchesElementwiseExpressionBitwise) {
+  expect_activation_matches(
+      "relu", [](const Tensor& a) { return relu(a); },
+      [](float x) { return x > 0.0F ? x : 0.0F; },
+      [](float y) { return y > 0.0F ? 1.0F : 0.0F; });
+}
+
+TEST(Activations, LeakyReluMatchesElementwiseExpressionBitwise) {
+  for (const float slope : {0.2F, 0.01F}) {
+    expect_activation_matches(
+        "leaky_relu " + std::to_string(slope),
+        [slope](const Tensor& a) { return leaky_relu(a, slope); },
+        [slope](float x) { return x > 0.0F ? x : slope * x; },
+        [slope](float y) { return y > 0.0F ? 1.0F : slope; });
+  }
+}
+
+TEST(Activations, TanhMatchesElementwiseExpressionBitwise) {
+  expect_activation_matches(
+      "tanh", [](const Tensor& a) { return tanh_op(a); }, [](float x) { return std::tanh(x); },
+      [](float y) { return 1.0F - y * y; });
 }
 
 }  // namespace

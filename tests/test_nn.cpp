@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 #include "nn/gnn_layers.hpp"
 #include "nn/linear.hpp"
@@ -310,6 +312,29 @@ TEST(Model, MismatchedDepthThrows) {
   cg.blocks[1].src_nodes = {0};
   cg.blocks[1].dst_count = 1;
   EXPECT_THROW((void)model.encode(cg, Matrix(1, 4)), std::invalid_argument);
+}
+
+TEST(Model, EncodeRejectsFeatureWidthOtherThanInDim) {
+  // The first layer's weights have in_dim rows; a wider or narrower feature
+  // matrix would run its GEMMs past them or over a slice of them.
+  ModelConfig config;
+  config.in_dim = 4;
+  config.hidden_dim = 8;
+  config.num_layers = 1;
+  const LinkPredictionModel model(config, 3);
+  sampling::ComputationGraph cg;
+  cg.blocks = {tiny_block()};
+  for (const std::size_t cols : {3U, 5U}) {
+    try {
+      (void)model.encode(cg, Matrix(4, cols));
+      ADD_FAILURE() << cols << " feature columns were accepted";
+    } catch (const std::invalid_argument& error) {
+      const std::string message = error.what();
+      EXPECT_NE(message.find("in_dim (4)"), std::string::npos) << message;
+      EXPECT_NE(message.find("(" + std::to_string(cols) + ")"), std::string::npos) << message;
+    }
+  }
+  EXPECT_EQ(model.encode(cg, Matrix(4, 4)).rows(), 2U);
 }
 
 TEST(Model, CopyParameters) {

@@ -354,6 +354,33 @@ TEST(Trainer, ZeroEpochsOrBatchSizeRejectedNamingTheField) {
   }
 }
 
+TEST(Trainer, ModelInDimOtherThanFeatureDimRejectedNamingBothValues) {
+  // Layer 1's weights have in_dim rows and its GEMMs read features.dim() of
+  // them: a smaller in_dim used to corrupt the heap, a larger one trained
+  // silently on a slice of the weights.
+  const std::size_t dim = problem().dataset.features.dim();
+  ASSERT_NE(dim, 8U);
+  for (const std::size_t in_dim : {std::size_t{8}, dim + 1}) {
+    auto config = base_config(Method::kCentralized, 1);
+    config.model.in_dim = in_dim;
+    try {
+      (void)train_link_prediction(problem().split, problem().dataset.features, config);
+      ADD_FAILURE() << "model.in_dim = " << in_dim << " was accepted";
+    } catch (const std::invalid_argument& error) {
+      const std::string message = error.what();
+      EXPECT_NE(message.find("model.in_dim"), std::string::npos) << message;
+      EXPECT_NE(message.find("(" + std::to_string(in_dim) + ")"), std::string::npos) << message;
+      EXPECT_NE(message.find("(" + std::to_string(dim) + ")"), std::string::npos) << message;
+    }
+  }
+  auto config = base_config(Method::kCentralized, 1);
+  config.model.in_dim = dim;
+  config.max_batches_per_epoch = 1;
+  EXPECT_EQ(train_link_prediction(problem().split, problem().dataset.features, config)
+                .history.size(),
+            1U);
+}
+
 class PartitionCountTest : public ::testing::TestWithParam<std::uint32_t> {};
 
 TEST_P(PartitionCountTest, SplpgRunsAtEveryPaperPartitionCount) {

@@ -3,8 +3,9 @@
 // ULP bounds from vec.hpp), the bit-identical-on-every-backend kernels
 // (adam_step, sigmoid_grad, xpby, alpha=1 axpy), the GEMMs against the
 // row-axpy loops they replaced and spmm_edges against its edge-order loops
-// (bit for bit, per backend, serial and pooled), and a per-backend
-// end-to-end training determinism matrix across thread widths {1,2,4,7}.
+// (bit for bit, per backend, serial and pooled), matmul_prefix against
+// gather_rows + matmul (likewise), and a per-backend end-to-end training
+// determinism matrix across thread widths {1,2,4,7}.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -826,6 +827,96 @@ TEST(VecSpmmEdges, SerialMatchesEdgeOrderLoops) {
 TEST(VecSpmmEdges, PooledMatchesEdgeOrderLoops) {
   constexpr std::size_t kWidths[] = {2, 4, 7};
   expect_spmm_matches_edge_loops(kWidths);
+}
+
+// ---- matmul_prefix vs gather_rows + matmul ----
+//
+// SageConv's self term multiplies the destination prefix of its input in
+// place. The reference is the composition that term ran before:
+// gather_rows of rows [0, rows), then matmul. The value, the input's
+// gradient and the weight's gradient must come out byte for byte the same
+// on every backend, at every pool width, with the input a constant and a
+// requires-grad tensor.
+
+struct PrefixShape {
+  std::size_t src_rows, k, n;  // the input is src_rows x k, the weight k x n
+};
+
+/// A 1,433-deep first-layer reduction with a tail on every vector width,
+/// a hidden-layer shape, and one below the pool gate.
+constexpr PrefixShape kPrefixShapes[] = {{97, 1433, 17}, {61, 64, 64}, {13, 37, 65}};
+
+/// The product's value and the gradients its inputs accumulated.
+struct PrefixRun {
+  Matrix value, input_grad, weight_grad;
+};
+
+PrefixRun run_prefix_product(bool gather, const Matrix& input, const Matrix& weight,
+                             const Matrix& upstream, std::size_t rows, bool input_grad) {
+  const Tensor a = input_grad ? Tensor::parameter(input) : Tensor::constant(input);
+  const Tensor w = Tensor::parameter(weight);
+  std::vector<std::uint32_t> prefix(rows);
+  for (std::size_t i = 0; i < rows; ++i) prefix[i] = static_cast<std::uint32_t>(i);
+  const Tensor out = gather ? matmul(gather_rows(a, prefix), w) : matmul_prefix(a, rows, w);
+  // A 1x1 head that hands `upstream` to out's gradient unchanged.
+  Tensor head = make_op(Matrix(1, 1), {out}, [out, &upstream](detail::Node&) {
+    out.node_ref().accumulate(upstream);
+  });
+  head.backward();
+  return {out.value(), a.grad(), w.grad()};
+}
+
+/// Compares matmul_prefix with gather + matmul on every (backend, shape,
+/// rows in {1, S-1, S}, constant or requires-grad input) and each pool
+/// width in `widths` (0 = no pool).
+void expect_prefix_matches_gather_then_matmul(std::span<const std::size_t> widths) {
+  BackendGuard guard;
+  util::Rng rng(9173);
+  for (const VecBackend backend : supported_backends()) {
+    ASSERT_TRUE(set_vec_backend(backend));
+    for (const PrefixShape& shape : kPrefixShapes) {
+      // A quarter of the input is zero, a third of that -0.
+      Matrix input(shape.src_rows, shape.k);
+      for (float& x : input.data()) {
+        x = static_cast<float>(rng.uniform(-1.0, 1.0));
+        if (rng.bernoulli(0.25)) x = rng.bernoulli(1.0 / 3.0) ? -0.0F : 0.0F;
+      }
+      const Matrix weight = uniform_matrix(shape.k, shape.n, rng);
+      for (const std::size_t rows : {std::size_t{1}, shape.src_rows - 1, shape.src_rows}) {
+        const Matrix upstream = uniform_matrix(rows, shape.n, rng);
+        for (const bool input_grad : {false, true}) {
+          for (const std::size_t width : widths) {
+            std::optional<util::ThreadPool> pool;
+            if (width > 0) pool.emplace(width);
+            const ComputePoolScope scope(pool ? &*pool : nullptr);
+            const PrefixRun want =
+                run_prefix_product(true, input, weight, upstream, rows, input_grad);
+            const PrefixRun got =
+                run_prefix_product(false, input, weight, upstream, rows, input_grad);
+            const std::string what =
+                std::string(vec_backend_name(backend)) + " S=" + std::to_string(shape.src_rows) +
+                " k=" + std::to_string(shape.k) + " n=" + std::to_string(shape.n) +
+                " rows=" + std::to_string(rows) + " input_grad=" + std::to_string(input_grad) +
+                " pool=" + std::to_string(width);
+            EXPECT_TRUE(same_bytes(got.value, want.value)) << "value " << what;
+            EXPECT_TRUE(same_bytes(got.input_grad, want.input_grad)) << "input grad " << what;
+            EXPECT_TRUE(same_bytes(got.weight_grad, want.weight_grad)) << "weight grad " << what;
+            EXPECT_EQ(got.input_grad.empty(), !input_grad) << what;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(VecMatmulPrefix, SerialMatchesGatherThenMatmul) {
+  constexpr std::size_t kWidths[] = {0};
+  expect_prefix_matches_gather_then_matmul(kWidths);
+}
+
+TEST(VecMatmulPrefix, PooledMatchesGatherThenMatmul) {
+  constexpr std::size_t kWidths[] = {2, 4, 7};
+  expect_prefix_matches_gather_then_matmul(kWidths);
 }
 
 // ---- end-to-end: per-backend training determinism matrix ----
