@@ -11,10 +11,7 @@
 // sync bytes per epoch than the dense exact-sync baseline. Writes
 // machine-readable results to --json (BENCH_comm.json).
 #include <cstdio>
-#include <fstream>
-#include <limits>
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include "common.hpp"
@@ -49,8 +46,9 @@ struct Row {
 
 int main(int argc, char** argv) {
   using namespace splpg;
+  using util::Flags;
 
-  util::Flags flags(
+  Flags flags(
       "Communication-efficient regime sweep: exact sync vs top-k / int8 "
       "gradient compression vs local-SGD (H local steps per global "
       "correction), under clean and faulty cluster profiles. Every row is a "
@@ -59,28 +57,19 @@ int main(int argc, char** argv) {
       "code).");
   flags.define("dataset", "cora", "dataset for every run");
   flags.define("scale", 0.12, "dataset scale factor in (0, 1]");
-  flags.define("seed", static_cast<std::int64_t>(1), "run seed");
-  flags.define("partitions", static_cast<std::int64_t>(4), "worker count");
-  flags.define("epochs", static_cast<std::int64_t>(4), "training epochs");
-  flags.define("max_batches", static_cast<std::int64_t>(6),
+  flags.define("seed", 1, 0, Flags::kAny, "run seed");
+  flags.define("partitions", 4, 1, Flags::kU32, "worker count");
+  flags.define("epochs", 4, 1, Flags::kU32, "training epochs");
+  flags.define("max_batches", 6, 0, Flags::kU32,
                "cap on mini-batches per epoch (0 = full epoch)");
-  flags.define("hidden", static_cast<std::int64_t>(32), "hidden dimension");
-  flags.define("layers", static_cast<std::int64_t>(2), "GNN layers");
+  flags.define("hidden", 32, 1, Flags::kU32, "hidden dimension");
+  flags.define("layers", 2, 1, Flags::kU32, "GNN layers");
   flags.define("fractions", "0.01,0.05,0.25",
                "top-k sparsification levels swept under exact sync");
   flags.define("fault-rate", 0.02,
                "transient fetch-failure rate of the faulty profile");
   flags.define("json", "BENCH_comm.json", "output path for machine-readable results");
   if (!flags.parse(argc, argv)) return 1;
-  // A count outside its field's range would wrap when narrowed (a negative
-  // one to a huge size, 2^32 epochs to 0), so each is checked before use.
-  constexpr std::int64_t kU32 = std::numeric_limits<std::uint32_t>::max();
-  const std::tuple<const char*, std::int64_t, std::int64_t> counts[] = {
-      {"partitions", 1, kU32}, {"epochs", 1, kU32}, {"max_batches", 0, kU32},
-      {"hidden", 1, kU32},     {"layers", 1, kU32}};
-  for (const auto& [name, min, max] : counts) {
-    if (!flags.int_in_range(name, min, max)) return 1;
-  }
 
   const std::string dataset_name = flags.get_string("dataset");
   const double scale = flags.get_double("scale");
@@ -228,34 +217,34 @@ int main(int argc, char** argv) {
               "their crash and stay in the same regime. Contract %s.\n",
               reduced ? "holds" : "VIOLATED");
 
-  const std::string json_path = flags.get_string("json");
-  if (!json_path.empty()) {
-    std::ofstream out(json_path);
-    out << "{\n"
-        << "  \"bench\": \"comm_regimes\",\n"
-        << "  \"dataset\": \"" << dataset_name << "\",\n"
-        << "  \"scale\": " << scale << ",\n"
-        << "  \"partitions\": " << partitions << ",\n"
-        << "  \"epochs\": " << epochs << ",\n"
-        << "  \"seed\": " << seed << ",\n"
-        << "  \"fault_rate\": " << fault_rate << ",\n"
-        << "  \"compression_reduces_sync_bytes\": " << (reduced ? "true" : "false") << ",\n"
-        << "  \"rows\": [\n";
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-      const auto& row = rows[i];
-      out << "    {\"regime\": \"" << row.regime.name << "\", \"sync\": \""
-          << dist::to_string(row.regime.sync) << "\", \"hook\": \""
-          << dist::to_string(row.regime.hook) << "\", \"topk_fraction\": "
-          << row.regime.topk_fraction << ", \"local_steps\": " << row.regime.local_steps
-          << ", \"faults\": " << (row.faulty ? "true" : "false") << ", \"sync_bytes\": "
-          << row.sync_bytes << ", \"sync_mb_per_epoch\": " << row.sync_mb_per_epoch
-          << ", \"comm_gb_per_epoch\": " << row.comm_gb_per_epoch << ", \"test_auc\": "
-          << row.test_auc << ", \"test_hits\": " << row.test_hits << ", \"wall_seconds\": "
-          << row.wall_seconds << ", \"crashes\": " << row.crashes << ", \"recoveries\": "
-          << row.recoveries << "}" << (i + 1 < rows.size() ? "," : "") << "\n";
-    }
-    out << "  ]\n}\n";
-    std::printf("wrote %s\n", json_path.c_str());
+  std::vector<bench::Json> json_rows;
+  for (const auto& row : rows) {
+    json_rows.push_back(bench::Json()
+                            .set("regime", row.regime.name)
+                            .set("sync", dist::to_string(row.regime.sync))
+                            .set("hook", dist::to_string(row.regime.hook))
+                            .set("topk_fraction", row.regime.topk_fraction)
+                            .set("local_steps", row.regime.local_steps)
+                            .set("faults", row.faulty)
+                            .set("sync_bytes", row.sync_bytes)
+                            .set("sync_mb_per_epoch", row.sync_mb_per_epoch)
+                            .set("comm_gb_per_epoch", row.comm_gb_per_epoch)
+                            .set("test_auc", row.test_auc)
+                            .set("test_hits", row.test_hits)
+                            .set("wall_seconds", row.wall_seconds)
+                            .set("crashes", row.crashes)
+                            .set("recoveries", row.recoveries));
   }
+  bench::Report report("comm_regimes");
+  report.set("dataset", dataset_name)
+      .set("scale", scale)
+      .set("partitions", partitions)
+      .set("epochs", epochs)
+      .set("max_batches", max_batches)
+      .set("seed", seed)
+      .set("fault_rate", fault_rate)
+      .set("compression_reduces_sync_bytes", reduced)
+      .set("rows", json_rows);
+  report.write(flags.get_string("json"));
   return reduced ? 0 : 1;
 }

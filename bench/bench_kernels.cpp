@@ -32,12 +32,9 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <functional>
-#include <limits>
 #include <numeric>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common.hpp"
@@ -54,18 +51,6 @@ namespace {
 
 using splpg::tensor::VecBackend;
 using splpg::tensor::VecKernels;
-
-/// Best-of-`repeats` wall time (min filters scheduler noise).
-double time_best(int repeats, const std::function<void()>& fn) {
-  double best = 0.0;
-  for (int r = 0; r < repeats; ++r) {
-    const splpg::util::Stopwatch watch;
-    fn();
-    const double wall = watch.seconds();
-    if (r == 0 || wall < best) best = wall;
-  }
-  return best;
-}
 
 struct KernelResult {
   std::string kernel;
@@ -178,12 +163,13 @@ GemmRow time_gemm(const GemmShape& shape, double zero_share, splpg::util::Thread
   const std::size_t calls = std::max<std::size_t>(1, (std::size_t{1} << 26U) / macs);
   const splpg::tensor::ComputePoolScope scope(pool);
   const auto sample = [&](Matrix& c, auto gemm) {
-    return time_best(repeats, [&] {
-      for (std::size_t call = 0; call < calls; ++call) {
-        c.zero();
-        gemm(a, b, c);
-      }
-    }) / static_cast<double>(calls);
+    return splpg::bench::time_best(repeats, [&] {
+             for (std::size_t call = 0; call < calls; ++call) {
+               c.zero();
+               gemm(a, b, c);
+             }
+           }).wall_seconds /
+           static_cast<double>(calls);
   };
   GemmRow row;
   row.shape = &shape;
@@ -291,20 +277,21 @@ SageSelfRow time_sage_self(bool input_grad, splpg::util::ThreadPool* pool, int r
 
 int main(int argc, char** argv) {
   using namespace splpg;
+  using util::Flags;
 
-  util::Flags flags(
+  Flags flags(
       "Vec kernel-engine benchmark: per-backend throughput of the tensor "
       "hot-path kernels (axpy/dot/spmv/exp/sigmoid/bce/adam) plus a GEMM "
       "composite. Emits BENCH_kernels.json.");
-  flags.define("size", static_cast<std::int64_t>(1 << 14),
+  flags.define("size", 1 << 14, 0, Flags::kAny,
                "elements per kernel invocation (vectors; spmv row length)");
-  flags.define("total-elements", static_cast<std::int64_t>(1 << 24),
+  flags.define("total-elements", 1 << 24, 0, Flags::kAny,
                "element-ops per timed call (sets the inner iteration count)");
-  flags.define("gemm", static_cast<std::int64_t>(2048),
+  flags.define("gemm", 2048, 0, Flags::kAny,
                "mini-batch rows m of the GEMM table's training shapes (2048 = the "
                "first SAGE layer's; the hidden layers use 2m); 0 skips the table");
-  flags.define("repeats", static_cast<std::int64_t>(5), "timing repetitions (best-of)");
-  flags.define("seed", static_cast<std::int64_t>(1), "input-data seed");
+  flags.define("repeats", 5, 1, Flags::kInt, "timing repetitions (best-of)");
+  flags.define("seed", 1, 0, Flags::kAny, "input-data seed");
   flags.define("probe", "",
                "exit 0/1 reporting whether the named backend (scalar|sse2|avx2|avx512) "
                "is compiled in and runnable on this CPU; no benchmark is run");
@@ -322,11 +309,6 @@ int main(int argc, char** argv) {
     return ok ? 0 : 1;
   }
 
-  constexpr std::int64_t kAny = std::numeric_limits<std::int64_t>::max();
-  for (const char* name : {"size", "total-elements", "gemm"}) {
-    if (!flags.int_in_range(name, 0, kAny)) return 1;
-  }
-  if (!flags.int_in_range("repeats", 1, std::numeric_limits<int>::max())) return 1;
   const auto n = static_cast<std::size_t>(flags.get_int("size"));
   const auto total = static_cast<std::uint64_t>(flags.get_int("total-elements"));
   const auto gemm_rows = static_cast<std::size_t>(flags.get_int("gemm"));
@@ -412,9 +394,9 @@ int main(int argc, char** argv) {
       KernelResult r;
       r.kernel = nk.name;
       r.elements = static_cast<std::uint64_t>(n) * iters;
-      r.wall_seconds = time_best(repeats, [&] {
-        for (std::size_t it = 0; it < iters; ++it) nk.run(kern);
-      });
+      r.wall_seconds = bench::time_best(repeats, [&] {
+                         for (std::size_t it = 0; it < iters; ++it) nk.run(kern);
+                       }).wall_seconds;
       results[b].push_back(r);
     }
   }
@@ -521,78 +503,74 @@ int main(int argc, char** argv) {
   }
   std::printf("all bit-identical: %s\n", sage_identical ? "yes" : "NO");
 
-  const std::string json_path = flags.get_string("json");
-  if (!json_path.empty()) {
-    std::ofstream out(json_path);
-    out << "{\n"
-        << "  \"bench\": \"kernels\",\n"
-        << "  \"hardware_concurrency\": " << std::thread::hardware_concurrency() << ",\n"
-        << "  \"active_backend\": \"" << tensor::vec_backend_name(tensor::vec_active_backend())
-        << "\",\n"
-        << "  \"best_backend\": \"" << tensor::vec_backend_name(tensor::vec_best_backend())
-        << "\",\n"
-        << "  \"size\": " << n << ",\n"
-        << "  \"iters_per_call\": " << iters << ",\n"
-        << "  \"repeats\": " << repeats << ",\n"
-        << "  \"sections\": {\n";
-    for (std::size_t b = 0; b < backends.size(); ++b) {
-      out << "    \"" << tensor::vec_backend_name(backends[b]) << "\": [\n";
-      const std::vector<KernelResult>& rows = results[b];
-      for (std::size_t k = 0; k < rows.size(); ++k) {
-        const double scalar_rate = results[0][k].gelems_per_second();
-        const double rate = rows[k].gelems_per_second();
-        out << "      {\"kernel\": \"" << rows[k].kernel << "\", \"elements\": "
-            << rows[k].elements << ", \"wall_seconds\": " << rows[k].wall_seconds
-            << ", \"gelems_per_second\": " << rate << ", \"speedup_vs_scalar\": "
-            << (scalar_rate > 0.0 ? rate / scalar_rate : 0.0) << "}"
-            << (k + 1 < rows.size() ? "," : "") << "\n";
-      }
-      out << "    ]" << (b + 1 < backends.size() ? "," : "") << "\n";
+  bench::Report report("kernels");
+  report.set("best_backend", tensor::vec_backend_name(tensor::vec_best_backend()))
+      .set("size", n)
+      .set("iters_per_call", iters)
+      .set("repeats", repeats);
+  bench::Json sections;
+  for (std::size_t b = 0; b < backends.size(); ++b) {
+    std::vector<bench::Json> rows;
+    for (std::size_t k = 0; k < results[b].size(); ++k) {
+      const KernelResult& row = results[b][k];
+      const double scalar_rate = results[0][k].gelems_per_second();
+      rows.push_back(bench::Json()
+                         .set("kernel", row.kernel)
+                         .set("elements", row.elements)
+                         .set("wall_seconds", row.wall_seconds)
+                         .set("gelems_per_second", row.gelems_per_second())
+                         .set("speedup_vs_scalar", scalar_rate > 0.0
+                                                       ? row.gelems_per_second() / scalar_rate
+                                                       : 0.0));
     }
-    out << "  },\n"
-        << "  \"gemm\": {\n"
-        << "    \"before\": \"row-axpy loops: one axpy_f32 per (row of C, reduction index)\",\n"
-        << "    \"after\": \"matmul_acc / matmul_tn_acc through VecKernels::gemm_f32\",\n"
-        << "    \"pool_threads\": " << kGemmThreads << ",\n"
-        << "    \"all_bit_identical\": " << (all_identical ? "true" : "false") << ",\n"
-        << "    \"min_speedup\": " << min_speedup << ",\n"
-        << "    \"rows\": [\n";
-    for (std::size_t r = 0; r < gemm_results.size(); ++r) {
-      const GemmRow& row = gemm_results[r];
-      out << "      {\"backend\": \"" << row.backend << "\", \"shape\": \"" << row.shape->name
-          << "\", \"op\": \"" << (row.shape->transposed ? "A^T*B" : "A*B")
-          << "\", \"m\": " << row.shape->m << ", \"k\": " << row.shape->k
-          << ", \"n\": " << row.shape->n << ", \"zero_share\": " << row.zero_share
-          << ", \"threads\": " << row.threads << ", \"before_seconds\": " << row.before_seconds
-          << ", \"after_seconds\": " << row.after_seconds << ", \"speedup\": " << row.speedup()
-          << ", \"bit_identical\": " << (row.bit_identical ? "true" : "false") << "}"
-          << (r + 1 < gemm_results.size() ? "," : "") << "\n";
-    }
-    out << "    ]\n  },\n"
-        << "  \"sage_self\": {\n"
-        << "    \"before\": \"gather_rows(A, 0..rows) then matmul\",\n"
-        << "    \"after\": \"matmul_prefix(A, rows, W)\",\n"
-        << "    \"backend\": \"" << tensor::vec_backend_name(tensor::vec_active_backend())
-        << "\",\n"
-        << "    \"src_rows\": " << kSageSrcRows << ", \"dst_rows\": " << kSageDstRows
-        << ", \"k\": " << kSageInDim << ", \"n\": " << kSageOutDim << ",\n"
-        << "    \"all_bit_identical\": " << (sage_identical ? "true" : "false") << ",\n"
-        << "    \"runs\": [\n";
-    for (std::size_t r = 0; r < sage_results.size(); ++r) {
-      const SageSelfRow& row = sage_results[r];
-      out << "      {\"input_grad\": " << (row.input_grad ? "true" : "false")
-          << ", \"threads\": " << row.threads
-          << ", \"before_forward_seconds\": " << row.before_forward
-          << ", \"after_forward_seconds\": " << row.after_forward
-          << ", \"forward_speedup\": " << row.before_forward / row.after_forward
-          << ", \"before_backward_seconds\": " << row.before_backward
-          << ", \"after_backward_seconds\": " << row.after_backward
-          << ", \"backward_speedup\": " << row.before_backward / row.after_backward
-          << ", \"bit_identical\": " << (row.bit_identical ? "true" : "false") << "}"
-          << (r + 1 < sage_results.size() ? "," : "") << "\n";
-    }
-    out << "    ]\n  }\n}\n";
-    std::printf("\nwrote %s\n", json_path.c_str());
+    sections.set(tensor::vec_backend_name(backends[b]), rows);
   }
+  std::vector<bench::Json> gemm_json;
+  for (const GemmRow& row : gemm_results) {
+    gemm_json.push_back(bench::Json()
+                            .set("backend", row.backend)
+                            .set("shape", row.shape->name)
+                            .set("op", row.shape->transposed ? "A^T*B" : "A*B")
+                            .set("m", row.shape->m)
+                            .set("k", row.shape->k)
+                            .set("n", row.shape->n)
+                            .set("zero_share", row.zero_share)
+                            .set("threads", row.threads)
+                            .set("before_seconds", row.before_seconds)
+                            .set("after_seconds", row.after_seconds)
+                            .set("speedup", row.speedup())
+                            .set("bit_identical", row.bit_identical));
+  }
+  std::vector<bench::Json> sage_json;
+  for (const SageSelfRow& row : sage_results) {
+    sage_json.push_back(bench::Json()
+                            .set("input_grad", row.input_grad)
+                            .set("threads", row.threads)
+                            .set("before_forward_seconds", row.before_forward)
+                            .set("after_forward_seconds", row.after_forward)
+                            .set("forward_speedup", row.before_forward / row.after_forward)
+                            .set("before_backward_seconds", row.before_backward)
+                            .set("after_backward_seconds", row.after_backward)
+                            .set("backward_speedup", row.before_backward / row.after_backward)
+                            .set("bit_identical", row.bit_identical));
+  }
+  report.set("sections", sections)
+      .set("gemm", bench::Json()
+                       .set("before", "row-axpy loops: one axpy_f32 per (row of C, reduction index)")
+                       .set("after", "matmul_acc / matmul_tn_acc through VecKernels::gemm_f32")
+                       .set("pool_threads", kGemmThreads)
+                       .set("all_bit_identical", all_identical)
+                       .set("min_speedup", min_speedup)
+                       .set("rows", gemm_json))
+      .set("sage_self", bench::Json()
+                            .set("before", "gather_rows(A, 0..rows) then matmul")
+                            .set("after", "matmul_prefix(A, rows, W)")
+                            .set("src_rows", kSageSrcRows)
+                            .set("dst_rows", kSageDstRows)
+                            .set("k", kSageInDim)
+                            .set("n", kSageOutDim)
+                            .set("all_bit_identical", sage_identical)
+                            .set("runs", sage_json));
+  report.write(flags.get_string("json"));
   return all_identical && sage_identical ? 0 : 1;
 }

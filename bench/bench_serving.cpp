@@ -8,28 +8,29 @@
 // Each client thread replays a seeded trace of score requests through
 // ServingServer::submit and times submit -> future.get per request, so the
 // numbers include queueing, batch coalescing, cache/recompute, and scoring.
-// Each run freezes its own ServingModel and replays its traces twice. The
-// first replay starts with an empty first-layer table; its p99 is recorded
-// as cold_p99_ms. Then one compute_row per node fills the table, untimed,
-// and a fresh server (empty LRU) replays the traces again: p50, p99 and QPS
-// are this warm replay's, so they measure the cache rather than table fill.
+// One measurement freezes its own ServingModel and replays the traces twice.
+// The first replay starts with an empty first-layer table; its p99 is the
+// cold p99. Then one compute_row per node fills the table, untimed, and a
+// fresh server (empty LRU) replays the traces again: p50, p99 and QPS are
+// this warm replay's, so they measure the cache rather than table fill.
+// Each cell (cache mode x client count) is measured 3 times and records the
+// median p50, p99, cold p99 and QPS, p99's min and max, and every
+// measurement.
 //
-// Results land in --json (BENCH_serving.json), with the host's
-// hardware_concurrency and the active SPLPG_VEC backend. The exit code
-// enforces the cache regression gate: at the LARGEST client count,
-// cache-enabled p99 must not exceed 2x cache-disabled p99 — the cache has
-// to pay for itself under the heaviest contention or CI fails.
+// Results land in --json (BENCH_serving.json). The exit code enforces the
+// cache regression gate: at the LARGEST client count, the median
+// cache-enabled p99 must not exceed 2x the median cache-disabled p99 — the
+// cache has to pay for itself under the heaviest contention or CI fails.
 #include <algorithm>
 #include <chrono>
 #include <cstddef>
 #include <cstdio>
-#include <fstream>
 #include <limits>
 #include <string>
 #include <thread>
-#include <tuple>
 #include <vector>
 
+#include "common.hpp"
 #include "core/trainer.hpp"
 #include "data/dataset.hpp"
 #include "nn/serving_model.hpp"
@@ -43,12 +44,14 @@ namespace {
 
 using splpg::sampling::NodePair;
 
-struct RunResult {
-  std::size_t clients = 0;
-  bool cache = false;
+/// Measurements per cell; a cell records their medians.
+constexpr int kMeasurements = 3;
+
+/// One measurement of a cell: a cold and a warm replay.
+struct Measurement {
   double p50_ms = 0.0;
   double p99_ms = 0.0;
-  double cold_p99_ms = 0.0;  // the first replay, from an empty first-layer table
+  double cold_p99_ms = 0.0;  // the cold replay, from an empty first-layer table
   double qps = 0.0;
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
@@ -101,36 +104,63 @@ Replay replay(splpg::serving::ServingServer& server, const Traces& traces) {
   return out;
 }
 
+/// One measurement: a fresh ServingModel replays `traces` cold, the
+/// first-layer table is filled, and a fresh server replays them warm.
+Measurement measure(const splpg::nn::LinkPredictionModel& model,
+                    const splpg::sampling::LinkSplit& split,
+                    const splpg::graph::FeatureStore& features,
+                    const splpg::serving::ServingConfig& config, const Traces& traces) {
+  const splpg::nn::ServingModel serving(model, split.train_graph, features);
+  Measurement m;
+  {
+    splpg::serving::ServingServer cold_server(serving, config);
+    m.cold_p99_ms = percentile(replay(cold_server, traces).latencies_ms, 0.99);
+  }
+  std::vector<std::byte> row(serving.row_bytes());
+  for (splpg::graph::NodeId v = 0; v < split.train_graph.num_nodes(); ++v) {
+    serving.compute_row(v, row);
+  }
+  splpg::serving::ServingServer server(serving, config);
+  const Replay warm = replay(server, traces);
+  m.p50_ms = percentile(warm.latencies_ms, 0.50);
+  m.p99_ms = percentile(warm.latencies_ms, 0.99);
+  m.qps = warm.wall_seconds > 0.0
+              ? static_cast<double>(warm.latencies_ms.size()) / warm.wall_seconds
+              : 0.0;
+  m.cache_hits = server.cache_stats().hits;
+  m.cache_misses = server.cache_stats().misses;
+  m.batches = server.stats().batches;
+  return m;
+}
+
+/// The value `field` selects, from each of a cell's measurements.
+std::vector<double> each(const std::vector<Measurement>& runs, double Measurement::*field) {
+  std::vector<double> values;
+  for (const Measurement& run : runs) values.push_back(run.*field);
+  return values;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   using namespace splpg;
+  using util::Flags;
 
-  util::Flags flags(
+  Flags flags(
       "Serving-layer benchmark: p50/p99 request latency and QPS of the "
       "batched link-prediction server over a pubmed-like graph at client "
       "counts 1/4/16, cache disabled vs enabled. Emits BENCH_serving.json; "
-      "exits nonzero when cache-enabled p99 exceeds 2x cache-disabled p99 "
-      "at the largest client count.");
+      "exits nonzero when the median cache-enabled p99 exceeds 2x the "
+      "cache-disabled one at the largest client count.");
   flags.define("scale", 0.6, "dataset scale (fraction of paper-size pubmed)");
-  flags.define("hidden", static_cast<std::int64_t>(64), "embedding width");
-  flags.define("layers", static_cast<std::int64_t>(3), "GNN layers");
-  flags.define("requests", static_cast<std::int64_t>(64), "requests per client");
-  flags.define("pairs", static_cast<std::int64_t>(8), "node pairs per request");
-  flags.define("batch", static_cast<std::int64_t>(64), "server scoring batch size");
-  flags.define("seed", static_cast<std::int64_t>(7), "trace + model seed");
+  flags.define("hidden", 64, 1, Flags::kAny, "embedding width");
+  flags.define("layers", 3, 1, Flags::kU32, "GNN layers");
+  flags.define("requests", 64, 0, Flags::kAny, "requests per client");
+  flags.define("pairs", 8, 0, Flags::kAny, "node pairs per request");
+  flags.define("batch", 64, 1, Flags::kAny, "server scoring batch size");
+  flags.define("seed", 7, 0, Flags::kAny, "trace + model seed");
   flags.define("json", "BENCH_serving.json", "output path for machine-readable results");
   if (!flags.parse(argc, argv)) return 1;
-  // A count outside its field's range would wrap when narrowed (a negative
-  // one to a huge size, 2^32 to 0), so each is checked before use.
-  constexpr std::int64_t kU32 = std::numeric_limits<std::uint32_t>::max();
-  constexpr std::int64_t kAny = std::numeric_limits<std::int64_t>::max();
-  const std::tuple<const char*, std::int64_t, std::int64_t> counts[] = {
-      {"hidden", 1, kAny}, {"layers", 1, kU32}, {"requests", 0, kAny},
-      {"pairs", 0, kAny},  {"batch", 1, kAny}};
-  for (const auto& [name, min, max] : counts) {
-    if (!flags.int_in_range(name, min, max)) return 1;
-  }
 
   const double scale = flags.get_double("scale");
   const auto hidden = static_cast<std::size_t>(flags.get_int("hidden"));
@@ -162,15 +192,15 @@ int main(int argc, char** argv) {
               pairs_per_request, hardware, backend);
 
   const std::size_t client_counts[] = {1, 4, 16};
-  const bool cache_modes[] = {false, true};
-  std::vector<RunResult> results;
-  for (const bool cache : cache_modes) {
+  const std::size_t largest = client_counts[2];
+  double gate_p99_ms[2] = {0.0, 0.0};  // the median p99 at `largest`, cache off / on
+  std::vector<bench::Json> cells;
+  for (const bool cache : {false, true}) {
     for (const std::size_t clients : client_counts) {
       serving::ServingConfig server_config;
       server_config.batch_size = batch_size;
       server_config.cache_capacity =
           cache ? std::numeric_limits<std::size_t>::max() : 0;
-      const nn::ServingModel serving(model, split.train_graph, dataset.features);
 
       // Pre-generate every client's trace so the timed region is pure
       // serving work, not RNG.
@@ -187,84 +217,69 @@ int main(int argc, char** argv) {
         }
       }
 
-      RunResult run;
-      run.clients = clients;
-      run.cache = cache;
-      {
-        serving::ServingServer cold_server(serving, server_config);
-        run.cold_p99_ms = percentile(replay(cold_server, traces).latencies_ms, 0.99);
+      std::vector<Measurement> runs;
+      std::vector<bench::Json> measurements;
+      for (int r = 0; r < kMeasurements; ++r) {
+        const Measurement& m =
+            runs.emplace_back(measure(model, split, dataset.features, server_config, traces));
+        measurements.push_back(bench::Json()
+                                   .set("p50_ms", m.p50_ms)
+                                   .set("p99_ms", m.p99_ms)
+                                   .set("cold_p99_ms", m.cold_p99_ms)
+                                   .set("qps", m.qps)
+                                   .set("cache_hits", m.cache_hits)
+                                   .set("cache_misses", m.cache_misses)
+                                   .set("batches", m.batches));
       }
-      std::vector<std::byte> row(serving.row_bytes());
-      for (graph::NodeId v = 0; v < num_nodes; ++v) serving.compute_row(v, row);
-
-      serving::ServingServer server(serving, server_config);
-      const Replay warm = replay(server, traces);
-      run.p50_ms = percentile(warm.latencies_ms, 0.50);
-      run.p99_ms = percentile(warm.latencies_ms, 0.99);
-      run.qps = warm.wall_seconds > 0.0
-                    ? static_cast<double>(warm.latencies_ms.size()) / warm.wall_seconds
-                    : 0.0;
-      const auto cache_stats = server.cache_stats();
-      run.cache_hits = cache_stats.hits;
-      run.cache_misses = cache_stats.misses;
-      run.batches = server.stats().batches;
-      results.push_back(run);
-      std::printf("  cache=%-8s clients=%2zu  p50 %8.3f ms  p99 %8.3f ms  "
-                  "(cold %8.3f ms)  %9.1f req/s  (%llu batches, %llu hits / %llu misses)\n",
-                  cache ? "enabled" : "disabled", clients, run.p50_ms, run.p99_ms,
-                  run.cold_p99_ms, run.qps, static_cast<unsigned long long>(run.batches),
-                  static_cast<unsigned long long>(run.cache_hits),
-                  static_cast<unsigned long long>(run.cache_misses));
+      const std::vector<double> p99s = each(runs, &Measurement::p99_ms);
+      const double p50 = percentile(each(runs, &Measurement::p50_ms), 0.5);
+      const double p99 = percentile(p99s, 0.5);
+      const double p99_min = percentile(p99s, 0.0);
+      const double p99_max = percentile(p99s, 1.0);
+      const double cold_p99 = percentile(each(runs, &Measurement::cold_p99_ms), 0.5);
+      const double qps = percentile(each(runs, &Measurement::qps), 0.5);
+      if (clients == largest) gate_p99_ms[cache ? 1 : 0] = p99;
+      cells.push_back(bench::Json()
+                          .set("clients", clients)
+                          .set("cache", cache)
+                          .set("p50_ms", p50)
+                          .set("p99_ms", p99)
+                          .set("p99_min_ms", p99_min)
+                          .set("p99_max_ms", p99_max)
+                          .set("cold_p99_ms", cold_p99)
+                          .set("qps", qps)
+                          .set("measurements", measurements));
+      std::printf("  cache=%-8s clients=%2zu  p50 %8.3f ms  p99 %8.3f ms [%.3f, %.3f]  "
+                  "(cold %8.3f ms)  %9.1f req/s\n",
+                  cache ? "enabled" : "disabled", clients, p50, p99, p99_min, p99_max,
+                  cold_p99, qps);
     }
   }
 
-  const std::string json_path = flags.get_string("json");
-  {
-    std::ofstream out(json_path);
-    out << "{\n  \"bench\": \"serving\",\n";
-    out << "  \"hardware_concurrency\": " << hardware << ",\n";
-    out << "  \"vec_backend\": \"" << backend << "\",\n";
-    out << "  \"dataset\": \"pubmed\",\n";
-    out << "  \"scale\": " << scale << ",\n";
-    out << "  \"nodes\": " << num_nodes << ",\n";
-    out << "  \"layers\": " << layers << ",\n";
-    out << "  \"hidden_dim\": " << hidden << ",\n";
-    out << "  \"batch_size\": " << batch_size << ",\n";
-    out << "  \"requests_per_client\": " << requests_per_client << ",\n";
-    out << "  \"pairs_per_request\": " << pairs_per_request << ",\n";
-    out << "  \"runs\": [\n";
-    for (std::size_t i = 0; i < results.size(); ++i) {
-      const auto& run = results[i];
-      out << "    {\"clients\": " << run.clients
-          << ", \"cache\": " << (run.cache ? "true" : "false")
-          << ", \"p50_ms\": " << run.p50_ms << ", \"p99_ms\": " << run.p99_ms
-          << ", \"cold_p99_ms\": " << run.cold_p99_ms
-          << ", \"qps\": " << run.qps << ", \"cache_hits\": " << run.cache_hits
-          << ", \"cache_misses\": " << run.cache_misses
-          << ", \"batches\": " << run.batches << "}"
-          << (i + 1 < results.size() ? "," : "") << "\n";
-    }
-    out << "  ]\n}\n";
-  }
-  std::printf("wrote %s\n", json_path.c_str());
+  bench::Report report("serving");
+  report.set("dataset", "pubmed")
+      .set("scale", scale)
+      .set("nodes", num_nodes)
+      .set("layers", layers)
+      .set("hidden_dim", hidden)
+      .set("batch_size", batch_size)
+      .set("requests_per_client", requests_per_client)
+      .set("pairs_per_request", pairs_per_request)
+      .set("measurements_per_cell", kMeasurements)
+      .set("runs", cells);
+  report.write(flags.get_string("json"));
 
   // Regression gate: at the largest client count, the cache must not cost
   // more than 2x the uncached p99 (in practice it should be far below 1x).
-  const std::size_t largest = client_counts[2];
-  double p99_disabled = 0.0;
-  double p99_enabled = 0.0;
-  for (const auto& run : results) {
-    if (run.clients != largest) continue;
-    (run.cache ? p99_enabled : p99_disabled) = run.p99_ms;
-  }
+  const auto [p99_disabled, p99_enabled] = gate_p99_ms;
   if (p99_disabled > 0.0 && p99_enabled > 2.0 * p99_disabled) {
     std::fprintf(stderr,
-                 "FAIL: cache-enabled p99 %.3f ms exceeds 2x cache-disabled "
+                 "FAIL: median cache-enabled p99 %.3f ms exceeds 2x cache-disabled "
                  "p99 %.3f ms at %zu clients\n",
                  p99_enabled, p99_disabled, largest);
     return 1;
   }
-  std::printf("cache gate OK at %zu clients: p99 enabled %.3f ms vs disabled "
+  std::printf("cache gate OK at %zu clients: median p99 enabled %.3f ms vs disabled "
               "%.3f ms\n",
               largest, p99_enabled, p99_disabled);
   return 0;

@@ -1,33 +1,41 @@
 #include "common.hpp"
 
+#include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <cstdio>
+#include <ctime>
 #include <filesystem>
-#include <limits>
 #include <stdexcept>
-#include <tuple>
+#include <thread>
 
+#include "io/atomic_file.hpp"
+#include "tensor/vec.hpp"
 #include "util/logging.hpp"
+#include "util/timer.hpp"
 
 namespace splpg::bench {
 
+using util::Flags;
+
 std::optional<Env> parse_env(int argc, char** argv, const std::string& description,
                              const EnvDefaults& defaults) {
-  util::Flags flags(description +
-                    "\n\nCommon harness flags (shared by all bench binaries). Increase "
-                    "--scale/--epochs to approach paper scale; see EXPERIMENTS.md.");
+  Flags flags(description +
+              "\n\nCommon harness flags (shared by all bench binaries). Increase "
+              "--scale/--epochs to approach paper scale; see EXPERIMENTS.md.");
   flags.define("scale", defaults.scale, "dataset scale factor in (0, 1]");
-  flags.define("seed", static_cast<std::int64_t>(1), "run seed");
-  flags.define("epochs", static_cast<std::int64_t>(defaults.epochs), "training epochs");
-  flags.define("hidden", static_cast<std::int64_t>(32), "hidden dimension (paper: 256)");
-  flags.define("layers", static_cast<std::int64_t>(3), "GNN layers (paper: 3)");
-  flags.define("max_batches", static_cast<std::int64_t>(8),
+  flags.define("seed", 1, 0, Flags::kAny, "run seed");
+  flags.define("epochs", defaults.epochs, 1, Flags::kU32, "training epochs");
+  flags.define("hidden", 32, 0, Flags::kU32, "hidden dimension (paper: 256)");
+  flags.define("layers", 3, 0, Flags::kU32, "GNN layers (paper: 3)");
+  flags.define("max_batches", 8, 0, Flags::kU32,
                "cap on mini-batches per epoch (0 = full epoch)");
   flags.define("alpha", 0.15, "sparsification level L = alpha * |E| (paper: 0.15)");
-  flags.define("threads", static_cast<std::int64_t>(1),
+  flags.define("threads", 1, 0, Flags::kAny,
                "master ThreadPool width for sparsification/evaluation "
                "(1 = serial, 0 = hardware concurrency); results are "
                "bit-identical at every setting");
-  flags.define("worker-threads", static_cast<std::int64_t>(1),
+  flags.define("worker-threads", 1, 0, Flags::kAny,
                "per-worker ThreadPool width for neighbor sampling and the "
                "forward/backward kernels (1 = serial, 0 = hardware "
                "concurrency); results are bit-identical at every setting");
@@ -50,22 +58,11 @@ std::optional<Env> parse_env(int argc, char** argv, const std::string& descripti
                "(per-tensor symmetric quantization)");
   flags.define("topk-fraction", 0.01,
                "fraction of entries the topk hook keeps per tensor, in (0, 1]");
-  flags.define("local-steps", static_cast<std::int64_t>(1),
+  flags.define("local-steps", 1, 0, Flags::kU32,
                "sync period H: 1 keeps gradient averaging every batch; any "
                "other value switches to model averaging every H rounds "
                "(local-SGD), 0 = once per epoch");
   if (!flags.parse(argc, argv)) return std::nullopt;
-  // A count outside its field's range would wrap when narrowed (a negative
-  // one to a huge size, 2^32 epochs to 0), so each is checked before use.
-  constexpr std::int64_t kU32 = std::numeric_limits<std::uint32_t>::max();
-  constexpr std::int64_t kAny = std::numeric_limits<std::int64_t>::max();
-  const std::tuple<const char*, std::int64_t, std::int64_t> counts[] = {
-      {"epochs", 1, kU32},      {"hidden", 0, kU32},  {"layers", 0, kU32},
-      {"max_batches", 0, kU32}, {"threads", 0, kAny}, {"worker-threads", 0, kAny},
-      {"local-steps", 0, kU32}};
-  for (const auto& [name, min, max] : counts) {
-    if (!flags.int_in_range(name, min, max)) return std::nullopt;
-  }
   std::vector<std::int64_t> partitions;
   try {
     partitions = flags.get_int_list("partitions");
@@ -74,9 +71,9 @@ std::optional<Env> parse_env(int argc, char** argv, const std::string& descripti
     return std::nullopt;
   }
   for (const auto p : partitions) {
-    if (p < 1 || p > kU32) {
+    if (p < 1 || p > Flags::kU32) {
       std::fprintf(stderr, "error: flag --partitions entries must be in [1, %lld], got %lld\n",
-                   static_cast<long long>(kU32), static_cast<long long>(p));
+                   static_cast<long long>(Flags::kU32), static_cast<long long>(p));
       return std::nullopt;
     }
   }
@@ -239,6 +236,104 @@ std::string format_bytes(std::uint64_t bytes) {
     std::snprintf(buffer, sizeof(buffer), "%.2f KB", static_cast<double>(bytes) / (1ULL << 10));
   }
   return buffer;
+}
+
+Timing time_best(int repeats, const std::function<void()>& fn) {
+  Timing best;
+  for (int r = 0; r < repeats; ++r) {
+    const util::Stopwatch watch;
+    const std::clock_t cpu_start = std::clock();  // process CPU time on POSIX
+    fn();
+    const double wall = watch.seconds();
+    if (r == 0 || wall < best.wall_seconds) {
+      best.wall_seconds = wall;
+      best.cpu_seconds = static_cast<double>(std::clock() - cpu_start) / CLOCKS_PER_SEC;
+    }
+  }
+  return best;
+}
+
+namespace {
+
+std::string quote(const std::string& text) {
+  std::string out = "\"";
+  for (const char c : text) {
+    if (c == '"' || c == '\\') {
+      out += '\\';
+      out += c;
+    } else if (static_cast<unsigned char>(c) < 0x20) {
+      char escaped[8];
+      std::snprintf(escaped, sizeof(escaped), "\\u%04x", c);
+      out += escaped;
+    } else {
+      out += c;
+    }
+  }
+  return out + "\"";
+}
+
+template <typename T>
+std::string number(T value) {
+  if (!std::isfinite(value)) return "null";
+  char buffer[32];
+  return {buffer, std::to_chars(buffer, buffer + sizeof(buffer), value).ptr};
+}
+
+}  // namespace
+
+Json::Json(bool value) : kind_(Kind::kScalar), text_(value ? "true" : "false") {}
+
+Json::Json(float value) : kind_(Kind::kScalar), text_(number(value)) {}
+
+Json::Json(double value) : kind_(Kind::kScalar), text_(number(value)) {}
+
+Json::Json(const char* value) : Json(std::string(value)) {}
+
+Json::Json(const std::string& value) : kind_(Kind::kScalar), text_(quote(value)) {}
+
+Json::Json(std::vector<Json> items) : kind_(Kind::kArray), items_(std::move(items)) {}
+
+Json& Json::set(std::string key, Json value) {
+  if (kind_ != Kind::kObject) throw std::logic_error("Json::set on a non-object: " + key);
+  keys_.push_back(std::move(key));
+  items_.push_back(std::move(value));
+  return *this;
+}
+
+void Json::print(std::ostream& out, std::size_t depth) const {
+  if (kind_ == Kind::kScalar) {
+    out << text_;
+    return;
+  }
+  const bool object = kind_ == Kind::kObject;
+  const bool flat = std::all_of(items_.begin(), items_.end(),
+                                [](const Json& item) { return item.kind_ == Kind::kScalar; });
+  const std::string indent(2 * (depth + 1), ' ');
+  out << (object ? '{' : '[');
+  for (std::size_t i = 0; i < items_.size(); ++i) {
+    out << (i == 0 ? "" : flat ? ", " : ",");
+    if (!flat) out << '\n' << indent;
+    if (object) out << quote(keys_[i]) << ": ";
+    items_[i].print(out, depth + 1);
+  }
+  if (!flat) out << '\n' << std::string(2 * depth, ' ');
+  out << (object ? '}' : ']');
+}
+
+Report::Report(const std::string& bench) {
+  set("bench", bench);
+  set("hardware_concurrency", std::thread::hardware_concurrency());
+  set("vec_backend", tensor::vec_backend_name(tensor::vec_active_backend()));
+  set("build_type", SPLPG_BUILD_TYPE);
+}
+
+void Report::write(const std::string& path) const {
+  if (path.empty()) return;
+  io::write_file_atomic(path, [this](std::ostream& out) {
+    print(out);
+    out << '\n';
+  });
+  std::printf("wrote %s\n", path.c_str());
 }
 
 }  // namespace splpg::bench

@@ -1,13 +1,20 @@
-// Shared harness for the per-table / per-figure benchmark binaries.
+// Shared harness of the benchmark binaries, compiled once into
+// splpg_bench_common.
 //
-// Every bench binary accepts the same core flags (--scale, --seed, --epochs,
-// --datasets, --partitions, --hidden, ...) so the whole evaluation can be
-// re-run at larger scale with a single knob. Defaults are sized to finish
-// each binary in roughly a minute on one CPU core; the paper-scale settings
-// are documented in EXPERIMENTS.md.
+// Every per-table / per-figure binary accepts the same core flags (--scale,
+// --seed, --epochs, --datasets, --partitions, --hidden, ...) so the whole
+// evaluation can be re-run at larger scale with a single knob. Defaults are
+// sized to finish each binary in roughly a minute on one CPU core; the
+// paper-scale settings are documented in EXPERIMENTS.md.
+//
+// The engineering benches time with time_best and write their BENCH_*.json
+// through Report.
 #pragma once
 
+#include <concepts>
+#include <functional>
 #include <optional>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -95,5 +102,62 @@ void print_rule();
 [[nodiscard]] std::string improvement(double ours, double baseline, bool inverted = false);
 
 [[nodiscard]] std::string format_bytes(std::uint64_t bytes);
+
+// ---- timing ----
+
+struct Timing {
+  double wall_seconds = 0.0;
+  double cpu_seconds = 0.0;  // process CPU: every thread, pool workers included
+};
+
+/// Wall and process-CPU seconds of the fastest (by wall) of `repeats` runs of
+/// `fn`; the minimum filters scheduler noise. A pooled run burns about the
+/// serial CPU across more threads, so cpu/wall shows the parallelism reached.
+[[nodiscard]] Timing time_best(int repeats, const std::function<void()>& fn);
+
+// ---- BENCH reports ----
+
+/// An ordered JSON value: an object (the default), an array, or a scalar.
+/// An object prints its fields in the order they were set. Integers print
+/// exactly, floating-point numbers in their shortest round-trip form (a
+/// non-finite one as null), strings escaped.
+class Json {
+ public:
+  Json() = default;
+  Json(bool value);
+  Json(float value);
+  Json(double value);
+  template <std::integral T>
+  Json(T value) : kind_(Kind::kScalar), text_(std::to_string(value)) {}
+  Json(const char* value);
+  Json(const std::string& value);
+  Json(std::vector<Json> items);
+
+  /// Appends field `key` to this object.
+  Json& set(std::string key, Json value);
+
+  /// Writes the value at nesting `depth`: one holding only scalars on one
+  /// line, any other with one field or item per line.
+  void print(std::ostream& out, std::size_t depth = 0) const;
+
+ private:
+  enum class Kind { kObject, kArray, kScalar };
+  Kind kind_ = Kind::kObject;
+  std::string text_;               // a scalar's JSON text
+  std::vector<std::string> keys_;  // an object's keys, one per item
+  std::vector<Json> items_;        // an object's values or an array's items
+};
+
+/// A BENCH_*.json file: a JSON object that opens with the stamp every BENCH
+/// file carries — bench, hardware_concurrency, vec_backend, build_type.
+class Report : public Json {
+ public:
+  explicit Report(const std::string& bench);
+
+  /// Writes the report to `path` through io::write_file_atomic and prints
+  /// "wrote <path>"; an empty path writes nothing. Throws io::IoError naming
+  /// the path when it cannot be written.
+  void write(const std::string& path) const;
+};
 
 }  // namespace splpg::bench

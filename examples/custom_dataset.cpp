@@ -6,8 +6,6 @@
 //
 //   ./example_custom_dataset [--edges=my_graph.txt] [--feature_dim=64]
 #include <cstdio>
-#include <limits>
-#include <tuple>
 
 #include "core/trainer.hpp"
 #include "data/generators.hpp"
@@ -20,24 +18,17 @@
 int main(int argc, char** argv) {
   using namespace splpg;
 
-  util::Flags flags("Train SpLPG on a user-supplied edge-list file");
+  using util::Flags;
+  Flags flags("Train SpLPG on a user-supplied edge-list file");
   flags.define("edges", "", "path to a 'u v' edge list; empty = generate a demo file");
-  flags.define("feature_dim", static_cast<std::int64_t>(64),
+  flags.define("feature_dim", 64, 1, Flags::kU32,
                "random feature dimension (used when the dataset has no features)");
-  flags.define("epochs", static_cast<std::int64_t>(6), "training epochs");
-  flags.define("partitions", static_cast<std::int64_t>(4), "workers");
+  flags.define("epochs", 6, 1, Flags::kU32, "training epochs");
+  flags.define("partitions", 4, 1, Flags::kU32, "workers");
   flags.define("out", "/tmp/splpg_demo",
                "output prefix for the dataset directory and .model file");
-  flags.define("seed", static_cast<std::int64_t>(9), "seed");
+  flags.define("seed", 9, 0, Flags::kAny, "seed");
   if (!flags.parse(argc, argv)) return 1;
-  // A count outside its field's range would wrap when narrowed (a negative
-  // one to a huge size, 2^32 epochs to 0), so each is checked before use.
-  constexpr std::int64_t kU32 = std::numeric_limits<std::uint32_t>::max();
-  const std::tuple<const char*, std::int64_t, std::int64_t> counts[] = {
-      {"feature_dim", 1, kU32}, {"epochs", 1, kU32}, {"partitions", 1, kU32}};
-  for (const auto& [name, min, max] : counts) {
-    if (!flags.int_in_range(name, min, max)) return 1;
-  }
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed"));
 
   // 1. Obtain an edge list.

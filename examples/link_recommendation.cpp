@@ -6,8 +6,6 @@
 //   ./example_link_recommendation [--users=2000] [--topk=5]
 #include <algorithm>
 #include <cstdio>
-#include <limits>
-#include <tuple>
 #include <vector>
 
 #include "core/evaluator.hpp"
@@ -19,23 +17,15 @@
 int main(int argc, char** argv) {
   using namespace splpg;
 
-  util::Flags flags("Train with SpLPG and recommend links for individual nodes");
-  flags.define("users", static_cast<std::int64_t>(1500), "number of nodes (users)");
-  flags.define("topk", static_cast<std::int64_t>(5), "recommendations per user");
-  flags.define("epochs", static_cast<std::int64_t>(6), "training epochs");
-  flags.define("seed", static_cast<std::int64_t>(21), "seed");
-  if (!flags.parse(argc, argv)) return 1;
-  // A count outside its field's range would wrap when narrowed (a negative
-  // one to a huge size, 2^32 epochs to 0), so each is checked before use.
-  constexpr std::int64_t kU32 = std::numeric_limits<std::uint32_t>::max();
-  constexpr std::int64_t kAny = std::numeric_limits<std::int64_t>::max();
+  using util::Flags;
+  Flags flags("Train with SpLPG and recommend links for individual nodes");
   // Below 7 users the 4-links-per-user graph has fewer than the 10 edges
   // split_edges needs.
-  const std::tuple<const char*, std::int64_t, std::int64_t> counts[] = {
-      {"users", 7, kU32}, {"topk", 0, kAny}, {"epochs", 1, kU32}};
-  for (const auto& [name, min, max] : counts) {
-    if (!flags.int_in_range(name, min, max)) return 1;
-  }
+  flags.define("users", 1500, 7, Flags::kU32, "number of nodes (users)");
+  flags.define("topk", 5, 0, Flags::kAny, "recommendations per user");
+  flags.define("epochs", 6, 1, Flags::kU32, "training epochs");
+  flags.define("seed", 21, 0, Flags::kAny, "seed");
+  if (!flags.parse(argc, argv)) return 1;
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed"));
 
   // Social-network-like graph: preferential attachment + community features.

@@ -4,8 +4,6 @@
 //
 //   ./example_method_comparison [--dataset=cora] [--scale=0.15] [--partitions=4]
 #include <cstdio>
-#include <limits>
-#include <tuple>
 
 #include "core/trainer.hpp"
 #include "data/dataset.hpp"
@@ -15,21 +13,14 @@
 int main(int argc, char** argv) {
   using namespace splpg;
 
-  util::Flags flags("Compare all distributed link-prediction training methods");
+  using util::Flags;
+  Flags flags("Compare all distributed link-prediction training methods");
   flags.define("dataset", "cora", "dataset name (see data::dataset_registry)");
   flags.define("scale", 0.15, "dataset scale factor");
-  flags.define("partitions", static_cast<std::int64_t>(4), "number of workers");
-  flags.define("epochs", static_cast<std::int64_t>(6), "training epochs");
-  flags.define("seed", static_cast<std::int64_t>(1), "run seed");
+  flags.define("partitions", 4, 1, Flags::kU32, "number of workers");
+  flags.define("epochs", 6, 1, Flags::kU32, "training epochs");
+  flags.define("seed", 1, 0, Flags::kAny, "run seed");
   if (!flags.parse(argc, argv)) return 1;
-  // A count outside its field's range would wrap when narrowed (a negative
-  // one to a huge size, 2^32 epochs to 0), so each is checked before use.
-  constexpr std::int64_t kU32 = std::numeric_limits<std::uint32_t>::max();
-  const std::tuple<const char*, std::int64_t, std::int64_t> counts[] = {
-      {"partitions", 1, kU32}, {"epochs", 1, kU32}};
-  for (const auto& [name, min, max] : counts) {
-    if (!flags.int_in_range(name, min, max)) return 1;
-  }
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed"));
 
   const auto dataset = data::make_dataset(flags.get_string("dataset"),

@@ -16,9 +16,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <limits>
 #include <stdexcept>
-#include <tuple>
 
 #include "core/trainer.hpp"
 #include "data/dataset.hpp"
@@ -31,16 +29,17 @@
 int main(int argc, char** argv) {
   using namespace splpg;
 
-  util::Flags flags("SpLPG quickstart: centralized vs SpLPG on a Cora-like graph");
+  using util::Flags;
+  Flags flags("SpLPG quickstart: centralized vs SpLPG on a Cora-like graph");
   flags.define("scale", 0.2, "dataset scale factor in (0, 1]");
-  flags.define("epochs", static_cast<std::int64_t>(8), "training epochs");
-  flags.define("partitions", static_cast<std::int64_t>(4), "number of workers/partitions");
-  flags.define("hidden", static_cast<std::int64_t>(64), "hidden dimension");
-  flags.define("seed", static_cast<std::int64_t>(1), "run seed");
-  flags.define("threads", static_cast<std::int64_t>(1),
+  flags.define("epochs", 8, 1, Flags::kU32, "training epochs");
+  flags.define("partitions", 4, 1, Flags::kU32, "number of workers/partitions");
+  flags.define("hidden", 64, 0, Flags::kAny, "hidden dimension");
+  flags.define("seed", 1, 0, Flags::kAny, "run seed");
+  flags.define("threads", 1, 0, Flags::kAny,
                "MASTER-side ThreadPool width, i.e. sparsification/evaluation "
                "only (1 = serial, 0 = hardware); results are bit-identical");
-  flags.define("worker-threads", static_cast<std::int64_t>(1),
+  flags.define("worker-threads", 1, 0, Flags::kAny,
                "per-WORKER ThreadPool width: chunked neighbor sampling and "
                "the forward/backward kernels (1 = serial, 0 = hardware); "
                "results are bit-identical");
@@ -55,7 +54,7 @@ int main(int argc, char** argv) {
   flags.define("checkpoint-dir", "",
                "write per-epoch checkpoints (model + full train state, "
                "atomic-rename durable, self-checksummed) to this directory");
-  flags.define("keep-checkpoints", static_cast<std::int64_t>(0),
+  flags.define("keep-checkpoints", 0, 0, Flags::kU32,
                "keep only the newest K checkpoint epochs (0 = keep all)");
   flags.define("resume", "",
                "resume source: a state_epoch_<e>.bin path, or 'auto' to scan "
@@ -67,7 +66,7 @@ int main(int argc, char** argv) {
                "symmetric quantization); determinism is unaffected");
   flags.define("topk-fraction", 0.01,
                "fraction of entries the topk hook keeps per tensor, in (0, 1]");
-  flags.define("local-steps", static_cast<std::int64_t>(1),
+  flags.define("local-steps", 1, 0, Flags::kU32,
                "sync period H: 1 keeps gradient averaging every batch; any "
                "other value switches to model averaging every H rounds "
                "(local-SGD), 0 = once per epoch");
@@ -76,17 +75,6 @@ int main(int argc, char** argv) {
                "serving layer and score the test edges through the batched, "
                "embedding-cached server (f32 and int8)");
   if (!flags.parse(argc, argv)) return 1;
-  // A count outside its field's range would wrap when narrowed (a negative
-  // one to a huge size, 2^32 epochs to 0), so each is checked before use.
-  constexpr std::int64_t kU32 = std::numeric_limits<std::uint32_t>::max();
-  constexpr std::int64_t kAny = std::numeric_limits<std::int64_t>::max();
-  const std::tuple<const char*, std::int64_t, std::int64_t> counts[] = {
-      {"epochs", 1, kU32},  {"partitions", 1, kU32},     {"hidden", 0, kAny},
-      {"threads", 0, kAny}, {"worker-threads", 0, kAny}, {"keep-checkpoints", 0, kU32},
-      {"local-steps", 0, kU32}};
-  for (const auto& [name, min, max] : counts) {
-    if (!flags.int_in_range(name, min, max)) return 1;
-  }
 
   const std::uint64_t seed = static_cast<std::uint64_t>(flags.get_int("seed"));
 

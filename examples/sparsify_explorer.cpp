@@ -18,11 +18,12 @@
 int main(int argc, char** argv) {
   using namespace splpg;
 
-  util::Flags flags("Explore effective-resistance sparsification on a small graph");
-  flags.define("nodes", static_cast<std::int64_t>(120), "graph size");
-  flags.define("edges", static_cast<std::int64_t>(800), "edge count");
-  flags.define("seed", static_cast<std::int64_t>(7), "seed");
-  flags.define("threads", static_cast<std::int64_t>(1),
+  using util::Flags;
+  Flags flags("Explore effective-resistance sparsification on a small graph");
+  flags.define("nodes", 120, 2, Flags::kU32, "graph size");
+  flags.define("edges", 800, 1, Flags::kAny, "edge count");
+  flags.define("seed", 7, 0, Flags::kAny, "seed");
+  flags.define("threads", 1, 0, Flags::kAny,
                "ThreadPool width for the per-edge exact ER solves (1 = serial, "
                "0 = hardware); the output is bit-identical at every setting");
   if (!flags.parse(argc, argv)) return 1;

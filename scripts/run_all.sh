@@ -2,13 +2,26 @@
 # Build, test, and regenerate every table/figure, capturing the outputs the
 # repository documents in EXPERIMENTS.md.
 #
-#   scripts/run_all.sh [extra bench flags...]
+#   scripts/run_all.sh [extra harness flags...]
 # e.g.
 #   scripts/run_all.sh --scale=0.5 --epochs=40 --hidden=256
+#
+# The extra flags go to every table, figure and ablation bench: the binaries
+# that share the harness flags of bench::parse_env. The engineering benches
+# (bench_parallel, bench_kernels, bench_comm_regimes, bench_serving) take
+# their own flags and write the committed BENCH_*.json files; run them with
+# scripts/run_bench.sh.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-cmake -B build -G Ninja
+# Ninja only for a fresh build tree: one configured earlier (the tier-1
+# command leaves the default generator) keeps the generator it has, since
+# cmake refuses to switch generators in place. Warnings are errors here.
+generator=()
+if [[ ! -f build/CMakeCache.txt ]] && command -v ninja >/dev/null; then
+  generator=(-G Ninja)
+fi
+cmake -B build -S . ${generator[@]+"${generator[@]}"} -DSPLPG_WERROR=ON >/dev/null
 cmake --build build
 ctest --test-dir build 2>&1 | tee test_output.txt
 
@@ -34,21 +47,9 @@ done
 # the seeded scenario count beyond the default 20.
 scripts/run_chaos.sh "${SPLPG_CHAOS_SCENARIOS:-20}" 2>&1 | tee chaos_output.txt
 
-# Communication-efficient regime sweep: compression hooks (top-k, int8) and
-# local-SGD vs dense exact sync, under clean and faulty cluster profiles.
-# Leaves BENCH_comm.json; the exit code enforces that every compressed
-# regime moves strictly fewer sync bytes/epoch than the dense baseline.
-# Runs with its own flag set — override via BENCH_COMM_FLAGS.
-# shellcheck disable=SC2086  # intentional word splitting of the flag string
-build/bench/bench_comm_regimes --json=BENCH_comm.json ${BENCH_COMM_FLAGS:-} \
-  | tee comm_regimes_output.txt
-
+# Every table, figure and ablation; their per-run log lines go to stderr.
 : > bench_output.txt
-for b in build/bench/*; do
-  [ -x "$b" ] && [ -f "$b" ] || continue
-  case "$(basename "$b")" in
-    bench_comm_regimes) continue ;;  # ran above with its own flags
-  esac
+for b in build/bench/bench_table* build/bench/bench_fig* build/bench/bench_ablation_*; do
   echo "=== $(basename "$b") ===" | tee -a bench_output.txt
-  "$b" "$@" 2>/dev/null | tee -a bench_output.txt
+  "$b" "$@" | tee -a bench_output.txt
 done

@@ -1,22 +1,19 @@
 #!/usr/bin/env bash
-# Build and run the parallelism benchmarks, leaving machine-readable
+# Build and run the engineering benchmarks, leaving machine-readable
 # results at the repo root:
 #
-#   scripts/run_bench.sh [extra bench_parallel_preprocessing flags...]
+#   scripts/run_bench.sh [extra bench_parallel flags...]
 # e.g.
-#   scripts/run_bench.sh --threads=8 --worker-threads=8 --scale=0.5
+#   scripts/run_bench.sh --threads=8 --scale=0.5
 #
-# Extra flags go to bench_parallel_preprocessing (the two binaries define
-# different flag sets and unknown flags are fatal by design); override the
-# worker benchmark's flags via BENCH_WORKER_FLAGS, e.g.
-#   BENCH_WORKER_FLAGS="--worker-threads=8 --scale=0.5" scripts/run_bench.sh
-#
-#   BENCH_parallel.json  bench_parallel_preprocessing — master-side pools
+#   BENCH_parallel.json  bench_parallel — every pooled hot path against
+#                        serial at a pool of --threads: master side
 #                        (partition sparsification, per-edge CG exact ER
-#                        solves, evaluation scoring)
-#   BENCH_worker.json    bench_worker_parallel — worker-side pools (chunked
+#                        solves, evaluation scoring) and worker side (chunked
 #                        neighbor sampling, row-blocked forward/backward
-#                        kernels, a training epoch at worker_threads N vs 1)
+#                        kernels, a training epoch at worker_threads N vs 1),
+#                        wall and process-CPU per section (exit 1 if any
+#                        section is not bit-identical)
 #   BENCH_kernels.json   bench_kernels — the Vec kernel engine: per-backend
 #                        (scalar/sse2/avx2/avx512, as supported by the host
 #                        CPU) throughput of every tensor hot-path kernel, with
@@ -40,16 +37,15 @@
 #                        link-prediction server at 1/4/16 concurrent
 #                        clients, embedding cache disabled vs enabled, with
 #                        the first-layer table filled before the timed
-#                        replay (the cold replay's p99 is its own field). The
-#                        exit code enforces the cache regression gate:
-#                        cache-enabled p99 must stay within 2x of the
-#                        uncached p99 at the largest client count. Override
-#                        its flags via BENCH_SERVING_FLAGS.
+#                        replay (the cold replay's p99 is its own field),
+#                        each cell measured 3 times (medians, p99 min/max).
+#                        The exit code enforces the cache regression gate:
+#                        the median cache-enabled p99 must stay within 2x of
+#                        the uncached one at the largest client count.
+#                        Override its flags via BENCH_SERVING_FLAGS.
 #
-# The parallelism benchmarks verify that every pooled hot path is
-# bit-identical to its serial counterpart before timing it, and all record
-# the host's hardware concurrency — speedups are bounded by the cores
-# actually available.
+# Every file opens with the same stamp: bench, hardware_concurrency (speedups
+# are bounded by the cores actually available), vec_backend and build_type.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -61,15 +57,9 @@ if [[ ! -f build/CMakeCache.txt ]] && command -v ninja >/dev/null; then
   generator=(-G Ninja)
 fi
 cmake -B build -S . ${generator[@]+"${generator[@]}"} >/dev/null
-cmake --build build -j --target bench_parallel_preprocessing bench_worker_parallel \
-  bench_kernels bench_comm_regimes bench_serving
+cmake --build build -j --target bench_parallel bench_kernels bench_comm_regimes bench_serving
 
-build/bench/bench_parallel_preprocessing --json=BENCH_parallel.json "$@" \
-  | tee bench_parallel_output.txt
-
-# shellcheck disable=SC2086  # intentional word splitting of the flag string
-build/bench/bench_worker_parallel --json=BENCH_worker.json ${BENCH_WORKER_FLAGS:-} \
-  | tee bench_worker_output.txt
+build/bench/bench_parallel --json=BENCH_parallel.json "$@" | tee bench_parallel_output.txt
 
 # shellcheck disable=SC2086  # intentional word splitting of the flag string
 build/bench/bench_kernels --json=BENCH_kernels.json ${BENCH_KERNELS_FLAGS:-} \
@@ -83,5 +73,5 @@ build/bench/bench_comm_regimes --json=BENCH_comm.json ${BENCH_COMM_FLAGS:-} \
 build/bench/bench_serving --json=BENCH_serving.json ${BENCH_SERVING_FLAGS:-} \
   | tee bench_serving_output.txt
 
-echo "results written to BENCH_parallel.json, BENCH_worker.json, BENCH_kernels.json," \
-  "BENCH_comm.json, and BENCH_serving.json"
+echo "results written to BENCH_parallel.json, BENCH_kernels.json, BENCH_comm.json," \
+  "and BENCH_serving.json"

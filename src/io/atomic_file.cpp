@@ -22,8 +22,8 @@ namespace {
 /// fsync the directory containing `path` so the rename itself is durable.
 void fsync_parent_dir(const std::string& path) {
 #if SPLPG_HAS_FSYNC
-  std::string dir = std::filesystem::path(path).parent_path().string();
-  if (dir.empty()) dir = ".";
+  const std::filesystem::path parent = std::filesystem::path(path).parent_path();
+  const std::string dir = parent.empty() ? "." : parent.string();
   const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
   if (fd < 0) throw_errno("cannot open directory for fsync", dir);
   if (::fsync(fd) != 0) {

@@ -38,11 +38,6 @@ void Flags::define(const std::string& name, const char* default_value, std::stri
   define(name, std::string(default_value), std::move(help));
 }
 
-void Flags::define(const std::string& name, std::int64_t default_value, std::string help) {
-  auto text = std::to_string(default_value);
-  entries_[name] = Entry{Type::kInt, text, text, std::move(help)};
-}
-
 void Flags::define(const std::string& name, double default_value, std::string help) {
   std::ostringstream stream;
   stream << default_value;
@@ -52,6 +47,17 @@ void Flags::define(const std::string& name, double default_value, std::string he
 void Flags::define(const std::string& name, bool default_value, std::string help) {
   const std::string text = default_value ? "true" : "false";
   entries_[name] = Entry{Type::kBool, text, text, std::move(help)};
+}
+
+void Flags::define(const std::string& name, std::int64_t default_value, std::int64_t min,
+                   std::int64_t max, std::string help) {
+  if (default_value < min || default_value > max) {
+    throw std::logic_error("flag --" + name + " has default " + std::to_string(default_value) +
+                           " outside its range [" + std::to_string(min) + ", " +
+                           std::to_string(max) + "]");
+  }
+  const auto text = std::to_string(default_value);
+  entries_[name] = Entry{Type::kInt, text, text, std::move(help), min, max};
 }
 
 bool Flags::parse(int argc, char** argv) {
@@ -84,7 +90,8 @@ bool Flags::parse(int argc, char** argv) {
       print_usage();
       return false;
     }
-    const Type type = it->second.type;
+    Entry& entry = it->second;
+    const Type type = entry.type;
     if (!has_value) {
       if (type == Type::kBool) {
         value = "true";
@@ -95,14 +102,21 @@ bool Flags::parse(int argc, char** argv) {
         return false;
       }
     }
-    if ((type == Type::kInt && !parse_whole<std::int64_t>(value)) ||
+    const auto number = parse_whole<std::int64_t>(value);
+    if ((type == Type::kInt && !number) ||
         (type == Type::kDouble && !parse_whole<double>(value))) {
       std::fprintf(stderr, "error: flag --%s wants %s %s, got '%s'\n", name.c_str(),
                    type == Type::kInt ? "an" : "a", type_name(static_cast<int>(type)),
                    value.c_str());
       return false;
     }
-    it->second.value = value;
+    if (type == Type::kInt && (*number < entry.min || *number > entry.max)) {
+      std::fprintf(stderr, "error: flag --%s must be in [%lld, %lld], got %lld\n", name.c_str(),
+                   static_cast<long long>(entry.min), static_cast<long long>(entry.max),
+                   static_cast<long long>(*number));
+      return false;
+    }
+    entry.value = value;
   }
   return true;
 }
@@ -156,20 +170,15 @@ std::vector<std::int64_t> Flags::get_int_list(const std::string& name) const {
   return out;
 }
 
-bool Flags::int_in_range(const std::string& name, std::int64_t min, std::int64_t max) const {
-  const std::int64_t value = get_int(name);
-  if (value >= min && value <= max) return true;
-  std::fprintf(stderr, "error: flag --%s must be in [%lld, %lld], got %lld\n", name.c_str(),
-               static_cast<long long>(min), static_cast<long long>(max),
-               static_cast<long long>(value));
-  return false;
-}
-
 void Flags::print_usage() const {
   std::fprintf(stderr, "%s\n\nflags:\n", description_.c_str());
   for (const auto& [name, entry] : entries_) {
+    std::string type = type_name(static_cast<int>(entry.type));
+    if (entry.type == Type::kInt) {
+      type += " in [" + std::to_string(entry.min) + ", " + std::to_string(entry.max) + "]";
+    }
     std::fprintf(stderr, "  --%-24s %s (%s, default: %s)\n", name.c_str(), entry.help.c_str(),
-                 type_name(static_cast<int>(entry.type)), entry.default_value.c_str());
+                 type.c_str(), entry.default_value.c_str());
   }
 }
 

@@ -541,7 +541,9 @@ TEST(ServingOracle, TracesAreBitIdenticalAcrossCacheBatchAndClientMatrix) {
       EXPECT_EQ(stats.requests, kNumTraces * 6);
       const auto cache = server.cache_stats();
       EXPECT_EQ(cache.hits + cache.misses, cache.lookups);
-      if (cache_capacity == 0) EXPECT_EQ(cache.hits, 0U);
+      if (cache_capacity == 0) {
+        EXPECT_EQ(cache.hits, 0U);
+      }
     }
   }
 }

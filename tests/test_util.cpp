@@ -5,6 +5,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
@@ -461,10 +462,13 @@ TEST(ThreadPoolStress, ManySmallTasksUnderContention) {
   EXPECT_EQ(total.load(), 20L * (999L * 1000L / 2));
 }
 
+/// The widest int range, for the tests that are not about ranges.
+constexpr std::int64_t kAnyMin = std::numeric_limits<std::int64_t>::min();
+
 TEST(Flags, ParsesAllForms) {
   Flags flags("test");
   flags.define("name", "default", "a string");
-  flags.define("count", static_cast<std::int64_t>(3), "an int");
+  flags.define("count", 3, kAnyMin, Flags::kAny, "an int");
   flags.define("rate", 0.5, "a double");
   flags.define("verbose", false, "a bool");
   const char* argv[] = {"prog", "--name=hello", "--count", "42", "--verbose", "--rate=0.25"};
@@ -479,8 +483,8 @@ TEST(Flags, DashedNamesParseInBothForms) {
   // The worker-parallelism knobs use dashed names (--worker-threads,
   // quickstart + bench); make sure dashes survive both spellings.
   Flags flags("test");
-  flags.define("worker-threads", static_cast<std::int64_t>(1), "pool width");
-  flags.define("local-steps", static_cast<std::int64_t>(1), "sync period");
+  flags.define("worker-threads", 1, kAnyMin, Flags::kAny, "pool width");
+  flags.define("local-steps", 1, kAnyMin, Flags::kAny, "sync period");
   {
     const char* argv[] = {"prog", "--worker-threads=4", "--local-steps", "2"};
     ASSERT_TRUE(flags.parse(4, const_cast<char**>(argv)));
@@ -489,7 +493,7 @@ TEST(Flags, DashedNamesParseInBothForms) {
   }
   {
     Flags spaced("test");
-    spaced.define("worker-threads", static_cast<std::int64_t>(1), "pool width");
+    spaced.define("worker-threads", 1, kAnyMin, Flags::kAny, "pool width");
     const char* argv[] = {"prog", "--worker-threads", "7"};
     ASSERT_TRUE(spaced.parse(3, const_cast<char**>(argv)));
     EXPECT_EQ(spaced.get_int("worker-threads"), 7);
@@ -498,7 +502,7 @@ TEST(Flags, DashedNamesParseInBothForms) {
 
 TEST(Flags, DefaultsWhenUnset) {
   Flags flags("test");
-  flags.define("count", static_cast<std::int64_t>(3), "an int");
+  flags.define("count", 3, kAnyMin, Flags::kAny, "an int");
   const char* argv[] = {"prog"};
   ASSERT_TRUE(flags.parse(1, const_cast<char**>(argv)));
   EXPECT_EQ(flags.get_int("count"), 3);
@@ -506,7 +510,7 @@ TEST(Flags, DefaultsWhenUnset) {
 
 TEST(Flags, UnknownFlagFails) {
   Flags flags("test");
-  flags.define("count", static_cast<std::int64_t>(3), "an int");
+  flags.define("count", 3, kAnyMin, Flags::kAny, "an int");
   const char* argv[] = {"prog", "--unknown=1"};
   EXPECT_FALSE(flags.parse(2, const_cast<char**>(argv)));
 }
@@ -533,7 +537,7 @@ TEST(Flags, MalformedNumbersFailNamingTheFlag) {
       {"--rate=", "--rate"}};
   for (const auto& [arg, flag] : cases) {
     Flags flags("test");
-    flags.define("epochs", static_cast<std::int64_t>(6), "an int");
+    flags.define("epochs", 6, kAnyMin, Flags::kAny, "an int");
     flags.define("rate", 0.5, "a double");
     const char* argv[] = {"prog", arg};
     testing::internal::CaptureStderr();
@@ -544,7 +548,7 @@ TEST(Flags, MalformedNumbersFailNamingTheFlag) {
   }
   // The space-separated form is checked too.
   Flags flags("test");
-  flags.define("epochs", static_cast<std::int64_t>(6), "an int");
+  flags.define("epochs", 6, kAnyMin, Flags::kAny, "an int");
   const char* argv[] = {"prog", "--epochs", "abc"};
   testing::internal::CaptureStderr();
   EXPECT_FALSE(flags.parse(3, const_cast<char**>(argv)));
@@ -553,7 +557,7 @@ TEST(Flags, MalformedNumbersFailNamingTheFlag) {
 
 TEST(Flags, WellFormedNumbersStillParse) {
   Flags flags("test");
-  flags.define("count", static_cast<std::int64_t>(3), "an int");
+  flags.define("count", 3, kAnyMin, Flags::kAny, "an int");
   flags.define("rate", 0.5, "a double");
   const char* argv[] = {"prog", "--count=-7", "--rate=1e-3"};
   ASSERT_TRUE(flags.parse(3, const_cast<char**>(argv)));
@@ -576,9 +580,69 @@ TEST(Flags, IntListRejectsMalformedEntriesNamingTheFlag) {
   }
 }
 
+TEST(Flags, IntFlagsHoldTheRangeTheirDefinitionDeclares) {
+  struct Case {
+    const char* arg;
+    bool accepted;
+    const char* error;  // the message printed when rejected
+  };
+  const Case cases[] = {
+      {"--epochs=0", false, "error: flag --epochs must be in [1, 4294967295], got 0"},
+      {"--offset=6", false, "error: flag --offset must be in [-5, 5], got 6"},
+      {"--epochs=4294967296", false,
+       "error: flag --epochs must be in [1, 4294967295], got 4294967296"},
+      {"--threads=-1", false,
+       "error: flag --threads must be in [0, 9223372036854775807], got -1"},
+      {"--offset=-6", false, "error: flag --offset must be in [-5, 5], got -6"},
+      {"--epochs=1", true, ""},
+      {"--epochs=4294967295", true, ""},
+      {"--offset=-5", true, ""},
+      {"--threads=0", true, ""},
+  };
+  for (const Case& c : cases) {
+    Flags flags("test");
+    flags.define("epochs", 6, 1, Flags::kU32, "a u32 count");
+    flags.define("threads", 1, 0, Flags::kAny, "a size_t count");
+    flags.define("offset", 0, -5, 5, "a signed value");
+    const char* argv[] = {"prog", c.arg};
+    testing::internal::CaptureStderr();
+    const bool parsed = flags.parse(2, const_cast<char**>(argv));
+    const std::string error = testing::internal::GetCapturedStderr();
+    EXPECT_EQ(parsed, c.accepted) << c.arg;
+    EXPECT_EQ(error, c.accepted ? "" : std::string(c.error) + "\n") << c.arg;
+  }
+  // The space-separated form is checked too.
+  Flags flags("test");
+  flags.define("epochs", 6, 1, Flags::kU32, "a u32 count");
+  const char* argv[] = {"prog", "--epochs", "0"};
+  testing::internal::CaptureStderr();
+  EXPECT_FALSE(flags.parse(3, const_cast<char**>(argv)));
+  EXPECT_NE(testing::internal::GetCapturedStderr().find("--epochs must be in"), std::string::npos);
+}
+
+TEST(Flags, DefaultOutsideItsRangeIsRejectedAtDefinition) {
+  Flags flags("test");
+  EXPECT_THROW(flags.define("epochs", 0, 1, Flags::kU32, "a u32 count"), std::logic_error);
+  EXPECT_THROW(flags.define("offset", 6, -5, 5, "a signed value"), std::logic_error);
+  EXPECT_NO_THROW(flags.define("edge", 5, -5, 5, "a signed value"));
+}
+
+TEST(Flags, HelpShowsEachIntRange) {
+  Flags flags("test");
+  flags.define("epochs", 6, 1, Flags::kU32, "a u32 count");
+  flags.define("rate", 0.5, "a double");
+  const char* argv[] = {"prog", "--help"};
+  testing::internal::CaptureStderr();
+  EXPECT_FALSE(flags.parse(2, const_cast<char**>(argv)));
+  const std::string usage = testing::internal::GetCapturedStderr();
+  EXPECT_NE(usage.find("a u32 count (int in [1, 4294967295], default: 6)"), std::string::npos)
+      << usage;
+  EXPECT_NE(usage.find("a double (double, default: 0.5)"), std::string::npos) << usage;
+}
+
 TEST(Flags, TypeMismatchThrows) {
   Flags flags("test");
-  flags.define("count", static_cast<std::int64_t>(3), "an int");
+  flags.define("count", 3, kAnyMin, Flags::kAny, "an int");
   const char* argv[] = {"prog"};
   ASSERT_TRUE(flags.parse(1, const_cast<char**>(argv)));
   EXPECT_THROW((void)flags.get_string("count"), std::logic_error);

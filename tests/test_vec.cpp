@@ -712,13 +712,13 @@ std::vector<SpmmEdgeCase> spmm_edge_cases() {
   util::Rng rng(7331);
   std::vector<SpmmEdgeCase> cases;
   // Endpoints drawn uniformly: destination rows interleave in edge order.
-  SpmmEdgeCase random_order{"random_order", 160, 80};
+  SpmmEdgeCase random_order{"random_order", 160, 80, {}, {}};
   for (int e = 0; e < 700; ++e) random_order.add(rng.uniform_u64(160), rng.uniform_u64(80));
   cases.push_back(random_order);
   // A sampled block (edges grouped by destination, as the sampler emits
   // them), then GAT's self-loops appended after it: destination d reads
   // source d, since destinations are the prefix of the sources.
-  SpmmEdgeCase self_loops{"self_loops_appended", 160, 80};
+  SpmmEdgeCase self_loops{"self_loops_appended", 160, 80, {}, {}};
   for (std::uint64_t d = 0; d < 80; ++d) {
     for (int k = 0; k < 8; ++k) self_loops.add(rng.uniform_u64(160), d);
   }
@@ -726,7 +726,7 @@ std::vector<SpmmEdgeCase> spmm_edge_cases() {
   cases.push_back(self_loops);
   // Repeated (src, dst) pairs: some back to back, and the first 200 edges
   // again at the end.
-  SpmmEdgeCase repeated{"repeated_pairs", 160, 80};
+  SpmmEdgeCase repeated{"repeated_pairs", 160, 80, {}, {}};
   for (int e = 0; e < 350; ++e) {
     const std::uint64_t s = rng.uniform_u64(160);
     const std::uint64_t d = rng.uniform_u64(80);
@@ -737,7 +737,7 @@ std::vector<SpmmEdgeCase> spmm_edge_cases() {
   cases.push_back(repeated);
   // Only even destinations and sources below 100 have edges: odd rows of
   // the output and rows >= 100 of the input gradient stay zero.
-  SpmmEdgeCase sparse_rows{"empty_destinations", 160, 81};
+  SpmmEdgeCase sparse_rows{"empty_destinations", 160, 81, {}, {}};
   for (int e = 0; e < 700; ++e) sparse_rows.add(rng.uniform_u64(100), 2 * rng.uniform_u64(41));
   cases.push_back(sparse_rows);
   return cases;
