@@ -5,7 +5,9 @@
 // Master side: partition sparsification, the per-edge CG effective-resistance
 // solves, and evaluation scoring. Worker side: chunk-parallel neighbor
 // sampling, the row-blocked forward/backward kernels, and whole training
-// epochs at worker_threads N against 1.
+// epochs of the one centralized worker at worker_threads N against 1 (the
+// configuration perfbench runs a worker pool in; its SpLPG workers each
+// take one CPU, so a pool per worker would only oversubscribe).
 //
 // The determinism contract is the point: every pooled path must produce the
 // same bytes as its serial counterpart, and the bench exits 1 if any section
@@ -230,13 +232,15 @@ Section forward_backward(const Setup& s) {
                [&] { (void)run(&pool); });
 }
 
+/// Whole epochs of centralized training, the one worker running its
+/// sampling and kernels on a pool of worker_threads (as perfbench's
+/// `centralized` workload does).
 Section train_epoch(const Setup& s) {
   core::TrainConfig config;
-  config.method = core::Method::kSplpg;
+  config.method = core::Method::kCentralized;
   config.model.hidden_dim = s.hidden;
   config.model.num_layers = s.layers;
   config.epochs = s.epochs;
-  config.num_partitions = s.partitions;
   config.max_batches_per_epoch = s.max_batches;
   config.batch_size = s.dataset.batch_size;
   config.sync = dist::SyncMode::kGradientAveraging;
@@ -257,15 +261,14 @@ int main(int argc, char** argv) {
   Flags flags(
       "Pooled-vs-serial benchmark: master-side sparsification, exact ER "
       "solves and evaluation scoring, and worker-side neighbor sampling, "
-      "forward/backward kernels and training epochs, each serial and on a "
-      "ThreadPool. Each section verifies the pooled output is bit-identical "
-      "to serial before timing it.");
+      "forward/backward kernels and centralized training epochs, each serial "
+      "and on a ThreadPool. Each section verifies the pooled output is "
+      "bit-identical to serial before timing it.");
   flags.define("dataset", "cora", "dataset of every section but the exact ER one");
   flags.define("scale", 0.25, "dataset scale factor in (0, 1]");
   flags.define("seed", 1, 0, Flags::kAny, "run seed");
   flags.define("alpha", 0.15, "sparsification level L = alpha * |E|");
-  flags.define("partitions", 4, 1, Flags::kU32,
-               "partition count (sparsification and training-epoch sections)");
+  flags.define("partitions", 4, 1, Flags::kU32, "partition count of the sparsification section");
   flags.define("threads", 4, 0, Flags::kAny,
                "ThreadPool width of every pooled variant (0 = hardware)");
   flags.define("repeats", 3, 1, Flags::kInt, "timing repetitions (best-of)");

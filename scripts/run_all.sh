@@ -16,7 +16,10 @@ cd "$(dirname "$0")/.."
 
 # Ninja only for a fresh build tree: one configured earlier (the tier-1
 # command leaves the default generator) keeps the generator it has, since
-# cmake refuses to switch generators in place. Warnings are errors here.
+# cmake refuses to switch generators in place. Warnings are errors here, and
+# the option stays in build/'s cache: later configures of build/ without it
+# (the plain `cmake -B build`, run_bench.sh) keep -Werror until one passes
+# -DSPLPG_WERROR=OFF.
 generator=()
 if [[ ! -f build/CMakeCache.txt ]] && command -v ninja >/dev/null; then
   generator=(-G Ninja)

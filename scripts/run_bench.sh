@@ -6,14 +6,6 @@
 # e.g.
 #   scripts/run_bench.sh --threads=8 --scale=0.5
 #
-#   BENCH_parallel.json  bench_parallel — every pooled hot path against
-#                        serial at a pool of --threads: master side
-#                        (partition sparsification, per-edge CG exact ER
-#                        solves, evaluation scoring) and worker side (chunked
-#                        neighbor sampling, row-blocked forward/backward
-#                        kernels, a training epoch at worker_threads N vs 1),
-#                        wall and process-CPU per section (exit 1 if any
-#                        section is not bit-identical)
 #   BENCH_kernels.json   bench_kernels — the Vec kernel engine: per-backend
 #                        (scalar/sse2/avx2/avx512, as supported by the host
 #                        CPU) throughput of every tensor hot-path kernel, with
@@ -23,6 +15,18 @@
 #                        first-layer shape, gather + matmul against
 #                        matmul_prefix (exit 1 if any result differs
 #                        bitwise). Override its flags via BENCH_KERNELS_FLAGS.
+#   BENCH_parallel.json  bench_parallel — every pooled hot path against
+#                        serial at a pool of --threads: master side
+#                        (partition sparsification, per-edge CG exact ER
+#                        solves, evaluation scoring) and worker side (chunked
+#                        neighbor sampling, row-blocked forward/backward
+#                        kernels, centralized training epochs at
+#                        worker_threads N vs 1), wall and process-CPU per
+#                        section (exit 1 if any section is not
+#                        bit-identical). It runs after bench_kernels: on a
+#                        shared 4-vCPU VM the first second of pooled work
+#                        after the host sat idle has been seen to get about
+#                        one CPU, which reads as no speedup.
 #   BENCH_comm.json      bench_comm_regimes — communication-efficient
 #                        training regimes: sync-payload bytes/epoch, accuracy
 #                        and wall for exact sync vs top-k / int8 gradient
@@ -59,11 +63,11 @@ fi
 cmake -B build -S . ${generator[@]+"${generator[@]}"} >/dev/null
 cmake --build build -j --target bench_parallel bench_kernels bench_comm_regimes bench_serving
 
-build/bench/bench_parallel --json=BENCH_parallel.json "$@" | tee bench_parallel_output.txt
-
 # shellcheck disable=SC2086  # intentional word splitting of the flag string
 build/bench/bench_kernels --json=BENCH_kernels.json ${BENCH_KERNELS_FLAGS:-} \
   | tee bench_kernels_output.txt
+
+build/bench/bench_parallel --json=BENCH_parallel.json "$@" | tee bench_parallel_output.txt
 
 # shellcheck disable=SC2086  # intentional word splitting of the flag string
 build/bench/bench_comm_regimes --json=BENCH_comm.json ${BENCH_COMM_FLAGS:-} \
@@ -73,5 +77,5 @@ build/bench/bench_comm_regimes --json=BENCH_comm.json ${BENCH_COMM_FLAGS:-} \
 build/bench/bench_serving --json=BENCH_serving.json ${BENCH_SERVING_FLAGS:-} \
   | tee bench_serving_output.txt
 
-echo "results written to BENCH_parallel.json, BENCH_kernels.json, BENCH_comm.json," \
+echo "results written to BENCH_kernels.json, BENCH_parallel.json, BENCH_comm.json," \
   "and BENCH_serving.json"
